@@ -8,7 +8,7 @@ and shows the file formats used by the ``tcover`` command line tool.
 
 from tcover import (
     ElementSet,
-    build_graph,
+    Graph,
     format_element,
     is_total_cover,
     parse_graph,
@@ -17,7 +17,7 @@ from tcover import (
 )
 
 # A path on four vertices: 0 - 1 - 2 - 3
-p4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
 print("graph:", p4)
 print("adjacency of vertex 1:", p4.adj[1])
 print("edges:", p4.edge_pairs())

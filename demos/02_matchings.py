@@ -7,8 +7,8 @@ the brute-force oracle on graphs where the difference shows.
 """
 
 from tcover import (
+    Graph,
     brute_force_maximum_matching,
-    build_graph,
     greedy_maximal_matching,
     maximum_matching,
     verify_matching,
@@ -17,7 +17,7 @@ from tcover.instances import cycle, petersen
 
 # On a path 0-1-2-3, the greedy scan grabs edge (0,1) first and then
 # cannot extend; the maximum matching pairs everyone.
-p4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
 print("P4 greedy size:", greedy_maximal_matching(p4).size)
 print("P4 maximum size:", maximum_matching(p4).size)
 
@@ -28,7 +28,7 @@ for n in (5, 7, 9, 11):
     print(f"C{n}: maximum matching has {m.size} edges (floor(n/2) = {n // 2})")
 
 # Two triangles joined by a bridge force a blossom contraction.
-g = build_graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)])
+g = Graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)])
 print("\ntwo bridged triangles:")
 print("  blossom search:", sorted(maximum_matching(g).edge_ids))
 print("  brute force   :", brute_force_maximum_matching(g).size, "edges")

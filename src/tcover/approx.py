@@ -13,13 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import Element, ElementSet, Graph, is_total_cover, isolated_vertices, total_graph
+from .graph import Element, ElementSet, Graph, format_element, is_total_cover
+from .graph import isolated_vertices, total_graph
 from .matching import Matching, greedy_maximal_matching, maximum_matching
 
 
 class NotMaximumError(ValueError):
     """The supplied matching cannot be maximum (a guarantee that only
     holds for maximum matchings was violated)."""
+
+
+class CertificateError(RuntimeError):
+    """A constructed cover broke its certificate (size m + k + t, ratio at
+    most two, every element covered): a solver bug, never bad input."""
 
 
 @dataclass(frozen=True)
@@ -38,9 +44,6 @@ class BadVertexAssignment:
     @property
     def count(self) -> int:
         return len(self.pairs)
-
-    def vertices(self) -> list[int]:
-        return [v for v, _ in self.pairs]
 
     def edge_ids(self) -> list[int]:
         return [eid for _, eid in self.pairs]
@@ -144,12 +147,10 @@ def approx_total_cover(g: Graph) -> ApproxResult:
     matching = maximum_matching(g)
     matching_size = matching.size
     assignment = bad_vertex_assignment(g, matching)
-    consumed_edges: set[int] = set()
     for v, eid in assignment.pairs:
         e = g.edges[eid]
         cover_vertices.add(v)
         cover_edges.add(eid)
-        consumed_edges.add(eid)
         trace.append(TraceStep(2, "bad-vertex", Element.vertex(v)))
         trace.append(TraceStep(2, "bad-edge", Element.edge(eid)))
         alive[v] = alive[e.u] = alive[e.v] = False
@@ -165,18 +166,17 @@ def approx_total_cover(g: Graph) -> ApproxResult:
     def unmatched_neighbors(x: int) -> list[int]:
         return [z for z in g.adj[x] if alive[z] and not matching.is_matched(z)]
 
+    # Step 3 adds only the edge it visits, so edges found here are step 2's.
     for e in matching.edges():
-        if e.id in consumed_edges:
+        if e.id in cover_edges:
             continue
         near_u = unmatched_neighbors(e.u)
         near_v = unmatched_neighbors(e.v)
         # With a maximum matching at most one endpoint can see unmatched
         # vertices: two distinct ones give an augmenting path, a shared
         # one would have been a bad vertex.
-        assert not (near_u and near_v), (
-            f"both endpoints of matching edge {e.id} reach unmatched vertices; "
-            "the matching was not maximum"
-        )
+        if near_u and near_v:
+            raise NotMaximumError(f"both endpoints of matching edge {e.id} reach unmatched vertices")
         endpoint = None
         if any(not covered[z] for z in near_u):
             endpoint = e.u
@@ -193,12 +193,15 @@ def approx_total_cover(g: Graph) -> ApproxResult:
 
     cover = ElementSet.of(g, vertices=sorted(cover_vertices), edges=sorted(cover_edges))
     size = len(cover)
-    assert size == matching_size + bad_vertex_count + isolated_count
+    if size != matching_size + bad_vertex_count + isolated_count:
+        raise CertificateError(f"cover has {size} elements, not m + k + t")
     lower_bound = total_cover_lower_bound(matching_size, bad_vertex_count, isolated_count)
     ratio = Fraction(size, lower_bound) if lower_bound > 0 else Fraction(1)
-    assert ratio <= 2
+    if ratio > 2:
+        raise CertificateError(f"certified ratio {ratio} exceeds 2")
     ok, witness = is_total_cover(g, cover)
-    assert ok, f"constructed cover misses {witness}"
+    if not ok:
+        raise CertificateError(f"constructed cover misses {format_element(g, witness)}")
     return ApproxResult(
         cover=cover,
         matching_size=matching_size,

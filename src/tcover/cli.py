@@ -1,6 +1,6 @@
 """Command line front end: tcover solve | exact | baseline | verify | gen | compare.
 
-Exit codes: 0 ok, 1 invalid cover, 2 parse/parameter error, 3 internal
+Exit codes: 0 ok, 1 invalid cover, 2 parse/parameter/file error, 3 internal
 validation failure, 4 search guard exceeded, 5 candidate budget exceeded.
 """
 
@@ -13,8 +13,8 @@ import os
 import sys
 from fractions import Fraction
 
+from .approx import CertificateError, NotMaximumError
 from .approx import approx_total_cover, greedy_domination_cover, matched_vertices_cover
-from .approx import bad_vertex_assignment, total_cover_lower_bound
 from .exact import SearchLimits, exact_total_cover
 from .graph import (
     BudgetExceededError,
@@ -24,7 +24,6 @@ from .graph import (
     element_cover_line,
     format_element,
     is_total_cover,
-    isolated_vertices,
     parse_cover,
     parse_graph,
     serialize_cover,
@@ -41,7 +40,6 @@ from .instances import (
     path,
     star,
 )
-from .matching import maximum_matching
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -50,11 +48,31 @@ EXIT_INTERNAL = 3
 EXIT_TOO_LARGE = 4
 EXIT_BUDGET = 5
 
+# Errors that mean a solver bug, not bad input.
+INTERNAL_ERRORS = (CertificateError, NotMaximumError, AssertionError)
+
+# main() turns exceptions of these classes into (exit code, stderr prefix);
+# anything else, such as the plain ValueError of SearchLimits, propagates.
+EXIT_CODES: dict[type[BaseException], tuple[int, str]] = {
+    OSError: (EXIT_PARSE, "error"),
+    GraphError: (EXIT_PARSE, "error"),
+    OddParameterError: (EXIT_PARSE, "error"),
+    ParameterOutOfRangeError: (EXIT_PARSE, "error"),
+    TooLargeError: (EXIT_TOO_LARGE, "error"),
+    BudgetExceededError: (EXIT_BUDGET, "error"),
+    **dict.fromkeys(INTERNAL_ERRORS, (EXIT_INTERNAL, "internal error")),
+}
+
 CSV_HEADER = [
     "instance", "n", "edges", "m", "k", "t", "alg_size", "lower_bound",
     "exact_size", "baseline_size", "greedy_size", "ratio_vs_lb",
     "ratio_vs_exact", "error",
 ]
+
+
+def exit_status(exc: BaseException) -> tuple[int, str]:
+    """Exit code and stderr prefix of an exception listed in EXIT_CODES."""
+    return next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
 
 
 def format_ratio(value: Fraction) -> str:
@@ -71,20 +89,8 @@ def _read_graph(path_arg: str) -> Graph:
 
 
 def cmd_solve(args) -> int:
-    try:
-        g = _read_graph(args.graph)
-    except (OSError, GraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        result = approx_total_cover(g)
-    except AssertionError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    ok, witness = is_total_cover(g, result.cover)
-    if not ok:
-        print(f"internal error: reported cover misses {format_element(g, witness)}", file=sys.stderr)
-        return EXIT_INTERNAL
+    g = _read_graph(args.graph)
+    result = approx_total_cover(g)  # validates the cover, raises CertificateError
     print(
         f"size={len(result.cover)} m={result.matching_size} k={result.bad_vertex_count} "
         f"t={result.isolated_count} lb={result.lower_bound} "
@@ -100,64 +106,36 @@ def cmd_solve(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    try:
-        g = _read_graph(args.graph)
-    except (OSError, GraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    start_size = 0
-    if args.start_at_lower_bound:
-        matching = maximum_matching(g)
-        bad = bad_vertex_assignment(g, matching)
-        start_size = total_cover_lower_bound(
-            matching.size, bad.count, len(isolated_vertices(g))
-        )
+    g = _read_graph(args.graph)
+    start_size = approx_total_cover(g).lower_bound if args.start_at_lower_bound else 0
     limits = SearchLimits(
         max_elements=args.max_elements,
         max_candidates=args.max_candidates,
         start_size=start_size,
     )
-    try:
-        result = exact_total_cover(g, limits)
-    except TooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    result = exact_total_cover(g, limits)
     print(f"size={result.size} candidates={result.candidates_checked}")
-    out = serialize_cover(result.optimum)
-    if out:
-        sys.stdout.write(out)
+    sys.stdout.write(serialize_cover(result.optimum))
     return EXIT_OK
 
 
 def cmd_baseline(args) -> int:
-    try:
-        g = _read_graph(args.graph)
-    except (OSError, GraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    g = _read_graph(args.graph)
     if args.method == "matched-vertices":
         cover = matched_vertices_cover(g, matching_mode=args.matching)
     else:
         cover = greedy_domination_cover(g)
     ok, witness = is_total_cover(g, cover)
     if not ok:
-        print(f"internal error: baseline cover misses {format_element(g, witness)}", file=sys.stderr)
-        return EXIT_INTERNAL
+        raise CertificateError(f"baseline cover misses {format_element(g, witness)}")
     print(f"size={len(cover)} valid=true")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        g = _read_graph(args.graph)
-        with open(args.cover, "r", encoding="utf-8") as handle:
-            cover = parse_cover(handle.read(), g)
-    except (OSError, GraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    g = _read_graph(args.graph)
+    with open(args.cover, "r", encoding="utf-8") as handle:
+        cover = parse_cover(handle.read(), g)
     ok, witness = is_total_cover(g, cover)
     if ok:
         print(f"VALID size={len(cover)}")
@@ -166,28 +144,24 @@ def cmd_verify(args) -> int:
     return EXIT_INVALID
 
 
+# Family -> generator of the parsed arguments.  The lambdas look each
+# generator up when called, so a wrapper put on its name is honoured.
+GENERATORS = {
+    "figure1": lambda args: hard_instance(args.n),
+    "path": lambda args: path(args.n),
+    "cycle": lambda args: cycle(args.n),
+    "star": lambda args: star(args.n),
+    "complete": lambda args: complete(args.n),
+    "gnp": lambda args: gnp(args.n, args.p, args.seed),
+}
+
+
 def cmd_gen(args) -> int:
-    try:
-        if args.family == "figure1":
-            g = hard_instance(args.n)
-        elif args.family == "path":
-            g = path(args.n)
-        elif args.family == "cycle":
-            g = cycle(args.n)
-        elif args.family == "star":
-            g = star(args.n)
-        elif args.family == "complete":
-            g = complete(args.n)
-        else:  # gnp
-            if args.p is None or args.seed is None:
-                print("error: gnp requires --p and --seed", file=sys.stderr)
-                return EXIT_PARSE
-            g = gnp(args.n, args.p, args.seed)
-        if args.isolated:
-            g = add_isolated(g, args.isolated)
-    except (OddParameterError, ParameterOutOfRangeError, GraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    if args.family == "gnp" and (args.p is None or args.seed is None):
+        raise ParameterOutOfRangeError("gnp requires --p and --seed")
+    g = GENERATORS[args.family](args)
+    if args.isolated:
+        g = add_isolated(g, args.isolated)
     text = serialize_graph(g)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -198,15 +172,12 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _compare_row(name: str, path_arg: str, exact_limit: int) -> dict[str, str]:
+def _compare_row(name: str, path_arg: str, exact_limit: int) -> tuple[dict[str, str], int]:
+    """One CSV row, and EXIT_INTERNAL if a solver bug hit it (else EXIT_OK)."""
     row = {field: "" for field in CSV_HEADER}
     row["instance"] = name
     try:
         g = _read_graph(path_arg)
-    except (OSError, GraphError) as exc:
-        row["error"] = str(exc)
-        return row
-    try:
         result = approx_total_cover(g)
         alg_size = len(result.cover)
         row["n"] = str(g.n)
@@ -220,26 +191,23 @@ def _compare_row(name: str, path_arg: str, exact_limit: int) -> dict[str, str]:
         row["greedy_size"] = str(len(greedy_domination_cover(g)))
         row["ratio_vs_lb"] = format_ratio(result.certified_ratio)
         if g.n + len(g.edges) <= exact_limit:
-            try:
-                exact = exact_total_cover(g, SearchLimits(max_elements=exact_limit))
-                row["exact_size"] = str(exact.size)
-                ratio = Fraction(alg_size, exact.size) if exact.size else Fraction(1)
-                row["ratio_vs_exact"] = format_ratio(ratio)
-            except BudgetExceededError as exc:
-                row["error"] = str(exc)
-    except Exception as exc:  # keep the batch going, record the failure
+            exact = exact_total_cover(g, SearchLimits(max_elements=exact_limit))
+            row["exact_size"] = str(exact.size)
+            ratio = Fraction(alg_size, exact.size) if exact.size else Fraction(1)
+            row["ratio_vs_exact"] = format_ratio(ratio)
+    except (OSError, GraphError, BudgetExceededError) as exc:
         row["error"] = str(exc)
-    return row
+    except INTERNAL_ERRORS as exc:  # keep the batch going, tag the failure
+        code, prefix = exit_status(exc)
+        row["error"] = f"{prefix}: {exc}"
+        return row, code
+    return row, EXIT_OK
 
 
 def cmd_compare(args) -> int:
     paths: list[str] = list(args.graphs)
     if args.dir:
-        try:
-            names = sorted(os.listdir(args.dir))
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+        names = sorted(os.listdir(args.dir))
         paths += [os.path.join(args.dir, name) for name in names
                   if os.path.isfile(os.path.join(args.dir, name))]
     if not paths:
@@ -248,15 +216,17 @@ def cmd_compare(args) -> int:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER)
+    status = EXIT_OK
     for path_arg in paths:
-        row = _compare_row(os.path.basename(path_arg), path_arg, args.exact_limit)
+        row, code = _compare_row(os.path.basename(path_arg), path_arg, args.exact_limit)
         writer.writerow([row[field] for field in CSV_HEADER])
+        status = max(status, code)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as handle:
             handle.write(buffer.getvalue())
     else:
         sys.stdout.write(buffer.getvalue())
-    return EXIT_OK
+    return status
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_gen = sub.add_parser("gen", help="generate an instance")
-    p_gen.add_argument("family", choices=["figure1", "path", "cycle", "star", "complete", "gnp"])
+    p_gen.add_argument("family", choices=list(GENERATORS))
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--p", type=float)
     p_gen.add_argument("--seed", type=int)
@@ -315,7 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(EXIT_CODES) as exc:
+        code, prefix = exit_status(exc)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

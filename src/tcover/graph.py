@@ -78,15 +78,6 @@ class Element:
     def edge(cls, index: int) -> "Element":
         return cls("edge", index)
 
-    @property
-    def is_vertex(self) -> bool:
-        return self.kind == "vertex"
-
-    @property
-    def sort_key(self) -> tuple[int, int]:
-        # vertices before edges, each ascending by index
-        return (0 if self.kind == "vertex" else 1, self.index)
-
 
 class Graph:
     """An immutable simple undirected graph with dense vertex and edge ids.
@@ -100,6 +91,8 @@ class Graph:
     __slots__ = ("n", "edges", "adj", "inc", "_pair_ids")
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]] = ()):
+        """Raises SelfLoopError, DuplicateEdgeError, or VertexOutOfRangeError,
+        each naming the offending pair."""
         if n < 0:
             raise VertexOutOfRangeError(f"vertex count {n} is negative")
         edges: list[Edge] = []
@@ -147,15 +140,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={len(self.edges)})"
-
-
-def build_graph(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
-    """Build a graph from a vertex count and a list of unordered pairs.
-
-    Raises SelfLoopError, DuplicateEdgeError, or VertexOutOfRangeError,
-    each naming the offending pair.
-    """
-    return Graph(n, pairs)
 
 
 def isolated_vertices(g: Graph) -> list[int]:
@@ -281,9 +265,7 @@ def total_graph(g: Graph) -> tuple[Graph, tuple[Element, ...]]:
     mapping each total-graph vertex id to the Element it stands for.
     """
     n = g.n
-    pairs: list[tuple[int, int]] = []
-    for e in g.edges:
-        pairs.append((e.u, e.v))
+    pairs = g.edge_pairs()
     for e in g.edges:
         pairs.append((e.u, n + e.id))
         pairs.append((e.v, n + e.id))
@@ -362,7 +344,7 @@ def parse_graph(text: str) -> Graph:
         raise ParseError(last_line + 1, "missing 'p edge' header")
     if len(pairs) != declared_edges:
         raise ParseError(last_line, f"header declared {declared_edges} edges, file has {len(pairs)}")
-    return build_graph(n, pairs)
+    return Graph(n, pairs)
 
 
 def serialize_graph(g: Graph) -> str:

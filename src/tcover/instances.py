@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .graph import Graph, build_graph
+from .graph import Graph
 
 
 class ParameterOutOfRangeError(ValueError):
@@ -34,33 +34,33 @@ def hard_instance(n: int) -> Graph:
     pairs = [(0, i) for i in range(1, n + 1)]
     pairs += [(i, n + i) for i in range(1, n + 1)]
     pairs += [(n + 2 * j - 1, n + 2 * j) for j in range(1, n // 2 + 1)]
-    return build_graph(2 * n + 1, pairs)
+    return Graph(2 * n + 1, pairs)
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise ParameterOutOfRangeError(f"path requires n >= 1, got {n}")
-    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ParameterOutOfRangeError(f"cycle requires n >= 3, got {n}")
     pairs = sorted([(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
-    return build_graph(n, pairs)
+    return Graph(n, pairs)
 
 
 def star(n: int) -> Graph:
     """Star on n vertices: center 0 joined to each of the n-1 leaves."""
     if n < 1:
         raise ParameterOutOfRangeError(f"star requires n >= 1, got {n}")
-    return build_graph(n, [(0, i) for i in range(1, n)])
+    return Graph(n, [(0, i) for i in range(1, n)])
 
 
 def complete(n: int) -> Graph:
     if n < 1:
         raise ParameterOutOfRangeError(f"complete requires n >= 1, got {n}")
-    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def petersen() -> Graph:
@@ -68,7 +68,7 @@ def petersen() -> Graph:
     pairs = [(i, (i + 1) % 5) for i in range(5)]
     pairs += [(i, i + 5) for i in range(5)]
     pairs += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return build_graph(10, sorted(tuple(sorted(p)) for p in pairs))
+    return Graph(10, sorted(tuple(sorted(p)) for p in pairs))
 
 
 _MASK64 = (1 << 64) - 1
@@ -104,14 +104,14 @@ def gnp(n: int, p: float, seed: int) -> Graph:
             value, state = _splitmix64(state)
             if value < threshold:
                 pairs.append((u, v))
-    return build_graph(n, pairs)
+    return Graph(n, pairs)
 
 
 def add_isolated(g: Graph, t: int) -> Graph:
     """Append t isolated vertices with the next indices."""
     if t < 0:
         raise ParameterOutOfRangeError(f"isolated vertex count must be >= 0, got {t}")
-    return build_graph(g.n + t, g.edge_pairs())
+    return Graph(g.n + t, g.edge_pairs())
 
 
 def enumerate_graphs(n: int) -> Iterator[Graph]:
@@ -120,4 +120,4 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
         raise ParameterOutOfRangeError(f"enumeration is limited to 0 <= n <= 6, got {n}")
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     for mask in range(1 << len(pairs)):
-        yield build_graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+        yield Graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])

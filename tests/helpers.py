@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from tcover import ElementSet, Graph, build_graph
+from tcover import ElementSet, Graph
 
 
 def connected(g: Graph) -> bool:
@@ -27,7 +27,7 @@ def small_graphs(draw, max_n: int = 6):
     n = draw(st.integers(min_value=0, max_value=max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     mask = draw(st.integers(min_value=0, max_value=(1 << len(pairs)) - 1))
-    return build_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+    return Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
 
 
 @st.composite

@@ -1,17 +1,21 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
 import pytest
 
+import tcover
 from tcover import (
     Element,
     ElementSet,
+    Graph,
     Matching,
     NotMaximumError,
     approx_total_cover,
     bad_vertex_assignment,
-    build_graph,
     greedy_domination_cover,
     is_total_cover,
     matched_vertices_cover,
@@ -51,7 +55,7 @@ def test_triangle_free_graphs_have_no_bad_vertices():
 def test_bad_vertex_collision_signals_non_maximum():
     # vertices 2 and 3 each close a triangle over the single matching
     # edge (0,1); edge (0,1) alone is therefore not a maximum matching
-    g = build_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
+    g = Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
     with pytest.raises(NotMaximumError):
         bad_vertex_assignment(g, Matching(g, [0]))
 
@@ -81,7 +85,7 @@ def test_lower_bound_validation():
 
 
 def test_approx_k2():
-    g = build_graph(2, [(0, 1)])
+    g = Graph(2, [(0, 1)])
     result = approx_total_cover(g)
     assert result.cover == ElementSet.of(g, edges=[0])
     assert (result.matching_size, result.bad_vertex_count, result.isolated_count) == (1, 0, 0)
@@ -97,7 +101,7 @@ def test_approx_k3():
 
 
 def test_approx_isolated_only():
-    g = build_graph(3, [])
+    g = Graph(3, [])
     result = approx_total_cover(g)
     assert result.cover == ElementSet.of(g, vertices=[0, 1, 2])
     assert result.isolated_count == 3
@@ -105,7 +109,7 @@ def test_approx_isolated_only():
 
 
 def test_approx_empty_graph():
-    result = approx_total_cover(build_graph(0, []))
+    result = approx_total_cover(Graph(0, []))
     assert len(result.cover) == 0
     assert result.lower_bound == 0
     assert result.certified_ratio == 1
@@ -123,7 +127,7 @@ def test_approx_hard_instance_trace():
 
 
 def test_approx_with_isolated_vertex():
-    g = add_isolated(build_graph(2, [(0, 1)]), 1)
+    g = add_isolated(Graph(2, [(0, 1)]), 1)
     result = approx_total_cover(g)
     assert len(result.cover) == 2
     assert {step.step for step in result.trace} == {1, 3}
@@ -137,10 +141,10 @@ def test_approx_k5_uses_bad_round():
 
 
 def test_matched_vertices_cover_examples():
-    k2 = build_graph(2, [(0, 1)])
+    k2 = Graph(2, [(0, 1)])
     assert matched_vertices_cover(k2) == ElementSet.of(k2, vertices=[0, 1])
     assert len(matched_vertices_cover(hard_instance(4), "maximum")) == 8
-    empty2 = build_graph(2, [])
+    empty2 = Graph(2, [])
     assert matched_vertices_cover(empty2) == ElementSet.of(empty2, vertices=[0, 1])
 
 
@@ -162,13 +166,13 @@ def test_greedy_domination_star():
 
 
 def test_greedy_domination_k2():
-    g = build_graph(2, [(0, 1)])
+    g = Graph(2, [(0, 1)])
     # T(K2) is a triangle; the tie breaks to the lowest id, vertex 0
     assert greedy_domination_cover(g) == ElementSet.of(g, vertices=[0])
 
 
 def test_greedy_domination_single_vertex():
-    g = build_graph(1, [])
+    g = Graph(1, [])
     assert greedy_domination_cover(g) == ElementSet.of(g, vertices=[0])
 
 
@@ -210,3 +214,34 @@ def test_approx_valid_on_random_graphs(g):
     assert len(result.cover) == (
         result.matching_size + result.bad_vertex_count + result.isolated_count
     )
+
+
+CERTIFICATE_UNDER_O = """
+import sys
+import tcover.approx
+from tcover import CertificateError, Element
+from tcover.instances import path
+
+if __debug__:
+    sys.exit("expected to run under python -O")
+tcover.approx.is_total_cover = lambda g, d: (False, Element.vertex(1))
+try:
+    tcover.approx.approx_total_cover(path(3))
+except CertificateError as exc:
+    print(exc)
+    sys.exit(0)
+sys.exit("approx_total_cover returned a cover that failed validation")
+"""
+
+
+def test_certificate_checks_survive_python_O():
+    src = os.path.dirname(os.path.dirname(tcover.__file__))
+    env = {**os.environ, "PYTHONPATH": src}  # the child needs only tcover and the stdlib
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", CERTIFICATE_UNDER_O],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "constructed cover misses vertex 2\n"

@@ -1,9 +1,12 @@
+import csv
 import subprocess
 import sys
 
 import pytest
 
-from tcover import parse_graph, serialize_graph
+import tcover.approx
+import tcover.cli
+from tcover import CertificateError, Element, parse_graph, serialize_graph
 from tcover.cli import main
 from tcover.instances import complete, hard_instance, star
 
@@ -236,6 +239,68 @@ def test_compare_dir_mode(tmp_path, capsys):
 
 def test_compare_requires_inputs(capsys):
     assert main(["compare"]) == 2
+
+
+def test_compare_tags_internal_errors_and_exits_3(hard4, k3, tmp_path, monkeypatch):
+    solve = tcover.cli.approx_total_cover
+
+    def broken_on_k3(g):
+        if g.n == 3:
+            raise CertificateError("cover has 3 elements, not m + k + t")
+        return solve(g)
+
+    clean = tmp_path / "clean.csv"
+    assert main(["compare", hard4, "--csv", str(clean)]) == 0
+    monkeypatch.setattr(tcover.cli, "approx_total_cover", broken_on_k3)
+    out = tmp_path / "report.csv"
+    assert main(["compare", k3, hard4, "--csv", str(out)]) == 3
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert rows[1] == ["k3.gr"] + [""] * 12 + ["internal error: cover has 3 elements, not m + k + t"]
+    assert out.read_text().splitlines()[2] == clean.read_text().splitlines()[1]
+
+
+@pytest.mark.parametrize("command, patched, message", [
+    ("solve", tcover.approx, "constructed cover misses vertex 1"),
+    ("baseline", tcover.cli, "baseline cover misses vertex 1"),
+])
+def test_failed_validation_exits_3(k3, capsys, monkeypatch, command, patched, message):
+    monkeypatch.setattr(patched, "is_total_cover", lambda g, d: (False, Element.vertex(0)))
+    argv = [command, k3] + (["--method", "matched-vertices"] if command == "baseline" else [])
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"internal error: {message}\n"
+    assert captured.out == ""
+
+
+def test_solve_validates_the_cover_once(k3, monkeypatch):
+    calls = []
+
+    def counting(check):
+        def wrapper(g, d):
+            calls.append(d)
+            return check(g, d)
+        return wrapper
+
+    for module in (tcover.approx, tcover.cli):
+        monkeypatch.setattr(module, "is_total_cover", counting(module.is_total_cover))
+    assert main(["solve", k3]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{graph}", "--output", "{out}"],
+    ["gen", "path", "--n", "3", "-o", "{out}"],
+    ["compare", "{graph}", "--csv", "{out}"],
+])
+def test_unwritable_output_exits_2(k3, tmp_path, capsys, argv):
+    out = tmp_path / "no" / "such" / "dir" / "x"
+    assert main([arg.format(graph=k3, out=out) for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+
+
+def test_negative_search_limit_is_not_mapped(k3):
+    with pytest.raises(ValueError, match="search limits must be non-negative"):
+        main(["exact", k3, "--max-elements", "-1"])
 
 
 def test_module_entry_point(tmp_path):

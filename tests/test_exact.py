@@ -5,10 +5,10 @@ import pytest
 from tcover import (
     BudgetExceededError,
     ElementSet,
+    Graph,
     SearchLimits,
     TooLargeError,
     approx_total_cover,
-    build_graph,
     cross_check_total_graph,
     exact_dominating_set,
     exact_total_cover,
@@ -38,11 +38,11 @@ def test_exact_total_cover_hard_instance():
 
 
 def test_exact_total_cover_isolated():
-    assert exact_total_cover(build_graph(3, [])).size == 3
+    assert exact_total_cover(Graph(3, [])).size == 3
 
 
 def test_exact_total_cover_empty_graph():
-    result = exact_total_cover(build_graph(0, []))
+    result = exact_total_cover(Graph(0, []))
     assert result.size == 0
     assert len(result.optimum) == 0
 
@@ -50,7 +50,7 @@ def test_exact_total_cover_empty_graph():
 def test_exact_dominating_set_examples():
     assert exact_dominating_set(complete(3)).size == 1
     assert exact_dominating_set(cycle(5)).size == 2
-    assert exact_dominating_set(build_graph(2, [])).size == 2
+    assert exact_dominating_set(Graph(2, [])).size == 2
 
 
 def test_exact_dominating_set_optimum_is_lexicographic():
@@ -114,7 +114,7 @@ def test_cross_check_examples():
     assert cross_check_total_graph(complete(3)).agree
     report = cross_check_total_graph(path(4))
     assert (report.total_cover_size, report.total_graph_domination_size) == (2, 2)
-    single = cross_check_total_graph(build_graph(1, []))
+    single = cross_check_total_graph(Graph(1, []))
     assert (single.total_cover_size, single.total_graph_domination_size, single.agree) == (1, 1, True)
 
 

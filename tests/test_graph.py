@@ -6,12 +6,12 @@ from tcover import (
     DuplicateEdgeError,
     Element,
     ElementSet,
+    Graph,
     ParseError,
     SelfLoopError,
     UnknownEdgeError,
     VertexOutOfRangeError,
     all_elements,
-    build_graph,
     element_cover_line,
     format_element,
     is_total_cover,
@@ -28,20 +28,20 @@ from helpers import graphs_with_element_sets, small_graphs
 
 
 def test_build_k2():
-    g = build_graph(2, [(0, 1)])
+    g = Graph(2, [(0, 1)])
     assert g.n == 2
     assert [(e.u, e.v, e.id) for e in g.edges] == [(0, 1, 0)]
 
 
 def test_build_k3_adjacency():
-    g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
+    g = Graph(3, [(0, 1), (1, 2), (0, 2)])
     assert g.adj[1] == (0, 2)
     assert g.adj[0] == (1, 2)
     assert g.inc[1] == (0, 1)
 
 
 def test_build_canonicalizes_pairs():
-    g = build_graph(3, [(2, 0)])
+    g = Graph(3, [(2, 0)])
     assert (g.edges[0].u, g.edges[0].v) == (0, 2)
     assert g.edge_id(0, 2) == 0
     assert g.edge_id(2, 0) == 0
@@ -49,34 +49,34 @@ def test_build_canonicalizes_pairs():
 
 def test_build_rejects_self_loop():
     with pytest.raises(SelfLoopError):
-        build_graph(3, [(0, 0)])
+        Graph(3, [(0, 0)])
 
 
 def test_build_rejects_duplicate_edge():
     with pytest.raises(DuplicateEdgeError):
-        build_graph(3, [(0, 1), (1, 0)])
+        Graph(3, [(0, 1), (1, 0)])
 
 
 def test_build_rejects_out_of_range():
     with pytest.raises(VertexOutOfRangeError):
-        build_graph(2, [(0, 2)])
+        Graph(2, [(0, 2)])
 
 
 def test_isolated_vertices():
-    assert isolated_vertices(build_graph(2, [(0, 1)])) == []
-    assert isolated_vertices(build_graph(3, [])) == [0, 1, 2]
-    assert isolated_vertices(build_graph(3, [(0, 1)])) == [2]
+    assert isolated_vertices(Graph(2, [(0, 1)])) == []
+    assert isolated_vertices(Graph(3, [])) == [0, 1, 2]
+    assert isolated_vertices(Graph(3, [(0, 1)])) == [2]
 
 
 def test_total_graph_of_k2_is_triangle():
-    tg, elements = total_graph(build_graph(2, [(0, 1)]))
+    tg, elements = total_graph(Graph(2, [(0, 1)]))
     assert tg.n == 3
     assert len(tg.edges) == 3
     assert elements == (Element.vertex(0), Element.vertex(1), Element.edge(0))
 
 
 def test_total_graph_of_isolated_vertex():
-    tg, elements = total_graph(build_graph(1, []))
+    tg, elements = total_graph(Graph(1, []))
     assert tg.n == 1
     assert len(tg.edges) == 0
     assert elements == (Element.vertex(0),)
@@ -99,7 +99,7 @@ def test_total_graph_counts():
 
 
 def test_is_total_cover_k2_edge():
-    g = build_graph(2, [(0, 1)])
+    g = Graph(2, [(0, 1)])
     ok, witness = is_total_cover(g, ElementSet.of(g, edges=[0]))
     assert ok and witness is None
 
@@ -112,7 +112,7 @@ def test_is_total_cover_k3_single_vertex_fails():
 
 
 def test_is_total_cover_everything():
-    for g in [build_graph(0, []), complete(3), path(4)]:
+    for g in [Graph(0, []), complete(3), path(4)]:
         ok, _ = is_total_cover(g, all_elements(g))
         assert ok
 
@@ -132,7 +132,7 @@ def test_cover_agrees_with_total_graph_domination(case):
 
 
 def test_element_set_validates():
-    g = build_graph(2, [(0, 1)])
+    g = Graph(2, [(0, 1)])
     with pytest.raises(VertexOutOfRangeError):
         ElementSet.of(g, vertices=[2])
     with pytest.raises(UnknownEdgeError):
@@ -177,7 +177,7 @@ def test_parse_syntax_errors_carry_line_numbers():
 
 
 def test_serialize_empty_graph():
-    assert serialize_graph(build_graph(0, [])) == "p edge 0 0\n"
+    assert serialize_graph(Graph(0, [])) == "p edge 0 0\n"
     assert parse_graph("p edge 0 0\n").n == 0
 
 
@@ -189,26 +189,26 @@ def test_graph_roundtrip(g):
 
 
 def test_parse_cover_vertex_and_edge():
-    g = build_graph(2, [(0, 1)])
+    g = Graph(2, [(0, 1)])
     assert parse_cover("v 1\n", g) == ElementSet.of(g, vertices=[0])
     assert parse_cover("e 1 2\n", g) == ElementSet.of(g, edges=[0])
     assert parse_cover("# note\nv 2\ne 2 1\n", g) == ElementSet.of(g, vertices=[1], edges=[0])
 
 
 def test_parse_cover_unknown_edge():
-    g = build_graph(2, [(0, 1)])
+    g = Graph(2, [(0, 1)])
     with pytest.raises(UnknownEdgeError):
         parse_cover("e 1 3\n", g)
 
 
 def test_parse_cover_vertex_out_of_range():
-    g = build_graph(2, [(0, 1)])
+    g = Graph(2, [(0, 1)])
     with pytest.raises(VertexOutOfRangeError):
         parse_cover("v 3\n", g)
 
 
 def test_parse_cover_bad_line():
-    g = build_graph(2, [(0, 1)])
+    g = Graph(2, [(0, 1)])
     with pytest.raises(ParseError):
         parse_cover("w 1\n", g)
 

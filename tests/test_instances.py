@@ -2,10 +2,10 @@ import pytest
 
 from tcover import (
     ElementSet,
+    Graph,
     OddParameterError,
     ParameterOutOfRangeError,
     add_isolated,
-    build_graph,
     is_total_cover,
     isolated_vertices,
     maximum_matching,
@@ -94,7 +94,7 @@ def test_gnp_parameter_checks():
 
 
 def test_add_isolated():
-    g = add_isolated(build_graph(2, [(0, 1)]), 2)
+    g = add_isolated(Graph(2, [(0, 1)]), 2)
     assert g.n == 4
     assert isolated_vertices(g) == [2, 3]
     unchanged = add_isolated(cycle(4), 0)

@@ -3,11 +3,11 @@ from hypothesis import given
 import pytest
 
 from tcover import (
+    Graph,
     GraphError,
     Matching,
     TooLargeError,
     brute_force_maximum_matching,
-    build_graph,
     greedy_maximal_matching,
     maximum_matching,
     verify_matching,
@@ -40,7 +40,7 @@ def test_matching_rejects_shared_endpoint():
 
 
 def test_greedy_k2():
-    assert greedy_maximal_matching(build_graph(2, [(0, 1)])).size == 1
+    assert greedy_maximal_matching(Graph(2, [(0, 1)])).size == 1
 
 
 def test_greedy_p3_takes_first_edge():
@@ -95,7 +95,7 @@ def test_brute_force_guard():
 
 
 def test_verify_modes():
-    k2 = build_graph(2, [(0, 1)])
+    k2 = Graph(2, [(0, 1)])
     assert verify_matching(k2, Matching(k2, [0]), "maximum")
     p3 = path(3)
     assert verify_matching(p3, Matching(p3, []), "valid")
@@ -124,7 +124,7 @@ def test_verify_mode_validation():
 
 def test_blossom_handles_odd_components():
     # triangle pair joined by a bridge: 0-1-2-0, 3-4-5-3, bridge 2-3
-    g = build_graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)])
+    g = Graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)])
     assert maximum_matching(g).size == 3
     assert brute_force_maximum_matching(g).size == 3
 
