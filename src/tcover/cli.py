@@ -53,8 +53,10 @@ INTERNAL_ERRORS = (CertificateError, NotMaximumError, AssertionError)
 
 # main() turns exceptions of these classes into (exit code, stderr prefix);
 # anything else, such as the plain ValueError of SearchLimits, propagates.
+# UnicodeDecodeError is an input file that is not UTF-8 text.
 EXIT_CODES: dict[type[BaseException], tuple[int, str]] = {
     OSError: (EXIT_PARSE, "error"),
+    UnicodeDecodeError: (EXIT_PARSE, "error"),
     GraphError: (EXIT_PARSE, "error"),
     OddParameterError: (EXIT_PARSE, "error"),
     ParameterOutOfRangeError: (EXIT_PARSE, "error"),
@@ -195,7 +197,7 @@ def _compare_row(name: str, path_arg: str, exact_limit: int) -> tuple[dict[str, 
             row["exact_size"] = str(exact.size)
             ratio = Fraction(alg_size, exact.size) if exact.size else Fraction(1)
             row["ratio_vs_exact"] = format_ratio(ratio)
-    except (OSError, GraphError, BudgetExceededError) as exc:
+    except (OSError, UnicodeDecodeError, GraphError, BudgetExceededError) as exc:
         row["error"] = str(exc)
     except INTERNAL_ERRORS as exc:  # keep the batch going, tag the failure
         code, prefix = exit_status(exc)

@@ -274,12 +274,7 @@ def total_graph(g: Graph) -> tuple[Graph, tuple[Element, ...]]:
         for i in range(len(incident)):
             for j in range(i + 1, len(incident)):
                 pairs.append((n + incident[i], n + incident[j]))
-    tg = Graph(n + len(g.edges), pairs)
-    elements = tuple(
-        [Element.vertex(v) for v in range(n)]
-        + [Element.edge(e) for e in range(len(g.edges))]
-    )
-    return tg, elements
+    return Graph(n + len(g.edges), pairs), tuple(all_elements(g))
 
 
 def format_element(g: Graph, el: Element) -> str:

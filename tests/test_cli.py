@@ -219,6 +219,34 @@ def test_compare_records_errors_and_continues(k3, tmp_path):
     assert lines[2].startswith("k3.gr,3,")
 
 
+def test_compare_records_non_utf8_input_and_continues(tmp_path):
+    inst = tmp_path / "instances"
+    inst.mkdir()
+    (inst / "a.gr").write_text("p edge 2 1\ne 1 2\n")
+    (inst / "c.gr").write_text("p edge 3 1\ne 1 2\n")
+    clean = tmp_path / "clean.csv"
+    assert main(["compare", "--dir", str(inst), "--csv", str(clean)]) == 0
+    (inst / "b.gr").write_bytes(b"p edge 2 1\ne 1 \xff\n")
+    out = tmp_path / "report.csv"
+    assert main(["compare", "--dir", str(inst), "--csv", str(out)]) == 0
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert rows[2][:-1] == ["b.gr"] + [""] * 12
+    assert "can't decode byte 0xff" in rows[2][-1]
+    lines = out.read_text().splitlines()
+    assert lines[:2] + lines[3:] == clean.read_text().splitlines()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{bad}"],
+    ["verify", "{graph}", "--cover", "{bad}"],
+])
+def test_non_utf8_input_exits_2(k3, tmp_path, capsys, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"p edge 2 1\ne 1 \xff\n")
+    assert main([arg.format(graph=k3, bad=bad) for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_compare_is_byte_deterministic(hard4, k3, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["compare", hard4, k3, "--csv", str(a)]) == 0
