@@ -15,17 +15,12 @@ from fractions import Fraction
 
 from .graph import Element, ElementSet, Graph, format_element, is_total_cover
 from .graph import isolated_vertices, total_graph
-from .matching import Matching, greedy_maximal_matching, maximum_matching
+from .matching import CertificateError, Matching, greedy_maximal_matching, maximum_matching
 
 
 class NotMaximumError(ValueError):
     """The supplied matching cannot be maximum (a guarantee that only
     holds for maximum matchings was violated)."""
-
-
-class CertificateError(RuntimeError):
-    """A constructed cover broke its certificate (size m + k + t, ratio at
-    most two, every element covered): a solver bug, never bad input."""
 
 
 @dataclass(frozen=True)
@@ -86,23 +81,27 @@ def bad_vertex_assignment(g: Graph, matching: Matching) -> BadVertexAssignment:
     matching edge.  Raises NotMaximumError when two bad vertices claim
     the same matching edge, which cannot happen for a maximum matching.
     """
-    matching_edges = matching.edges()
     pairs: list[tuple[int, int]] = []
     claimed: dict[int, int] = {}
     for v in range(g.n):
         if matching.is_matched(v):
             continue
+        # matching edges with both endpoints in N(v) are the edges u-mate(u)
+        # for neighbors u whose mate is a neighbor too; keep the lowest id
         neighbors = set(g.adj[v])
-        for e in matching_edges:
-            if e.u in neighbors and e.v in neighbors:
-                if e.id in claimed:
-                    raise NotMaximumError(
-                        f"vertices {claimed[e.id]} and {v} both close a triangle over "
-                        f"matching edge {e.id}; the matching is not maximum"
-                    )
-                claimed[e.id] = v
-                pairs.append((v, e.id))
-                break
+        eid = min(
+            (g.edge_id(u, mate) for u in g.adj[v] if (mate := matching.partner(u)) in neighbors),
+            default=None,
+        )
+        if eid is None:
+            continue
+        if eid in claimed:
+            raise NotMaximumError(
+                f"vertices {claimed[eid]} and {v} both close a triangle over "
+                f"matching edge {eid}; the matching is not maximum"
+            )
+        claimed[eid] = v
+        pairs.append((v, eid))
     return BadVertexAssignment(tuple(pairs))
 
 

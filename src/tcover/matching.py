@@ -8,12 +8,17 @@ matching itself (not just its size) reproducible.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Union
 
 from .graph import Edge, Graph, GraphError, TooLargeError
 
 BRUTE_FORCE_EDGE_LIMIT = 24
+
+
+class CertificateError(RuntimeError):
+    """A result broke its certificate (a matched pair that is not an edge;
+    a cover whose size is not m + k + t, whose ratio exceeds two, or that
+    misses an element): a solver bug, never bad input."""
 
 
 class Matching:
@@ -84,61 +89,72 @@ def maximum_matching(g: Graph) -> Matching:
     search continues in the contracted graph; when it reaches another
     unmatched vertex, the alternating path is flipped to gain one edge.
     Neighbors are scanned in ascending order, so the output is
-    deterministic.
+    deterministic.  A search costs in proportion to the vertices it
+    touches, not to n: the per-vertex arrays are allocated once and each
+    search resets only the entries it wrote.
+
+    Raises CertificateError if a matched pair is not an edge of g.
     """
     n = g.n
     match = [-1] * n
+    parent = [-1] * n
+    base = list(range(n))
+    in_queue = [False] * n
 
-    def find_augmenting_path(root: int) -> None:
-        parent = [-1] * n
-        base = list(range(n))
-        in_queue = [False] * n
-        queue = deque([root])
-        in_queue[root] = True
+    def find_augmenting_path(root: int, queue: list[int], inner: list[int]) -> None:
+        # queue starts as [root] and keeps every vertex ever enqueued (head
+        # walks it); inner records every vertex given a tree parent.
+        # Together they are all the entries of parent/base/in_queue written.
+        members: dict[int, list[int]] = {}  # blossom base -> its vertices, once grown
 
         def lowest_common_base(a: int, b: int) -> int:
-            on_path = [False] * n
+            on_path = set()
             x = a
             while True:
                 x = base[x]
-                on_path[x] = True
+                on_path.add(x)
                 if match[x] == -1:
                     break
                 x = parent[match[x]]
             y = b
             while True:
                 y = base[y]
-                if on_path[y]:
+                if y in on_path:
                     return y
                 y = parent[match[y]]
 
-        def mark_cycle(x: int, anchor: int, child: int, in_blossom: list[bool]) -> None:
+        def mark_cycle(x: int, anchor: int, child: int, in_blossom: set[int]) -> None:
             while base[x] != anchor:
-                in_blossom[base[x]] = True
-                in_blossom[base[match[x]]] = True
+                in_blossom.add(base[x])
+                in_blossom.add(base[match[x]])
                 parent[x] = child
                 child = match[x]
                 x = parent[match[x]]
 
-        while queue:
-            v = queue.popleft()
+        head = 0
+        while head < len(queue):
+            v = queue[head]
+            head += 1
             for w in g.adj[v]:
                 if base[v] == base[w] or match[v] == w:
                     continue
                 if w == root or (match[w] != -1 and parent[match[w]] != -1):
                     # second endpoint is an outer vertex: contract the odd cycle
                     anchor = lowest_common_base(v, w)
-                    in_blossom = [False] * n
+                    in_blossom: set[int] = set()
                     mark_cycle(v, anchor, w, in_blossom)
                     mark_cycle(w, anchor, v, in_blossom)
-                    for x in range(n):
-                        if in_blossom[base[x]]:
-                            base[x] = anchor
-                            if not in_queue[x]:
-                                in_queue[x] = True
-                                queue.append(x)
+                    # ascending, the order in which a scan of all vertices meets them
+                    absorbed = sorted([x for b in in_blossom for x in members.pop(b, (b,))])
+                    for x in absorbed:
+                        base[x] = anchor
+                        if not in_queue[x]:
+                            in_queue[x] = True
+                            queue.append(x)
+                    members.setdefault(anchor, [anchor]).extend(absorbed)
                 elif parent[w] == -1:
                     parent[w] = v
+                    inner.append(w)
                     if match[w] == -1:
                         # augment along root .. v - w
                         x = w
@@ -156,13 +172,22 @@ def maximum_matching(g: Graph) -> Matching:
 
     for root in range(n):
         if match[root] == -1:
-            find_augmenting_path(root)
+            queue, inner = [root], []
+            in_queue[root] = True
+            find_augmenting_path(root, queue, inner)
+            for x in queue:
+                parent[x] = -1
+                base[x] = x
+                in_queue[x] = False
+            for x in inner:
+                parent[x] = -1
 
     edge_ids = set()
     for v in range(n):
         if match[v] > v:
             eid = g.edge_id(v, match[v])
-            assert eid is not None
+            if eid is None:
+                raise CertificateError(f"matched pair ({v}, {match[v]}) is not an edge of the graph")
             edge_ids.add(eid)
     return Matching(g, edge_ids)
 
@@ -208,27 +233,33 @@ def brute_force_maximum_matching(g: Graph) -> Matching:
 
 
 def _augmenting_path_exists(g: Graph, partner: list[int]) -> bool:
-    # Exhaustive search over simple alternating paths; after each
-    # non-matching edge the matched continuation is forced, so the tree
-    # only branches at outer vertices.  Slow but independent of the
-    # blossom machinery above.
-    def extend(v: int, visited: frozenset[int]) -> bool:
-        for w in g.adj[v]:
-            if w == partner[v] or w in visited:
-                continue
-            if partner[w] == -1:
-                return True
-            mate = partner[w]
-            if mate in visited:
-                continue
-            if extend(mate, visited | {w, mate}):
-                return True
-        return False
-
-    return any(
-        partner[r] == -1 and extend(r, frozenset((r,)))
-        for r in range(g.n)
-    )
+    # Exhaustive depth-first search over simple alternating paths; after
+    # each non-matching edge the matched continuation is forced, so the
+    # tree only branches at outer vertices.  Slow but independent of the
+    # blossom machinery above.  The explicit stack keeps long paths clear
+    # of the recursion limit.
+    for root in range(g.n):
+        if partner[root] != -1:
+            continue
+        visited = {root}
+        stack = [(root, iter(g.adj[root]))]  # outer vertices of the current path
+        while stack:
+            v, neighbors = stack[-1]
+            for w in neighbors:
+                if w == partner[v] or w in visited:
+                    continue
+                if partner[w] == -1:
+                    return True
+                mate = partner[w]
+                if mate in visited:
+                    continue
+                visited.update((w, mate))
+                stack.append((mate, iter(g.adj[mate])))
+                break
+            else:
+                stack.pop()
+                visited.difference_update((v, partner[v]))
+    return False
 
 
 def verify_matching(g: Graph, matching, mode: str = "valid") -> bool:

@@ -38,3 +38,28 @@ def graphs_with_element_sets(draw, max_n: int = 5):
     vertices = [i for i in range(g.n) if mask >> i & 1]
     edges = [e for e in range(len(g.edges)) if mask >> (g.n + e) & 1]
     return g, ElementSet.of(g, vertices=vertices, edges=edges)
+
+
+def triangles_and_isolates() -> Graph:
+    """200 vertex-disjoint triangles, every third one bridged to the next,
+    then 50 isolated vertices: many bad vertices, blossoms and step-1 picks."""
+    pairs = []
+    for i in range(200):
+        a = 3 * i
+        pairs += [(a, a + 1), (a, a + 2), (a + 1, a + 2)]
+        if i % 3 == 0:
+            pairs.append((a + 2, a + 3))
+    return Graph(650, pairs)
+
+
+def golden_graph(name: str) -> Graph:
+    """Graphs whose matchings and `solve --trace` output are pinned by hash."""
+    from tcover.instances import gnp, hard_instance, star
+
+    return {
+        "hard3000": lambda: hard_instance(3000),
+        "star8001": lambda: star(8001),
+        "gnp600": lambda: gnp(600, 0.005, seed=3),
+        "gnp300": lambda: gnp(300, 0.05, seed=5),
+        "triangles": triangles_and_isolates,
+    }[name]()

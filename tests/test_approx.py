@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -28,6 +29,7 @@ from tcover.instances import (
     cycle,
     enumerate_graphs,
     hard_instance,
+    path,
     petersen,
     star,
 )
@@ -245,3 +247,30 @@ def test_certificate_checks_survive_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "constructed cover misses vertex 2\n"
+
+
+def planted_graph(seed: int) -> Graph:
+    """64,000 vertices under shuffled labels: a 60,000-vertex random graph
+    of average degree 4 that contains a perfect matching, 1,000 disjoint
+    triangles and 1,000 isolated vertices, so m = 31,000, k = t = 1,000."""
+    rng = random.Random(seed)
+    label = list(range(64000))
+    rng.shuffle(label)
+    core = {(2 * i, 2 * i + 1) for i in range(30000)}
+    while len(core) < 120000:
+        u, v = sorted(rng.sample(range(60000), 2))
+        core.add((u, v))
+    pairs = sorted(core)
+    for a in range(60000, 63000, 3):
+        pairs += [(a, a + 1), (a, a + 2), (a + 1, a + 2)]
+    return Graph(64000, [(label[u], label[v]) for u, v in pairs])
+
+
+@pytest.mark.parametrize("build, m, k, t", [
+    (lambda: path(200001), 100000, 0, 0),
+    (lambda: star(100001), 1, 0, 0),
+    (lambda: planted_graph(7), 31000, 1000, 1000),
+], ids=["path200001", "star100001", "planted64k"])
+def test_approx_at_scale(build, m, k, t):
+    result = approx_total_cover(build())
+    assert (result.matching_size, result.bad_vertex_count, result.isolated_count) == (m, k, t)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import subprocess
 import sys
 
@@ -6,9 +7,11 @@ import pytest
 
 import tcover.approx
 import tcover.cli
-from tcover import CertificateError, Element, parse_graph, serialize_graph
+from tcover import CertificateError, Element, Graph, parse_graph, serialize_graph
 from tcover.cli import main
 from tcover.instances import complete, hard_instance, star
+
+from helpers import golden_graph
 
 
 @pytest.fixture
@@ -300,6 +303,14 @@ def test_failed_validation_exits_3(k3, capsys, monkeypatch, command, patched, me
     assert captured.out == ""
 
 
+def test_matched_non_edge_exits_3(k3, capsys, monkeypatch):
+    monkeypatch.setattr(Graph, "edge_id", lambda self, u, v: None)
+    assert main(["solve", k3]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: matched pair (0, 1) is not an edge of the graph\n"
+    assert captured.out == ""
+
+
 def test_solve_validates_the_cover_once(k3, monkeypatch):
     calls = []
 
@@ -341,3 +352,41 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("size=1")
+
+
+# sha256 of `solve FILE --trace` stdout and of its --output cover file,
+# recorded from the quadratic matching and bad-vertex scan: speed-ups must
+# keep traces and covers byte-identical.
+GOLDEN_SOLVES = {
+    "hard3000": (
+        "dd8543ad527c7a8816e09a7761cf340682c2dcde55e6b42aee1a1ea6303c01e8",
+        "94b94da57e3b7e761fde9a24bd990dac385102695f906f689743d0186a415831",
+    ),
+    "star8001": (
+        "43067b2a8366979e6aabae3a62a2a1e4c1197fe4e3679d1a51ccee3d8a7f07db",
+        "eac17682a4980d82cdaf1b907de8759770394c191cb6c9f4f409ff990f6e5aec",
+    ),
+    "gnp600": (
+        "8e48a562f22379a81f9aed8f5da54aab1910a23b8f9833cfdc62dd4c3e48ec94",
+        "4e5e5de4cf20400ff3d54944f10f418eea565a563b371f152cfd2f83d6955f33",
+    ),
+    "gnp300": (
+        "6e3b1104b49e861b222b3f08dea23459457ce18caedff05f9ff1e2676181078a",
+        "0893adce88597bfbde0e120861b0c911ceb3d14446d70f964c21a026ce5bfeb9",
+    ),
+    "triangles": (
+        "1567367a73ee7a5f83a6d6abd5f60e3ace1a0e2b1f1e05247a58042a6610287f",
+        "90dcb91a50bd67c6beb52357f0246d9eac68b0afc166f17682f224a38798e11e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SOLVES))
+def test_solve_trace_and_cover_golden(name, tmp_path, capsys):
+    graph = tmp_path / "g.gr"
+    graph.write_text(serialize_graph(golden_graph(name)))
+    cover = tmp_path / "out.cover"
+    assert main(["solve", str(graph), "--trace", "--output", str(cover)]) == 0
+    stdout = capsys.readouterr().out
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (stdout, cover.read_text()))
+    assert digests == GOLDEN_SOLVES[name]

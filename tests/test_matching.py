@@ -1,7 +1,14 @@
+import hashlib
+import os
+import random
+import subprocess
+import sys
+
 from hypothesis import given
 
 import pytest
 
+import tcover
 from tcover import (
     Graph,
     GraphError,
@@ -16,12 +23,13 @@ from tcover.instances import (
     complete,
     cycle,
     enumerate_graphs,
+    gnp,
     hard_instance,
     path,
     petersen,
 )
 
-from helpers import small_graphs
+from helpers import golden_graph, small_graphs
 
 
 def test_matching_partner_map():
@@ -122,6 +130,18 @@ def test_verify_mode_validation():
         verify_matching(path(3), [], "biggest")
 
 
+@pytest.mark.parametrize("g", [path(3001), cycle(3001)], ids=["path3001", "cycle3001"])
+def test_verify_maximum_on_long_alternating_paths(g):
+    assert verify_matching(g, maximum_matching(g), "maximum")
+
+
+def test_verify_finds_a_long_augmenting_path():
+    # the inner edges of P3000 leave both ends free: one augmenting path
+    # through all 3000 vertices
+    g = path(3000)
+    assert not verify_matching(g, range(1, 2998, 2), "maximum")
+
+
 def test_blossom_handles_odd_components():
     # triangle pair joined by a bridge: 0-1-2-0, 3-4-5-3, bridge 2-3
     g = Graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)])
@@ -163,3 +183,79 @@ def test_matching_invariants_random(g):
 @given(small_graphs(max_n=5))
 def test_maximum_matches_brute_force_random(g):
     assert maximum_matching(g).size == brute_force_maximum_matching(g).size
+
+
+# sha256 of the space-joined sorted edge ids, recorded from the search that
+# allocated its arrays per root: a faster search must return the very same
+# matching, not just one of the same size.
+GOLDEN_MATCHINGS = {
+    "hard3000": "f495a8d30a835259e0288cab35b6a9006dcd121e0bb49d8a68e5bbc7bec31076",
+    "star8001": "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+    "gnp600": "8c96c8461a692b37b0f816737bbf6c5f19101847c32c71e699a6d8feae04ca88",
+    "gnp300": "db8a01e198387ac5ede66cada37096aafd2ea5f5472981c180b3e594de479ddd",
+    "triangles": "66a245624f4de97df73f12f599f05c80be0073cf4f9921d71a78fc0fced2c857",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MATCHINGS))
+def test_maximum_matching_golden(name):
+    ids = sorted(maximum_matching(golden_graph(name)).edge_ids)
+    digest = hashlib.sha256(" ".join(map(str, ids)).encode()).hexdigest()
+    assert digest == GOLDEN_MATCHINGS[name]
+
+
+def test_maximum_matching_golden_small_batch():
+    # 200 small random graphs catch blossom bookkeeping that only changes
+    # the BFS order now and then, e.g. the order absorbed vertices enqueue in
+    lines = []
+    for seed in range(200):
+        g = gnp(40, (0.05, 0.1, 0.2)[seed % 3], seed)
+        lines.append(" ".join(map(str, sorted(maximum_matching(g).edge_ids))))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "b986c2b3545bf0316a15ee7341ba47f6f63c7ebd06638c8211d05c478a32ec14"
+
+
+@pytest.mark.parametrize("n, seed", [(100, 1), (400, 2), (1000, 3), (2000, 4)])
+def test_maximum_matching_size_matches_networkx(n, seed):
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(seed)
+    pairs = set()
+    while len(pairs) < 3 * n // 2:  # average degree 3
+        u, v = sorted(rng.sample(range(n), 2))
+        pairs.add((u, v))
+    reference = nx.Graph()
+    reference.add_nodes_from(range(n))
+    reference.add_edges_from(pairs)
+    expected = len(nx.max_weight_matching(reference, maxcardinality=True))
+    assert maximum_matching(Graph(n, sorted(pairs))).size == expected
+
+
+MATCHED_NON_EDGE_UNDER_O = """
+import sys
+import tcover.graph
+from tcover import CertificateError, maximum_matching
+from tcover.instances import path
+
+if __debug__:
+    sys.exit("expected to run under python -O")
+tcover.graph.Graph.edge_id = lambda self, u, v: None
+try:
+    maximum_matching(path(2))
+except CertificateError as exc:
+    print(exc)
+    sys.exit(0)
+sys.exit("maximum_matching returned a matching of non-edges")
+"""
+
+
+def test_matched_pair_check_survives_python_O():
+    src = os.path.dirname(os.path.dirname(tcover.__file__))
+    env = {**os.environ, "PYTHONPATH": src}  # the child needs only tcover and the stdlib
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", MATCHED_NON_EDGE_UNDER_O],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "matched pair (0, 1) is not an edge of the graph\n"
