@@ -134,12 +134,10 @@ def approx_total_cover(g: Graph) -> ApproxResult:
     trace: list[TraceStep] = []
     cover_vertices: set[int] = set()
     cover_edges: set[int] = set()
-    alive = [True] * g.n
 
     isolates = isolated_vertices(g)
     for v in isolates:
         cover_vertices.add(v)
-        alive[v] = False
         trace.append(TraceStep(1, "isolated", Element.vertex(v)))
     isolated_count = len(isolates)
 
@@ -147,23 +145,22 @@ def approx_total_cover(g: Graph) -> ApproxResult:
     matching_size = matching.size
     assignment = bad_vertex_assignment(g, matching)
     for v, eid in assignment.pairs:
-        e = g.edges[eid]
         cover_vertices.add(v)
         cover_edges.add(eid)
         trace.append(TraceStep(2, "bad-vertex", Element.vertex(v)))
         trace.append(TraceStep(2, "bad-edge", Element.edge(eid)))
-        alive[v] = alive[e.u] = alive[e.v] = False
     bad_vertex_count = assignment.count
 
-    # Step 3 works on the surviving graph.  Only endpoint additions can
-    # cover a surviving unmatched vertex (edges added here join two
+    # Step 3 works on the surviving graph, whose unmatched vertices are the
+    # unmatched ones outside the cover (step 3 adds only matched vertices).
+    # Only endpoint additions can cover them (edges added here join two
     # matched vertices, and the step-1/2 elements lost all unmatched
     # neighbors with their removal), so a covered flag per unmatched
     # vertex tracks coverage exactly.
     covered = [False] * g.n
 
     def unmatched_neighbors(x: int) -> list[int]:
-        return [z for z in g.adj[x] if alive[z] and not matching.is_matched(z)]
+        return [z for z in g.adj[x] if not matching.is_matched(z) and z not in cover_vertices]
 
     # Step 3 adds only the edge it visits, so edges found here are step 2's.
     for e in matching.edges():
@@ -244,16 +241,16 @@ def greedy_domination_cover(g: Graph) -> ElementSet:
     factor of the optimum.
     """
     tg, elements = total_graph(g)
-    undominated = set(range(tg.n))
+    gain = [1 + len(neighbors) for neighbors in tg.adj]  # undominated members of N[x]
+    dominated = [False] * tg.n
     picks: list[int] = []
-    while undominated:
-        best = -1
-        best_gain = -1
-        for v in range(tg.n):
-            gain = (v in undominated) + sum(1 for u in tg.adj[v] if u in undominated)
-            if gain > best_gain:
-                best, best_gain = v, gain
+    while (best_gain := max(gain, default=0)) > 0:
+        best = gain.index(best_gain)
         picks.append(best)
-        undominated.discard(best)
-        undominated.difference_update(tg.adj[best])
+        for y in (best, *tg.adj[best]):
+            if not dominated[y]:
+                dominated[y] = True
+                gain[y] -= 1
+                for x in tg.adj[y]:
+                    gain[x] -= 1
     return ElementSet(g, [elements[v] for v in picks])

@@ -197,12 +197,12 @@ def _compare_row(name: str, path_arg: str, exact_limit: int) -> tuple[dict[str, 
             row["exact_size"] = str(exact.size)
             ratio = Fraction(alg_size, exact.size) if exact.size else Fraction(1)
             row["ratio_vs_exact"] = format_ratio(ratio)
-    except (OSError, UnicodeDecodeError, GraphError, BudgetExceededError) as exc:
-        row["error"] = str(exc)
-    except INTERNAL_ERRORS as exc:  # keep the batch going, tag the failure
+    except tuple(EXIT_CODES) as exc:  # keep the batch going
         code, prefix = exit_status(exc)
-        row["error"] = f"{prefix}: {exc}"
-        return row, code
+        if code == EXIT_INTERNAL:  # tag the solver bug
+            row["error"] = f"{prefix}: {exc}"
+            return row, code
+        row["error"] = str(exc)
     return row, EXIT_OK
 
 

@@ -215,32 +215,24 @@ def all_elements(g: Graph) -> ElementSet:
 def first_uncovered(g: Graph, vertex_ids, edge_ids) -> Optional[Element]:
     """First element not covered by the given vertex/edge id sets.
 
-    A vertex outside the set is covered by an adjacent chosen vertex or an
-    incident chosen edge; an edge outside the set is covered by a chosen
-    endpoint or a chosen edge sharing an endpoint.  Scans vertices by
+    The hubs are the chosen vertices and both endpoints of every chosen
+    edge.  A vertex is covered when it is a hub or has a chosen neighbour;
+    an edge is covered when it is chosen or has a hub endpoint.  Ids that
+    name no vertex or edge of ``g`` are ignored.  Scans vertices by
     ascending id, then edges by ascending id, so the witness is
     reproducible.  Returns None when everything is covered.
     """
-    adj = g.adj
-    inc = g.inc
-    for v in range(g.n):
-        if v in vertex_ids:
-            continue
-        if any(u in vertex_ids for u in adj[v]):
-            continue
-        if any(e in edge_ids for e in inc[v]):
-            continue
-        return Element.vertex(v)
+    hubs = set(vertex_ids)
     for e in g.edges:
         if e.id in edge_ids:
-            continue
-        if e.u in vertex_ids or e.v in vertex_ids:
-            continue
-        if any(f in edge_ids for f in inc[e.u]):
-            continue
-        if any(f in edge_ids for f in inc[e.v]):
-            continue
-        return Element.edge(e.id)
+            hubs.add(e.u)
+            hubs.add(e.v)
+    for v in range(g.n):
+        if v not in hubs and not any(u in vertex_ids for u in g.adj[v]):
+            return Element.vertex(v)
+    for e in g.edges:
+        if e.id not in edge_ids and e.u not in hubs and e.v not in hubs:
+            return Element.edge(e.id)
     return None
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -21,6 +22,7 @@ from tcover import (
     is_total_cover,
     matched_vertices_cover,
     maximum_matching,
+    serialize_cover,
     total_cover_lower_bound,
 )
 from tcover.instances import (
@@ -28,6 +30,7 @@ from tcover.instances import (
     complete,
     cycle,
     enumerate_graphs,
+    gnp,
     hard_instance,
     path,
     petersen,
@@ -178,6 +181,26 @@ def test_greedy_domination_single_vertex():
     assert greedy_domination_cover(g) == ElementSet.of(g, vertices=[0])
 
 
+# sha256 of the cover file, recorded from the greedy that recomputed every
+# gain on each pick: keeping the gains must return the very same cover.
+GOLDEN_GREEDY = {
+    "gnp300": (lambda: gnp(300, 0.02, 1), 145,
+               "ad1a040cf9cf2300fc42b5a925449b138f90e22289f7fca85df43dc58e5ca73d"),
+    "hard200": (lambda: hard_instance(200), 101,
+                "0672073002720231e3937f1a15ce4e6a6d3121c7ef19d8ea8fbf9c20d0bde5e8"),
+    "gnp600": (lambda: gnp(600, 0.01, 2), 273,
+               "43388bd6609fe693b52fce7f44116db8e462de9332538b69257991738adc987a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_GREEDY))
+def test_greedy_domination_golden(name):
+    build, size, digest = GOLDEN_GREEDY[name]
+    cover = greedy_domination_cover(build())
+    assert len(cover) == size
+    assert hashlib.sha256(serialize_cover(cover).encode()).hexdigest() == digest
+
+
 def test_sweep_small_graphs():
     for g in enumerate_graphs(4):
         result = approx_total_cover(g)
@@ -270,7 +293,8 @@ def planted_graph(seed: int) -> Graph:
     (lambda: path(200001), 100000, 0, 0),
     (lambda: star(100001), 1, 0, 0),
     (lambda: planted_graph(7), 31000, 1000, 1000),
-], ids=["path200001", "star100001", "planted64k"])
+    (lambda: hard_instance(100_000), 100000, 0, 0),
+], ids=["path200001", "star100001", "planted64k", "hard100000"])
 def test_approx_at_scale(build, m, k, t):
     result = approx_total_cover(build())
     assert (result.matching_size, result.bad_vertex_count, result.isolated_count) == (m, k, t)

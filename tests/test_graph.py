@@ -13,6 +13,7 @@ from tcover import (
     VertexOutOfRangeError,
     all_elements,
     element_cover_line,
+    first_uncovered,
     format_element,
     is_total_cover,
     isolated_vertices,
@@ -121,14 +122,25 @@ def test_is_total_cover_everything():
 def test_cover_agrees_with_total_graph_domination(case):
     # membership version of "total cover of g == dominating set of T(g)",
     # with the domination side coded here from scratch
+    # and the witness pinned to the lowest undominated total-graph vertex
     g, d = case
     tg, elements = total_graph(g)
     members = {i for i, el in enumerate(elements) if el in d}
-    dominated = all(
-        v in members or any(u in members for u in tg.adj[v])
-        for v in range(tg.n)
+    undominated = [
+        v for v in range(tg.n)
+        if v not in members and not any(u in members for u in tg.adj[v])
+    ]
+    assert is_total_cover(g, d) == (
+        (False, elements[undominated[0]]) if undominated else (True, None)
     )
-    assert is_total_cover(g, d)[0] == dominated
+
+
+def test_first_uncovered_ignores_ids_outside_the_graph():
+    g = path(4)  # edges 0 = (0,1), 1 = (1,2), 2 = (2,3)
+    assert first_uncovered(g, set(), {0, 2}) is None
+    # -1 does not stand for the last edge, nor 3 for a fourth one
+    assert first_uncovered(g, set(), {0, -1, 3}) == Element.vertex(2)
+    assert first_uncovered(g, {-1, 4}, {0}) == Element.vertex(2)
 
 
 def test_element_set_validates():
