@@ -63,9 +63,11 @@ class ApproxResult:
     The cover has exactly matching_size + bad_vertex_count +
     isolated_count elements; lower_bound is a valid lower bound on every
     total cover; certified_ratio = size / lower_bound never exceeds 2.
+    matching is the maximum matching the cover was built from.
     """
 
     cover: ElementSet
+    matching: Matching
     matching_size: int
     bad_vertex_count: int
     isolated_count: int
@@ -200,6 +202,7 @@ def approx_total_cover(g: Graph) -> ApproxResult:
         raise CertificateError(f"constructed cover misses {format_element(g, witness)}")
     return ApproxResult(
         cover=cover,
+        matching=matching,
         matching_size=matching_size,
         bad_vertex_count=bad_vertex_count,
         isolated_count=isolated_count,
@@ -209,16 +212,23 @@ def approx_total_cover(g: Graph) -> ApproxResult:
     )
 
 
-def matched_vertices_cover(g: Graph, matching_mode: str = "maximum") -> ElementSet:
+def matched_vertices_cover(
+    g: Graph, matching_mode: str = "maximum", matching: Matching | None = None
+) -> ElementSet:
     """Baseline: both endpoints of every matching edge, plus all isolated
     vertices.
 
     Any maximal matching works (mode "maximal" uses the greedy scan, mode
     "maximum" the blossom search): every edge has a matched endpoint, and
     every non-isolated unmatched vertex has only matched neighbors.  The
-    size is 2|M| + t, which can approach four times the optimum.
+    size is 2|M| + t, which can approach four times the optimum.  A
+    maximal ``matching`` of ``g`` that the caller already has, such as
+    ``ApproxResult.matching``, is used as given instead of searching.
     """
-    if matching_mode == "maximum":
+    if matching is not None:
+        if matching.graph != g:
+            raise ValueError("the matching belongs to another graph")
+    elif matching_mode == "maximum":
         matching = maximum_matching(g)
     elif matching_mode == "maximal":
         matching = greedy_maximal_matching(g)

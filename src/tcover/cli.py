@@ -189,7 +189,7 @@ def _compare_row(name: str, path_arg: str, exact_limit: int) -> tuple[dict[str, 
         row["t"] = str(result.isolated_count)
         row["alg_size"] = str(alg_size)
         row["lower_bound"] = str(result.lower_bound)
-        row["baseline_size"] = str(len(matched_vertices_cover(g)))
+        row["baseline_size"] = str(len(matched_vertices_cover(g, matching=result.matching)))
         row["greedy_size"] = str(len(greedy_domination_cover(g)))
         row["ratio_vs_lb"] = format_ratio(result.certified_ratio)
         if g.n + len(g.edges) <= exact_limit:

@@ -1,9 +1,14 @@
 """Exhaustive-search oracles for minimum total covers and dominating sets.
 
-These are deliberately plain: candidate sets are enumerated by increasing
-cardinality, in lexicographic order, and tested one by one.  Their value
-is obvious correctness and independence from the approximation code, not
-speed; guards keep accidental blowups in check.
+Candidate sets are enumerated by increasing cardinality, in lexicographic
+order, and the first that covers everything is returned.  Each element
+has a bitmask of its closed neighbourhood, the elements it covers, so a
+candidate is tested with one OR of its members' masks.  The masks are
+built here from adjacency and incidence lists: neither oracle goes
+through ``total_graph`` or ``first_uncovered`` to search, which keeps the
+oracles independent of the approximation code and of each other.  The
+set a search returns is confirmed once against the plain definition.
+Guards keep accidental blowups in check.
 """
 
 from __future__ import annotations
@@ -11,15 +16,19 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from typing import Iterable
 
 from .graph import (
     BudgetExceededError,
+    Element,
     ElementSet,
     Graph,
     TooLargeError,
     first_uncovered,
+    format_element,
     total_graph,
 )
+from .matching import CertificateError
 
 
 @dataclass(frozen=True)
@@ -60,13 +69,66 @@ class TotalGraphCrossCheck:
     agree: bool
 
 
+def _bits(ids: Iterable[int], offset: int = 0) -> int:
+    """A mask with bit offset + i set for every i in ids."""
+    mask = 0
+    for i in ids:
+        mask |= 1 << (offset + i)
+    return mask
+
+
+def _total_cover_masks(g: Graph) -> list[int]:
+    """Closed-neighbourhood masks over V + E: vertex v is bit v, edge e is
+    bit n + e.  A vertex covers itself, its neighbours and its incident
+    edges; an edge covers itself, both its endpoints and every edge that
+    shares an endpoint with it (the incidence lists of its endpoints, which
+    both hold the edge itself)."""
+    n = g.n
+    vertex_masks = [_bits((v, *g.adj[v])) | _bits(g.inc[v], n) for v in range(n)]
+    edge_masks = [_bits((e.u, e.v)) | _bits(g.inc[e.u] + g.inc[e.v], n) for e in g.edges]
+    return vertex_masks + edge_masks
+
+
+def _domination_masks(g: Graph) -> list[int]:
+    """Closed-neighbourhood masks over V: vertex v dominates itself and its
+    neighbours."""
+    return [_bits((v, *g.adj[v])) for v in range(g.n)]
+
+
+def _first_covering(masks: list[int], limits: SearchLimits) -> tuple[tuple[int, ...], int] | None:
+    """The lexicographically first smallest index set, from size
+    ``limits.start_size`` up, whose masks OR to all ones, with the number
+    of candidates tried; None when no size is left to try.  Raises
+    BudgetExceededError at candidate ``limits.max_candidates + 1``."""
+    everything = (1 << len(masks)) - 1
+    budget = limits.max_candidates
+    checked = 0
+    for s in range(limits.start_size, len(masks) + 1):
+        for combo in itertools.combinations(range(len(masks)), s):
+            checked += 1
+            if checked > budget:
+                raise BudgetExceededError(
+                    f"exceeded max_candidates={budget} at cardinality {s}",
+                    cardinality_reached=s,
+                )
+            covered = 0
+            for i in combo:
+                covered |= masks[i]
+            if covered == everything:
+                return combo, checked
+    return None
+
+
 def exact_total_cover(g: Graph, limits: SearchLimits | None = None) -> ExactResult:
     """Minimum total cover by staged exhaustive search.
 
     Enumerates candidate subsets of V + E (vertices first, then edges) at
     cardinality start_size, start_size + 1, ... and returns the first one
     that covers everything, so the returned set is the lexicographically
-    first optimum.
+    first optimum.  The masks come from ``g.adj`` and ``g.inc``, not
+    through ``total_graph`` or ``first_uncovered``; ``first_uncovered``
+    only confirms the returned set, raising CertificateError if it finds
+    an element the set misses.
     """
     limits = limits or SearchLimits()
     n = g.n
@@ -76,55 +138,46 @@ def exact_total_cover(g: Graph, limits: SearchLimits | None = None) -> ExactResu
             f"{total} elements exceeds max_elements={limits.max_elements}"
         )
     start = time.perf_counter()
-    checked = 0
-    for s in range(limits.start_size, total + 1):
-        for combo in itertools.combinations(range(total), s):
-            checked += 1
-            if checked > limits.max_candidates:
-                raise BudgetExceededError(
-                    f"exceeded max_candidates={limits.max_candidates} at cardinality {s}",
-                    cardinality_reached=s,
-                )
-            vertex_ids = {i for i in combo if i < n}
-            edge_ids = {i - n for i in combo if i >= n}
-            if first_uncovered(g, vertex_ids, edge_ids) is None:
-                optimum = ElementSet.of(g, vertices=sorted(vertex_ids), edges=sorted(edge_ids))
-                return ExactResult(optimum, s, checked, time.perf_counter() - start)
-    raise AssertionError("search exhausted; the full element set always covers")
+    found = _first_covering(_total_cover_masks(g), limits)
+    if found is None:
+        raise AssertionError("search exhausted; the full element set always covers")
+    combo, checked = found
+    vertex_ids = [i for i in combo if i < n]
+    edge_ids = [i - n for i in combo if i >= n]
+    witness = first_uncovered(g, set(vertex_ids), set(edge_ids))
+    if witness is not None:
+        raise CertificateError(f"exact total cover misses {format_element(g, witness)}")
+    optimum = ElementSet.of(g, vertices=vertex_ids, edges=edge_ids)
+    return ExactResult(optimum, len(combo), checked, time.perf_counter() - start)
 
 
 def exact_dominating_set(g: Graph, limits: SearchLimits | None = None) -> ExactResult:
     """Minimum dominating set by the same staged search over vertex subsets.
 
-    A set dominates when every vertex is a member or adjacent to one.
-    The domination test is coded here directly, sharing nothing with the
-    covering predicate, so cross-checks between the two oracles are
-    meaningful.
+    A set dominates when every vertex is a member or adjacent to one.  The
+    masks come from ``g.adj`` alone, not through ``total_graph`` or
+    ``first_uncovered``, so cross-checks between the two oracles compare
+    independent constructions.  Raises CertificateError if a direct scan
+    finds a vertex the returned set leaves undominated.
     """
     limits = limits or SearchLimits()
     n = g.n
     if n > limits.max_elements:
         raise TooLargeError(f"{n} vertices exceeds max_elements={limits.max_elements}")
-    adj = g.adj
     start = time.perf_counter()
-    checked = 0
-    for s in range(limits.start_size, n + 1):
-        for combo in itertools.combinations(range(n), s):
-            checked += 1
-            if checked > limits.max_candidates:
-                raise BudgetExceededError(
-                    f"exceeded max_candidates={limits.max_candidates} at cardinality {s}",
-                    cardinality_reached=s,
-                )
-            members = set(combo)
-            if all(
-                w in members or any(u in members for u in adj[w])
-                for w in range(n)
-            ):
-                return ExactResult(
-                    ElementSet.of(g, vertices=combo), s, checked, time.perf_counter() - start
-                )
-    raise AssertionError("search exhausted; the full vertex set always dominates")
+    found = _first_covering(_domination_masks(g), limits)
+    if found is None:
+        raise AssertionError("search exhausted; the full vertex set always dominates")
+    combo, checked = found
+    members = set(combo)
+    for w in range(n):
+        if w not in members and members.isdisjoint(g.adj[w]):
+            raise CertificateError(
+                f"exact dominating set misses {format_element(g, Element.vertex(w))}"
+            )
+    return ExactResult(
+        ElementSet.of(g, vertices=combo), len(combo), checked, time.perf_counter() - start
+    )
 
 
 def cross_check_total_graph(g: Graph, limits: SearchLimits | None = None) -> TotalGraphCrossCheck:

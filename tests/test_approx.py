@@ -162,6 +162,15 @@ def test_matched_vertices_cover_maximal_mode():
         matched_vertices_cover(g, "approximate")
 
 
+def test_matched_vertices_cover_reuses_a_given_matching():
+    for g in (hard_instance(4), complete(5), add_isolated(path(5), 2)):
+        result = approx_total_cover(g)
+        assert result.matching == maximum_matching(g)
+        assert matched_vertices_cover(g, matching=result.matching) == matched_vertices_cover(g)
+    with pytest.raises(ValueError, match="another graph"):
+        matched_vertices_cover(path(4), matching=maximum_matching(path(5)))
+
+
 def test_greedy_domination_star():
     g = star(5)
     cover = greedy_domination_cover(g)

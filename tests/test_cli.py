@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import os
 import subprocess
 import sys
 
@@ -7,9 +8,10 @@ import pytest
 
 import tcover.approx
 import tcover.cli
+import tcover.exact
 from tcover import CertificateError, Element, Graph, parse_graph, serialize_graph
 from tcover.cli import main
-from tcover.instances import complete, hard_instance, star
+from tcover.instances import complete, gnp, hard_instance, star
 
 from helpers import golden_graph
 
@@ -97,6 +99,50 @@ def test_exact_guard_exit(tmp_path):
 
 def test_exact_budget_exit(k3):
     assert main(["exact", k3, "--max-candidates", "3"]) == 5
+
+
+# `exact FILE` stdout, recorded from the search that tested each candidate
+# with first_uncovered: the candidate count and the optimum are pinned.
+GOLDEN_EXACT_STDOUT = {
+    "hard6": (lambda: hard_instance(6), "size=4 candidates=6608\nv 1\ne 8 9\ne 10 11\ne 12 13\n"),
+    "gnp9": (lambda: gnp(9, 0.3, 7), "size=4 candidates=1965\nv 3\nv 5\nv 9\ne 7 8\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EXACT_STDOUT))
+def test_exact_stdout_golden(name, tmp_path, capsys):
+    build, expected = GOLDEN_EXACT_STDOUT[name]
+    graph = tmp_path / "g.gr"
+    graph.write_text(serialize_graph(build()))
+    assert main(["exact", str(graph)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+EXACT_UNDER_O = """
+import sys
+import tcover.exact
+from tcover.cli import main
+
+if __debug__:
+    sys.exit("expected to run under python -O")
+count = lambda g: g.n + len(g.edges)
+tcover.exact._total_cover_masks = lambda g: [(1 << count(g)) - 1] * count(g)
+sys.exit(main(["exact", sys.argv[1]]))
+"""
+
+
+def test_exact_confirmation_survives_python_O(k3):
+    src = os.path.dirname(os.path.dirname(tcover.exact.__file__))
+    env = {**os.environ, "PYTHONPATH": src}  # the child needs only tcover and the stdlib
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", EXACT_UNDER_O, k3],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == "internal error: exact total cover misses edge (2,3)\n"
+    assert proc.stdout == ""
 
 
 def test_baseline_matched_vertices(hard4, capsys):
@@ -266,6 +312,20 @@ def test_compare_dir_mode(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[1].startswith("a.gr,")  # sorted by name
     assert lines[2].startswith("b.gr,")
+
+
+def test_compare_searches_one_matching_per_row(hard4, k3, tmp_path, monkeypatch):
+    # the matched-vertices baseline reuses the approximation's matching
+    calls = []
+    search = tcover.approx.maximum_matching
+
+    def counting(g):
+        calls.append(g)
+        return search(g)
+
+    monkeypatch.setattr(tcover.approx, "maximum_matching", counting)
+    assert main(["compare", hard4, k3, "--csv", str(tmp_path / "report.csv")]) == 0
+    assert len(calls) == 2
 
 
 def test_compare_requires_inputs(capsys):

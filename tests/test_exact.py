@@ -1,9 +1,12 @@
+import hashlib
 from itertools import combinations
 
 import pytest
 
+import tcover.exact
 from tcover import (
     BudgetExceededError,
+    CertificateError,
     ElementSet,
     Graph,
     SearchLimits,
@@ -16,7 +19,7 @@ from tcover import (
     total_cover_lower_bound,
     total_graph,
 )
-from tcover.instances import complete, cycle, enumerate_graphs, hard_instance, path, star
+from tcover.instances import complete, cycle, enumerate_graphs, gnp, hard_instance, path, star
 
 
 def test_exact_total_cover_k3():
@@ -148,3 +151,73 @@ def test_dominating_oracle_against_cover_oracle_on_total_graphs():
     for g in (star(4), cycle(4), path(5)):
         tg, _ = total_graph(g)
         assert exact_total_cover(g).size == exact_dominating_set(tg).size
+
+
+def golden_corpus():
+    """All graphs with at most 5 vertices, then the seeded gnp(4..12) graphs
+    of at most 28 elements among 200 draws."""
+    for n in range(6):
+        yield from enumerate_graphs(n)
+    for seed in range(200):
+        g = gnp(4 + seed % 9, (0.1, 0.2, 0.3)[seed % 3], seed)
+        if g.n + len(g.edges) <= 28:
+            yield g
+
+
+# sha256 over one "size candidates [vertex ids] [edge ids]" line per graph of
+# golden_corpus(), recorded from the searches that tested each candidate
+# with first_uncovered and with a per-vertex membership scan: a faster test
+# must return the same optimum after the same number of candidates.
+GOLDEN_EXACT = {
+    "exact_total_cover": "c08e15a82f5cd145991126660667be08168c1d936416498348ea4609ab4c69cf",
+    "exact_dominating_set": "77b712599b0ff68544db42e78ee6f9c86738147baffd80f76f3419009cfc3da8",
+}
+
+
+@pytest.mark.parametrize("oracle", [exact_total_cover, exact_dominating_set],
+                         ids=lambda oracle: oracle.__name__)
+def test_exact_oracles_golden(oracle):
+    lines = []
+    for g in golden_corpus():
+        r = oracle(g)
+        lines.append(f"{r.size} {r.candidates_checked} "
+                     f"{sorted(r.optimum.vertex_ids)} {sorted(r.optimum.edge_ids)}")
+    assert len(lines) == 1283
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == GOLDEN_EXACT[oracle.__name__]
+
+
+# Candidates checked, recorded from the same searches: one fewer must stop
+# the search at the same cardinality, exactly that many must succeed.
+@pytest.mark.parametrize("build, oracle, candidates", [
+    (lambda: hard_instance(6), exact_total_cover, 6608),
+    (lambda: gnp(9, 0.3, 7), exact_total_cover, 1965),
+    (lambda: hard_instance(6), exact_dominating_set, 584),
+    (lambda: gnp(9, 0.3, 7), exact_dominating_set, 179),
+])
+def test_budget_boundary_golden(build, oracle, candidates):
+    g = build()
+    with pytest.raises(BudgetExceededError) as err:
+        oracle(g, SearchLimits(max_candidates=candidates - 1))
+    assert err.value.cardinality_reached == 4
+    assert str(err.value) == f"exceeded max_candidates={candidates - 1} at cardinality 4"
+    result = oracle(g, SearchLimits(max_candidates=candidates))
+    assert (result.size, result.candidates_checked) == (4, candidates)
+
+
+@pytest.mark.parametrize("oracle, builder, message", [
+    (exact_total_cover, "_total_cover_masks", "exact total cover misses vertex 3"),
+    (exact_dominating_set, "_domination_masks", "exact dominating set misses vertex 3"),
+])
+def test_wrong_masks_raise_certificate_error(monkeypatch, oracle, builder, message):
+    # masks claiming that every element covers everything make {vertex 1}
+    # win at cardinality 1; the confirmation must catch that it does not
+    original = getattr(tcover.exact, builder)
+
+    def covers_everything(g):
+        count = len(original(g))
+        return [(1 << count) - 1] * count
+
+    monkeypatch.setattr(tcover.exact, builder, covers_everything)
+    with pytest.raises(CertificateError, match=f"^{message}$"):
+        oracle(path(3))
