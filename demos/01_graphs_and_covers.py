@@ -23,18 +23,18 @@ print("adjacency of vertex 1:", p4.adj[1])
 print("edges:", p4.edge_pairs())
 
 # Try to cover it with the two inner vertices.
-candidate = ElementSet.of(p4, vertices=[1, 2])
+candidate = ElementSet(p4, vertices=[1, 2])
 ok, witness = is_total_cover(p4, candidate)
 print("\n{vertex 1, vertex 2} is a total cover:", ok)
 
 # A single middle edge is NOT enough: the first end vertex touches
 # nothing chosen.  (Displayed names are 1-indexed, as in the file formats.)
-candidate = ElementSet.of(p4, edges=[1])
+candidate = ElementSet(p4, edges=[1])
 ok, witness = is_total_cover(p4, candidate)
 print("{middle edge} is a total cover:", ok, "- first uncovered:", format_element(p4, witness))
 
 # Mixing kinds works: one vertex and one edge suffice here.
-candidate = ElementSet.of(p4, vertices=[1], edges=[2])
+candidate = ElementSet(p4, vertices=[1], edges=[2])
 print("{vertex 1, edge (2,3)} is a total cover:", is_total_cover(p4, candidate)[0])
 
 # The total graph makes the adjacency-or-incidence relation ordinary

@@ -21,8 +21,9 @@ for n in (4, 8, 12, 50, 100, 400):
     optimum = n // 2 + 1
     if g.n + len(g.edges) <= 40:  # exhaustively confirm the small ones
         assert exact_total_cover(g, SearchLimits(max_elements=40)).size == optimum
-    alg = len(approx_total_cover(g).cover)
-    base = len(matched_vertices_cover(g))
+    result = approx_total_cover(g)
+    alg = len(result.cover)
+    base = len(matched_vertices_cover(g, result.matching))
     print(f"{n:>4} {optimum:>8} {alg:>10} {base:>9} "
           f"{float(Fraction(alg, optimum)):>8.4f} {float(Fraction(base, optimum)):>9.4f}")
 

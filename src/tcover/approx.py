@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .graph import Element, ElementSet, Graph, format_element, is_total_cover
 from .graph import isolated_vertices, total_graph
-from .matching import CertificateError, Matching, greedy_maximal_matching, maximum_matching
+from .matching import CertificateError, Matching, maximum_matching
 
 
 class NotMaximumError(ValueError):
@@ -175,21 +175,17 @@ def approx_total_cover(g: Graph) -> ApproxResult:
         # one would have been a bad vertex.
         if near_u and near_v:
             raise NotMaximumError(f"both endpoints of matching edge {e.id} reach unmatched vertices")
-        endpoint = None
-        if any(not covered[z] for z in near_u):
-            endpoint = e.u
-        elif any(not covered[z] for z in near_v):
-            endpoint = e.v
-        if endpoint is not None:
+        endpoint, near = (e.u, near_u) if near_u else (e.v, near_v)
+        if any(not covered[z] for z in near):
             cover_vertices.add(endpoint)
             trace.append(TraceStep(3, "endpoint", Element.vertex(endpoint)))
-            for z in near_u if endpoint == e.u else near_v:
+            for z in near:
                 covered[z] = True
         else:
             cover_edges.add(e.id)
             trace.append(TraceStep(3, "matching-edge", Element.edge(e.id)))
 
-    cover = ElementSet.of(g, vertices=sorted(cover_vertices), edges=sorted(cover_edges))
+    cover = ElementSet(g, cover_vertices, cover_edges)
     size = len(cover)
     if size != matching_size + bad_vertex_count + isolated_count:
         raise CertificateError(f"cover has {size} elements, not m + k + t")
@@ -212,33 +208,21 @@ def approx_total_cover(g: Graph) -> ApproxResult:
     )
 
 
-def matched_vertices_cover(
-    g: Graph, matching_mode: str = "maximum", matching: Matching | None = None
-) -> ElementSet:
-    """Baseline: both endpoints of every matching edge, plus all isolated
-    vertices.
+def matched_vertices_cover(g: Graph, matching: Matching) -> ElementSet:
+    """Baseline: both endpoints of every edge of a maximal ``matching`` of
+    ``g``, plus all isolated vertices.
 
-    Any maximal matching works (mode "maximal" uses the greedy scan, mode
-    "maximum" the blossom search): every edge has a matched endpoint, and
-    every non-isolated unmatched vertex has only matched neighbors.  The
-    size is 2|M| + t, which can approach four times the optimum.  A
-    maximal ``matching`` of ``g`` that the caller already has, such as
-    ``ApproxResult.matching``, is used as given instead of searching.
+    Any maximal matching works, such as ``greedy_maximal_matching``,
+    ``maximum_matching`` or ``ApproxResult.matching``: every edge has a
+    matched endpoint, and every non-isolated unmatched vertex has only
+    matched neighbors.  The size is 2|M| + t, which can approach four
+    times the optimum.  Raises ValueError if the matching belongs to
+    another graph.
     """
-    if matching is not None:
-        if matching.graph != g:
-            raise ValueError("the matching belongs to another graph")
-    elif matching_mode == "maximum":
-        matching = maximum_matching(g)
-    elif matching_mode == "maximal":
-        matching = greedy_maximal_matching(g)
-    else:
-        raise ValueError(f"unknown matching mode {matching_mode!r}")
-    vertices = set(isolated_vertices(g))
-    for e in matching.edges():
-        vertices.add(e.u)
-        vertices.add(e.v)
-    return ElementSet.of(g, vertices=sorted(vertices))
+    if matching.graph != g:
+        raise ValueError("the matching belongs to another graph")
+    matched = [x for e in matching.edges() for x in (e.u, e.v)]
+    return ElementSet(g, isolated_vertices(g) + matched)
 
 
 def greedy_domination_cover(g: Graph) -> ElementSet:
@@ -250,7 +234,7 @@ def greedy_domination_cover(g: Graph) -> ElementSet:
     of ``g``.  Standard greedy, so the size is within a logarithmic
     factor of the optimum.
     """
-    tg, elements = total_graph(g)
+    tg, _ = total_graph(g)
     gain = [1 + len(neighbors) for neighbors in tg.adj]  # undominated members of N[x]
     dominated = [False] * tg.n
     picks: list[int] = []
@@ -263,4 +247,5 @@ def greedy_domination_cover(g: Graph) -> ElementSet:
                 gain[y] -= 1
                 for x in tg.adj[y]:
                     gain[x] -= 1
-    return ElementSet(g, [elements[v] for v in picks])
+    n = g.n
+    return ElementSet(g, [x for x in picks if x < n], [x - n for x in picks if x >= n])

@@ -95,11 +95,15 @@ def _domination_masks(g: Graph) -> list[int]:
     return [_bits((v, *g.adj[v])) for v in range(g.n)]
 
 
-def _first_covering(masks: list[int], limits: SearchLimits) -> tuple[tuple[int, ...], int] | None:
+def _first_covering(masks: list[int], limits: SearchLimits) -> tuple[tuple[int, ...], int]:
     """The lexicographically first smallest index set, from size
     ``limits.start_size`` up, whose masks OR to all ones, with the number
-    of candidates tried; None when no size is left to try.  Raises
+    of candidates tried.  Every mask holds its own bit, so the full index
+    set covers and the search always ends with a result.  Raises
+    ValueError if ``limits.start_size`` exceeds the number of masks, and
     BudgetExceededError at candidate ``limits.max_candidates + 1``."""
+    if limits.start_size > len(masks):
+        raise ValueError(f"start_size={limits.start_size} exceeds the {len(masks)} elements")
     everything = (1 << len(masks)) - 1
     budget = limits.max_candidates
     checked = 0
@@ -116,7 +120,6 @@ def _first_covering(masks: list[int], limits: SearchLimits) -> tuple[tuple[int, 
                 covered |= masks[i]
             if covered == everything:
                 return combo, checked
-    return None
 
 
 def exact_total_cover(g: Graph, limits: SearchLimits | None = None) -> ExactResult:
@@ -138,16 +141,13 @@ def exact_total_cover(g: Graph, limits: SearchLimits | None = None) -> ExactResu
             f"{total} elements exceeds max_elements={limits.max_elements}"
         )
     start = time.perf_counter()
-    found = _first_covering(_total_cover_masks(g), limits)
-    if found is None:
-        raise AssertionError("search exhausted; the full element set always covers")
-    combo, checked = found
+    combo, checked = _first_covering(_total_cover_masks(g), limits)
     vertex_ids = [i for i in combo if i < n]
     edge_ids = [i - n for i in combo if i >= n]
     witness = first_uncovered(g, set(vertex_ids), set(edge_ids))
     if witness is not None:
         raise CertificateError(f"exact total cover misses {format_element(g, witness)}")
-    optimum = ElementSet.of(g, vertices=vertex_ids, edges=edge_ids)
+    optimum = ElementSet(g, vertex_ids, edge_ids)
     return ExactResult(optimum, len(combo), checked, time.perf_counter() - start)
 
 
@@ -165,19 +165,14 @@ def exact_dominating_set(g: Graph, limits: SearchLimits | None = None) -> ExactR
     if n > limits.max_elements:
         raise TooLargeError(f"{n} vertices exceeds max_elements={limits.max_elements}")
     start = time.perf_counter()
-    found = _first_covering(_domination_masks(g), limits)
-    if found is None:
-        raise AssertionError("search exhausted; the full vertex set always dominates")
-    combo, checked = found
+    combo, checked = _first_covering(_domination_masks(g), limits)
     members = set(combo)
     for w in range(n):
         if w not in members and members.isdisjoint(g.adj[w]):
             raise CertificateError(
                 f"exact dominating set misses {format_element(g, Element.vertex(w))}"
             )
-    return ExactResult(
-        ElementSet.of(g, vertices=combo), len(combo), checked, time.perf_counter() - start
-    )
+    return ExactResult(ElementSet(g, combo), len(combo), checked, time.perf_counter() - start)
 
 
 def cross_check_total_graph(g: Graph, limits: SearchLimits | None = None) -> TotalGraphCrossCheck:

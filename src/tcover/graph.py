@@ -156,29 +156,20 @@ class ElementSet:
 
     __slots__ = ("graph", "vertex_ids", "edge_ids")
 
-    def __init__(self, graph: Graph, elements: Iterable[Element] = ()):
-        vertex_ids: set[int] = set()
-        edge_ids: set[int] = set()
-        for el in elements:
-            if el.kind == "vertex":
-                if not 0 <= el.index < graph.n:
-                    raise VertexOutOfRangeError(f"vertex {el.index} leaves [0, {graph.n})")
-                vertex_ids.add(el.index)
-            elif el.kind == "edge":
-                if not 0 <= el.index < len(graph.edges):
-                    raise UnknownEdgeError(f"edge id {el.index} leaves [0, {len(graph.edges)})")
-                edge_ids.add(el.index)
-            else:
-                raise GraphError(f"unknown element kind {el.kind!r}")
+    def __init__(self, graph: Graph, vertices: Iterable[int] = (), edges: Iterable[int] = ()):
+        """Raises VertexOutOfRangeError or UnknownEdgeError naming the first
+        id outside the graph, checking vertices in the order given, then
+        edges."""
+        vertices, edges = tuple(vertices), tuple(edges)
+        for v in vertices:
+            if not 0 <= v < graph.n:
+                raise VertexOutOfRangeError(f"vertex {v} leaves [0, {graph.n})")
+        for e in edges:
+            if not 0 <= e < len(graph.edges):
+                raise UnknownEdgeError(f"edge id {e} leaves [0, {len(graph.edges)})")
         self.graph = graph
-        self.vertex_ids = frozenset(vertex_ids)
-        self.edge_ids = frozenset(edge_ids)
-
-    @classmethod
-    def of(cls, graph: Graph, vertices: Iterable[int] = (), edges: Iterable[int] = ()) -> "ElementSet":
-        els = [Element.vertex(v) for v in vertices]
-        els += [Element.edge(e) for e in edges]
-        return cls(graph, els)
+        self.vertex_ids = frozenset(vertices)
+        self.edge_ids = frozenset(edges)
 
     def __len__(self) -> int:
         return len(self.vertex_ids) + len(self.edge_ids)
@@ -209,7 +200,7 @@ class ElementSet:
 
 def all_elements(g: Graph) -> ElementSet:
     """The full element set V + E of a graph."""
-    return ElementSet.of(g, vertices=range(g.n), edges=range(len(g.edges)))
+    return ElementSet(g, range(g.n), range(len(g.edges)))
 
 
 def first_uncovered(g: Graph, vertex_ids, edge_ids) -> Optional[Element]:
@@ -348,7 +339,8 @@ def parse_cover(text: str, g: Graph) -> ElementSet:
     comments and blank lines are skipped.  An edge line whose pair is not
     an edge of ``g`` raises UnknownEdgeError.
     """
-    elements: list[Element] = []
+    vertex_ids: list[int] = []
+    edge_ids: list[int] = []
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -361,7 +353,7 @@ def parse_cover(text: str, g: Graph) -> ElementSet:
                 raise ParseError(line_no, f"non-integer vertex in {line!r}") from None
             if not 0 <= idx < g.n:
                 raise VertexOutOfRangeError(f"line {line_no}: vertex {idx + 1} leaves [1, {g.n}]")
-            elements.append(Element.vertex(idx))
+            vertex_ids.append(idx)
         elif fields[0] == "e" and len(fields) == 3:
             try:
                 u, v = int(fields[1]) - 1, int(fields[2]) - 1
@@ -370,10 +362,10 @@ def parse_cover(text: str, g: Graph) -> ElementSet:
             eid = g.edge_id(u, v) if u != v else None
             if eid is None:
                 raise UnknownEdgeError(f"line {line_no}: ({u + 1},{v + 1}) is not an edge of the graph")
-            elements.append(Element.edge(eid))
+            edge_ids.append(eid)
         else:
             raise ParseError(line_no, f"unrecognized line {line!r}")
-    return ElementSet(g, elements)
+    return ElementSet(g, vertex_ids, edge_ids)
 
 
 def serialize_cover(d: ElementSet) -> str:

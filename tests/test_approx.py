@@ -19,6 +19,7 @@ from tcover import (
     approx_total_cover,
     bad_vertex_assignment,
     greedy_domination_cover,
+    greedy_maximal_matching,
     is_total_cover,
     matched_vertices_cover,
     maximum_matching,
@@ -37,7 +38,7 @@ from tcover.instances import (
     star,
 )
 
-from helpers import small_graphs
+from helpers import golden_graph, small_graphs
 
 
 def test_bad_vertices_of_triangle():
@@ -92,7 +93,7 @@ def test_lower_bound_validation():
 def test_approx_k2():
     g = Graph(2, [(0, 1)])
     result = approx_total_cover(g)
-    assert result.cover == ElementSet.of(g, edges=[0])
+    assert result.cover == ElementSet(g, edges=[0])
     assert (result.matching_size, result.bad_vertex_count, result.isolated_count) == (1, 0, 0)
     assert result.lower_bound == 1
     assert result.certified_ratio == 1
@@ -101,14 +102,14 @@ def test_approx_k2():
 def test_approx_k3():
     g = complete(3)
     result = approx_total_cover(g)
-    assert result.cover == ElementSet.of(g, vertices=[2], edges=[0])
+    assert result.cover == ElementSet(g, vertices=[2], edges=[0])
     assert len(result.cover) == 2 == result.matching_size + result.bad_vertex_count
 
 
 def test_approx_isolated_only():
     g = Graph(3, [])
     result = approx_total_cover(g)
-    assert result.cover == ElementSet.of(g, vertices=[0, 1, 2])
+    assert result.cover == ElementSet(g, vertices=[0, 1, 2])
     assert result.isolated_count == 3
     assert result.certified_ratio == 1
 
@@ -147,28 +148,28 @@ def test_approx_k5_uses_bad_round():
 
 def test_matched_vertices_cover_examples():
     k2 = Graph(2, [(0, 1)])
-    assert matched_vertices_cover(k2) == ElementSet.of(k2, vertices=[0, 1])
-    assert len(matched_vertices_cover(hard_instance(4), "maximum")) == 8
+    assert matched_vertices_cover(k2, maximum_matching(k2)) == ElementSet(k2, vertices=[0, 1])
+    g = hard_instance(4)
+    assert len(matched_vertices_cover(g, maximum_matching(g))) == 8
     empty2 = Graph(2, [])
-    assert matched_vertices_cover(empty2) == ElementSet.of(empty2, vertices=[0, 1])
+    assert matched_vertices_cover(empty2, maximum_matching(empty2)) == ElementSet(empty2, vertices=[0, 1])
 
 
 def test_matched_vertices_cover_maximal_mode():
     g = hard_instance(4)
-    for mode in ("maximal", "maximum"):
-        cover = matched_vertices_cover(g, mode)
+    for find in (greedy_maximal_matching, maximum_matching):
+        cover = matched_vertices_cover(g, find(g))
         assert is_total_cover(g, cover)[0]
-    with pytest.raises(ValueError):
-        matched_vertices_cover(g, "approximate")
 
 
 def test_matched_vertices_cover_reuses_a_given_matching():
     for g in (hard_instance(4), complete(5), add_isolated(path(5), 2)):
         result = approx_total_cover(g)
         assert result.matching == maximum_matching(g)
-        assert matched_vertices_cover(g, matching=result.matching) == matched_vertices_cover(g)
+        assert matched_vertices_cover(g, result.matching) == matched_vertices_cover(
+            g, maximum_matching(g))
     with pytest.raises(ValueError, match="another graph"):
-        matched_vertices_cover(path(4), matching=maximum_matching(path(5)))
+        matched_vertices_cover(path(4), maximum_matching(path(5)))
 
 
 def test_greedy_domination_star():
@@ -182,12 +183,12 @@ def test_greedy_domination_star():
 def test_greedy_domination_k2():
     g = Graph(2, [(0, 1)])
     # T(K2) is a triangle; the tie breaks to the lowest id, vertex 0
-    assert greedy_domination_cover(g) == ElementSet.of(g, vertices=[0])
+    assert greedy_domination_cover(g) == ElementSet(g, vertices=[0])
 
 
 def test_greedy_domination_single_vertex():
     g = Graph(1, [])
-    assert greedy_domination_cover(g) == ElementSet.of(g, vertices=[0])
+    assert greedy_domination_cover(g) == ElementSet(g, vertices=[0])
 
 
 # sha256 of the cover file, recorded from the greedy that recomputed every
@@ -210,6 +211,33 @@ def test_greedy_domination_golden(name):
     assert hashlib.sha256(serialize_cover(cover).encode()).hexdigest() == digest
 
 
+# (size, sha256 of the cover file) of the matched-vertices baseline on each
+# golden graph, under the maximum and the greedy maximal matching, recorded
+# while the baseline still chose its matching from a mode string.
+GOLDEN_MATCHED_VERTICES = {
+    ("gnp300", "maximum"): (300, "cf5753f674edd69b286deb0b4ca7131d8c2bdc72da1144ff58532645ffa57d06"),
+    ("gnp300", "maximal"): (294, "32ff451d085c04627c156fdc67bd804d468ae9d167e6d07d4dd97742fb227b77"),
+    ("gnp600", "maximum"): (590, "b08616f0cae155244e1952cfaab574bc5d5552c518ccdcb029ab8210754d15b4"),
+    ("gnp600", "maximal"): (502, "39e7321ffcc147c96dba1679651308ad0a097936198628a70b7b768e3e211e6d"),
+    ("hard3000", "maximum"): (6000, "0d6c11ecaf487e916738a8bdb8bc5713a5bad8830944f16f3e2fd820588f703d"),
+    ("hard3000", "maximal"): (6000, "0d6c11ecaf487e916738a8bdb8bc5713a5bad8830944f16f3e2fd820588f703d"),
+    ("star8001", "maximum"): (2, "f7273fc22e528de8d6ffa5c41bcb6fed3776391ceedfc2718e2e5191af2d37f6"),
+    ("star8001", "maximal"): (2, "f7273fc22e528de8d6ffa5c41bcb6fed3776391ceedfc2718e2e5191af2d37f6"),
+    ("triangles", "maximum"): (584, "2e81649250485d6f94a5f0d17ddd7dab9f0d52d8287e259fb24ecd727b0b29ff"),
+    ("triangles", "maximal"): (584, "2e81649250485d6f94a5f0d17ddd7dab9f0d52d8287e259fb24ecd727b0b29ff"),
+}
+
+
+@pytest.mark.parametrize("name,kind", sorted(GOLDEN_MATCHED_VERTICES))
+def test_matched_vertices_golden(name, kind):
+    size, digest = GOLDEN_MATCHED_VERTICES[name, kind]
+    g = golden_graph(name)
+    find = maximum_matching if kind == "maximum" else greedy_maximal_matching
+    cover = matched_vertices_cover(g, find(g))
+    assert len(cover) == size
+    assert hashlib.sha256(serialize_cover(cover).encode()).hexdigest() == digest
+
+
 def test_sweep_small_graphs():
     for g in enumerate_graphs(4):
         result = approx_total_cover(g)
@@ -226,7 +254,7 @@ def test_sweep_small_graphs():
         edge_ids = assignment.edge_ids()
         assert len(edge_ids) == len(set(edge_ids))
         # baselines stay valid too
-        assert is_total_cover(g, matched_vertices_cover(g))[0]
+        assert is_total_cover(g, matched_vertices_cover(g, matching))[0]
         assert is_total_cover(g, greedy_domination_cover(g))[0]
 
 

@@ -29,7 +29,7 @@ def test_exact_total_cover_k3():
 def test_exact_total_cover_p3_picks_middle_vertex():
     result = exact_total_cover(path(3))
     assert result.size == 1
-    assert result.optimum == ElementSet.of(path(3), vertices=[1])
+    assert result.optimum == ElementSet(path(3), vertices=[1])
 
 
 def test_exact_total_cover_hard_instance():
@@ -37,7 +37,7 @@ def test_exact_total_cover_hard_instance():
     result = exact_total_cover(g, SearchLimits(max_elements=64))
     assert result.size == 3
     # lexicographically first optimum: the apex plus the two rungs
-    assert result.optimum == ElementSet.of(g, vertices=[0], edges=[8, 9])
+    assert result.optimum == ElementSet(g, vertices=[0], edges=[8, 9])
 
 
 def test_exact_total_cover_isolated():
@@ -58,7 +58,7 @@ def test_exact_dominating_set_examples():
 
 def test_exact_dominating_set_optimum_is_lexicographic():
     result = exact_dominating_set(complete(3))
-    assert result.optimum == ElementSet.of(complete(3), vertices=[0])
+    assert result.optimum == ElementSet(complete(3), vertices=[0])
 
 
 def test_too_large_guards():
@@ -79,6 +79,16 @@ def test_budget_exceeded_reports_cardinality():
 def test_limits_validation():
     with pytest.raises(ValueError):
         SearchLimits(max_elements=-1)
+
+
+@pytest.mark.parametrize("oracle,count", [(exact_total_cover, 6), (exact_dominating_set, 3)])
+def test_start_size_beyond_the_elements_is_a_value_error(oracle, count):
+    with pytest.raises(ValueError, match=r"^start_size=1 exceeds the 0 elements$") as err:
+        oracle(Graph(0, []), SearchLimits(start_size=1))
+    assert type(err.value) is ValueError
+    assert oracle(complete(3), SearchLimits(start_size=count)).size == count
+    with pytest.raises(ValueError, match=f"^start_size={count + 1} exceeds the {count} elements$"):
+        oracle(complete(3), SearchLimits(start_size=count + 1))
 
 
 def test_start_size_shortcut_agrees():

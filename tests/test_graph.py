@@ -101,13 +101,13 @@ def test_total_graph_counts():
 
 def test_is_total_cover_k2_edge():
     g = Graph(2, [(0, 1)])
-    ok, witness = is_total_cover(g, ElementSet.of(g, edges=[0]))
+    ok, witness = is_total_cover(g, ElementSet(g, edges=[0]))
     assert ok and witness is None
 
 
 def test_is_total_cover_k3_single_vertex_fails():
     g = complete(3)
-    ok, witness = is_total_cover(g, ElementSet.of(g, vertices=[0]))
+    ok, witness = is_total_cover(g, ElementSet(g, vertices=[0]))
     assert not ok
     assert witness == Element.edge(g.edge_id(1, 2))
 
@@ -146,14 +146,23 @@ def test_first_uncovered_ignores_ids_outside_the_graph():
 def test_element_set_validates():
     g = Graph(2, [(0, 1)])
     with pytest.raises(VertexOutOfRangeError):
-        ElementSet.of(g, vertices=[2])
+        ElementSet(g, vertices=[2])
     with pytest.raises(UnknownEdgeError):
-        ElementSet.of(g, edges=[1])
+        ElementSet(g, edges=[1])
+
+
+def test_element_set_names_the_first_bad_id_given():
+    # a frozenset of {0, 5, 9} or {0, 6, 10} would yield 9 or 10 first
+    g = Graph(2, [(0, 1)])
+    with pytest.raises(VertexOutOfRangeError, match=r"^vertex 5 leaves \[0, 2\)$"):
+        ElementSet(g, vertices=iter([0, 5, 9]), edges=[6])
+    with pytest.raises(UnknownEdgeError, match=r"^edge id 6 leaves \[0, 1\)$"):
+        ElementSet(g, vertices=[1], edges=iter([0, 6, 10]))
 
 
 def test_element_set_iteration_order():
     g = complete(3)
-    d = ElementSet.of(g, vertices=[2, 0], edges=[1])
+    d = ElementSet(g, vertices=[2, 0], edges=[1])
     assert list(d) == [Element.vertex(0), Element.vertex(2), Element.edge(1)]
     assert len(d) == 3
 
@@ -202,9 +211,9 @@ def test_graph_roundtrip(g):
 
 def test_parse_cover_vertex_and_edge():
     g = Graph(2, [(0, 1)])
-    assert parse_cover("v 1\n", g) == ElementSet.of(g, vertices=[0])
-    assert parse_cover("e 1 2\n", g) == ElementSet.of(g, edges=[0])
-    assert parse_cover("# note\nv 2\ne 2 1\n", g) == ElementSet.of(g, vertices=[1], edges=[0])
+    assert parse_cover("v 1\n", g) == ElementSet(g, vertices=[0])
+    assert parse_cover("e 1 2\n", g) == ElementSet(g, edges=[0])
+    assert parse_cover("# note\nv 2\ne 2 1\n", g) == ElementSet(g, vertices=[1], edges=[0])
 
 
 def test_parse_cover_unknown_edge():

@@ -50,7 +50,7 @@ def test_hard_instance_matching_and_cover():
         g = hard_instance(n)
         assert maximum_matching(g).size == n
         rungs = range(2 * n, 2 * n + n // 2)
-        cover = ElementSet.of(g, vertices=[0], edges=rungs)
+        cover = ElementSet(g, vertices=[0], edges=rungs)
         assert is_total_cover(g, cover)[0]
         assert len(cover) == n // 2 + 1
 

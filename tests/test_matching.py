@@ -78,7 +78,7 @@ def test_matching_serializes_as_cover_file():
 
     g = cycle(6)
     m = maximum_matching(g)
-    text = serialize_cover(ElementSet.of(g, edges=m.edge_ids))
+    text = serialize_cover(ElementSet(g, edges=m.edge_ids))
     assert all(line.startswith("e ") for line in text.splitlines())
     assert parse_cover(text, g).edge_ids == m.edge_ids
 

@@ -1,0 +1,41 @@
+"""Checks over the source tree itself: the package and the demo scripts."""
+
+import ast
+import glob
+import os
+import subprocess
+import sys
+
+import pytest
+
+import tcover
+
+SRC = os.path.dirname(os.path.dirname(tcover.__file__))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(SRC, "tcover", "*.py"))),
+                         ids=os.path.basename)
+def test_no_invariant_lives_in_assert(path):
+    # `python -O` strips assert statements, and the CLI reports a bare
+    # AssertionError as nothing in particular: invariants raise named errors
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), path)
+    asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    names = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "AssertionError"]
+    assert asserts == [], f"assert statements at lines {asserts}"
+    assert names == [], f"AssertionError at lines {names}"
+
+
+def test_demos_are_found():
+    assert len(DEMOS) >= 5
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
+def test_demo_runs(path):
+    env = {**os.environ, "PYTHONPATH": SRC}  # the child needs only tcover and the stdlib
+    proc = subprocess.run([sys.executable, path], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
