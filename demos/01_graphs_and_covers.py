@@ -7,6 +7,7 @@ and shows the file formats used by the ``tcover`` command line tool.
 """
 
 from tcover import (
+    Element,
     ElementSet,
     Graph,
     format_element,
@@ -38,10 +39,11 @@ candidate = ElementSet(p4, vertices=[1], edges=[2])
 print("{vertex 1, edge (2,3)} is a total cover:", is_total_cover(p4, candidate)[0])
 
 # The total graph makes the adjacency-or-incidence relation ordinary
-# vertex adjacency: one vertex per element of the original graph.
-tg, elements = total_graph(p4)
+# vertex adjacency: one vertex per element of the original graph.  Vertex
+# v keeps its id and edge e becomes vertex n + e.
+tg = total_graph(p4)
 print("\ntotal graph of P4:", tg)
-print("its vertex 5 stands for", format_element(p4, elements[5]))
+print("its vertex 5 stands for", format_element(p4, Element.edge(5 - p4.n)))
 
 # Everything serializes to a small line-oriented text format.
 print("\ngraph file for P4:")

@@ -19,7 +19,7 @@ for name, g in [
     result = approx_total_cover(g)
     print(f"{name}:")
     print(f"  cover size {len(result.cover)}"
-          f" = m {result.matching_size} + k {result.bad_vertex_count}"
+          f" = m {result.matching.size} + k {result.bad_vertex_count}"
           f" + t {result.isolated_count}")
     print(f"  lower bound {result.lower_bound},"
           f" certified ratio {result.certified_ratio}"

@@ -40,9 +40,6 @@ class BadVertexAssignment:
     def count(self) -> int:
         return len(self.pairs)
 
-    def edge_ids(self) -> list[int]:
-        return [eid for _, eid in self.pairs]
-
 
 @dataclass(frozen=True)
 class TraceStep:
@@ -60,15 +57,14 @@ class TraceStep:
 class ApproxResult:
     """A total cover plus the quantities certifying its size.
 
-    The cover has exactly matching_size + bad_vertex_count +
-    isolated_count elements; lower_bound is a valid lower bound on every
+    The cover has exactly matching.size + bad_vertex_count +
+    isolated_count elements, where matching is the maximum matching the
+    cover was built from; lower_bound is a valid lower bound on every
     total cover; certified_ratio = size / lower_bound never exceeds 2.
-    matching is the maximum matching the cover was built from.
     """
 
     cover: ElementSet
     matching: Matching
-    matching_size: int
     bad_vertex_count: int
     isolated_count: int
     lower_bound: int
@@ -144,7 +140,6 @@ def approx_total_cover(g: Graph) -> ApproxResult:
     isolated_count = len(isolates)
 
     matching = maximum_matching(g)
-    matching_size = matching.size
     assignment = bad_vertex_assignment(g, matching)
     for v, eid in assignment.pairs:
         cover_vertices.add(v)
@@ -187,9 +182,9 @@ def approx_total_cover(g: Graph) -> ApproxResult:
 
     cover = ElementSet(g, cover_vertices, cover_edges)
     size = len(cover)
-    if size != matching_size + bad_vertex_count + isolated_count:
+    if size != matching.size + bad_vertex_count + isolated_count:
         raise CertificateError(f"cover has {size} elements, not m + k + t")
-    lower_bound = total_cover_lower_bound(matching_size, bad_vertex_count, isolated_count)
+    lower_bound = total_cover_lower_bound(matching.size, bad_vertex_count, isolated_count)
     ratio = Fraction(size, lower_bound) if lower_bound > 0 else Fraction(1)
     if ratio > 2:
         raise CertificateError(f"certified ratio {ratio} exceeds 2")
@@ -199,7 +194,6 @@ def approx_total_cover(g: Graph) -> ApproxResult:
     return ApproxResult(
         cover=cover,
         matching=matching,
-        matching_size=matching_size,
         bad_vertex_count=bad_vertex_count,
         isolated_count=isolated_count,
         lower_bound=lower_bound,
@@ -234,7 +228,7 @@ def greedy_domination_cover(g: Graph) -> ElementSet:
     of ``g``.  Standard greedy, so the size is within a logarithmic
     factor of the optimum.
     """
-    tg, _ = total_graph(g)
+    tg = total_graph(g)
     gain = [1 + len(neighbors) for neighbors in tg.adj]  # undominated members of N[x]
     dominated = [False] * tg.n
     picks: list[int] = []

@@ -49,9 +49,6 @@ EXIT_INTERNAL = 3
 EXIT_TOO_LARGE = 4
 EXIT_BUDGET = 5
 
-# Errors that mean a solver bug, not bad input.
-INTERNAL_ERRORS = (CertificateError, NotMaximumError)
-
 # main() turns exceptions of these classes into (exit code, stderr prefix);
 # anything else, such as the plain ValueError of SearchLimits, propagates.
 # UnicodeDecodeError is an input file that is not UTF-8 text.
@@ -63,7 +60,9 @@ EXIT_CODES: dict[type[BaseException], tuple[int, str]] = {
     ParameterOutOfRangeError: (EXIT_PARSE, "error"),
     TooLargeError: (EXIT_TOO_LARGE, "error"),
     BudgetExceededError: (EXIT_BUDGET, "error"),
-    **dict.fromkeys(INTERNAL_ERRORS, (EXIT_INTERNAL, "internal error")),
+    # a solver bug, not bad input
+    CertificateError: (EXIT_INTERNAL, "internal error"),
+    NotMaximumError: (EXIT_INTERNAL, "internal error"),
 }
 
 CSV_HEADER = [
@@ -95,7 +94,7 @@ def cmd_solve(args) -> int:
     g = _read_graph(args.graph)
     result = approx_total_cover(g)  # validates the cover, raises CertificateError
     print(
-        f"size={len(result.cover)} m={result.matching_size} k={result.bad_vertex_count} "
+        f"size={len(result.cover)} m={result.matching.size} k={result.bad_vertex_count} "
         f"t={result.isolated_count} lb={result.lower_bound} "
         f"ratio={format_ratio(result.certified_ratio)}"
     )
@@ -110,7 +109,8 @@ def cmd_solve(args) -> int:
 
 def cmd_exact(args) -> int:
     g = _read_graph(args.graph)
-    start_size = approx_total_cover(g).lower_bound if args.start_at_lower_bound else 0
+    fits = g.n + len(g.edges) <= args.max_elements  # else exact raises TooLargeError
+    start_size = approx_total_cover(g).lower_bound if args.start_at_lower_bound and fits else 0
     limits = SearchLimits(
         max_elements=args.max_elements,
         max_candidates=args.max_candidates,
@@ -186,7 +186,7 @@ def _compare_row(name: str, path_arg: str, exact_limit: int) -> tuple[dict[str, 
         alg_size = len(result.cover)
         row["n"] = str(g.n)
         row["edges"] = str(len(g.edges))
-        row["m"] = str(result.matching_size)
+        row["m"] = str(result.matching.size)
         row["k"] = str(result.bad_vertex_count)
         row["t"] = str(result.isolated_count)
         row["alg_size"] = str(alg_size)

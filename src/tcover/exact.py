@@ -5,7 +5,7 @@ order, and the first that covers everything is returned.  Each element
 has a bitmask of its closed neighbourhood, the elements it covers, so a
 candidate is tested with one OR of its members' masks.  The masks are
 built here from adjacency and incidence lists: neither oracle goes
-through ``total_graph`` or ``first_uncovered`` to search, which keeps the
+through ``total_graph`` or ``is_total_cover`` to search, which keeps the
 oracles independent of the approximation code and of each other.  The
 set a search returns is confirmed once against the plain definition.
 Guards keep accidental blowups in check.
@@ -24,8 +24,8 @@ from .graph import (
     ElementSet,
     Graph,
     TooLargeError,
-    first_uncovered,
     format_element,
+    is_total_cover,
     total_graph,
 )
 from .matching import CertificateError
@@ -129,7 +129,7 @@ def exact_total_cover(g: Graph, limits: SearchLimits | None = None) -> ExactResu
     cardinality start_size, start_size + 1, ... and returns the first one
     that covers everything, so the returned set is the lexicographically
     first optimum.  The masks come from ``g.adj`` and ``g.inc``, not
-    through ``total_graph`` or ``first_uncovered``; ``first_uncovered``
+    through ``total_graph`` or ``is_total_cover``; ``is_total_cover``
     only confirms the returned set, raising CertificateError if it finds
     an element the set misses.
     """
@@ -142,12 +142,10 @@ def exact_total_cover(g: Graph, limits: SearchLimits | None = None) -> ExactResu
         )
     start = time.perf_counter()
     combo, checked = _first_covering(_total_cover_masks(g), limits)
-    vertex_ids = [i for i in combo if i < n]
-    edge_ids = [i - n for i in combo if i >= n]
-    witness = first_uncovered(g, set(vertex_ids), set(edge_ids))
-    if witness is not None:
+    optimum = ElementSet(g, [i for i in combo if i < n], [i - n for i in combo if i >= n])
+    ok, witness = is_total_cover(g, optimum)
+    if not ok:
         raise CertificateError(f"exact total cover misses {format_element(g, witness)}")
-    optimum = ElementSet(g, vertex_ids, edge_ids)
     return ExactResult(optimum, len(combo), checked, time.perf_counter() - start)
 
 
@@ -156,7 +154,7 @@ def exact_dominating_set(g: Graph, limits: SearchLimits | None = None) -> ExactR
 
     A set dominates when every vertex is a member or adjacent to one.  The
     masks come from ``g.adj`` alone, not through ``total_graph`` or
-    ``first_uncovered``, so cross-checks between the two oracles compare
+    ``is_total_cover``, so cross-checks between the two oracles compare
     independent constructions.  Raises CertificateError if a direct scan
     finds a vertex the returned set leaves undominated.
     """
@@ -179,6 +177,6 @@ def cross_check_total_graph(g: Graph, limits: SearchLimits | None = None) -> Tot
     """Check that the minimum total cover of ``g`` has the same size as a
     minimum dominating set of the total graph of ``g``."""
     cover_size = exact_total_cover(g, limits).size
-    tg, _ = total_graph(g)
+    tg = total_graph(g)
     domination_size = exact_dominating_set(tg, limits).size
     return TotalGraphCrossCheck(cover_size, domination_size, cover_size == domination_size)

@@ -120,12 +120,6 @@ class Graph:
         self.inc: tuple[tuple[int, ...], ...] = tuple(tuple(i) for i in inc)
         self._pair_ids = pair_ids
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return self.edge_id(u, v) is not None
-
     def edge_id(self, u: int, v: int) -> Optional[int]:
         a, b = (u, v) if u < v else (v, u)
         return self._pair_ids.get((a, b))
@@ -198,54 +192,38 @@ class ElementSet:
         return f"ElementSet(vertices={sorted(self.vertex_ids)}, edges={sorted(self.edge_ids)})"
 
 
-def all_elements(g: Graph) -> ElementSet:
-    """The full element set V + E of a graph."""
-    return ElementSet(g, range(g.n), range(len(g.edges)))
-
-
-def first_uncovered(g: Graph, vertex_ids, edge_ids) -> Optional[Element]:
-    """First element not covered by the given vertex/edge id sets.
-
-    The hubs are the chosen vertices and both endpoints of every chosen
-    edge.  A vertex is covered when it is a hub or has a chosen neighbour;
-    an edge is covered when it is chosen or has a hub endpoint.  Ids that
-    name no vertex or edge of ``g`` are ignored.  Scans vertices by
-    ascending id, then edges by ascending id, so the witness is
-    reproducible.  Returns None when everything is covered.
-    """
-    hubs = set(vertex_ids)
-    for e in g.edges:
-        if e.id in edge_ids:
-            hubs.add(e.u)
-            hubs.add(e.v)
-    for v in range(g.n):
-        if v not in hubs and not any(u in vertex_ids for u in g.adj[v]):
-            return Element.vertex(v)
-    for e in g.edges:
-        if e.id not in edge_ids and e.u not in hubs and e.v not in hubs:
-            return Element.edge(e.id)
-    return None
-
-
 def is_total_cover(g: Graph, d: ElementSet) -> tuple[bool, Optional[Element]]:
     """Check whether ``d`` is a total cover of ``g``.
 
-    Returns ``(True, None)`` when valid, otherwise ``(False, witness)``
-    where the witness is the first uncovered element (lowest vertex id
-    first, then lowest edge id).
+    The hubs are the chosen vertices and both endpoints of every chosen
+    edge.  A vertex is covered when it is a hub or has a chosen neighbour;
+    an edge is covered when it is chosen or has a hub endpoint.  Returns
+    ``(True, None)`` when valid, otherwise ``(False, witness)`` where the
+    witness is the first uncovered element (lowest vertex id first, then
+    lowest edge id), so it is reproducible.
     """
-    witness = first_uncovered(g, d.vertex_ids, d.edge_ids)
-    return witness is None, witness
+    vertex_ids, edge_ids = d.vertex_ids, d.edge_ids
+    hubs = set(vertex_ids)
+    for eid in edge_ids:
+        e = g.edges[eid]
+        hubs.add(e.u)
+        hubs.add(e.v)
+    for v in range(g.n):
+        if v not in hubs and vertex_ids.isdisjoint(g.adj[v]):
+            return False, Element.vertex(v)
+    for e in g.edges:
+        if e.id not in edge_ids and e.u not in hubs and e.v not in hubs:
+            return False, Element.edge(e.id)
+    return True, None
 
 
-def total_graph(g: Graph) -> tuple[Graph, tuple[Element, ...]]:
-    """Build the total graph of ``g`` and the element bijection.
+def total_graph(g: Graph) -> Graph:
+    """Build the total graph of ``g``.
 
     The total graph has one vertex per element of ``g``: original
     vertices keep their ids, edge ``e`` becomes vertex ``n + e.id``.  Two
     total-graph vertices are adjacent exactly when the corresponding
-    elements are adjacent or incident in ``g``.  Also returns a tuple
-    mapping each total-graph vertex id to the Element it stands for.
+    elements are adjacent or incident in ``g``.
     """
     n = g.n
     pairs = g.edge_pairs()
@@ -257,7 +235,7 @@ def total_graph(g: Graph) -> tuple[Graph, tuple[Element, ...]]:
         for i in range(len(incident)):
             for j in range(i + 1, len(incident)):
                 pairs.append((n + incident[i], n + incident[j]))
-    return Graph(n + len(g.edges), pairs), tuple(all_elements(g))
+    return Graph(n + len(g.edges), pairs)
 
 
 def format_element(g: Graph, el: Element) -> str:

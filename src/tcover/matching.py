@@ -55,9 +55,6 @@ class Matching:
     def edges(self) -> list[Edge]:
         return [self.graph.edges[eid] for eid in sorted(self.edge_ids)]
 
-    def unmatched_vertices(self) -> list[int]:
-        return [v for v in range(self.graph.n) if self._partner[v] == -1]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matching):
             return NotImplemented

@@ -61,7 +61,7 @@ def test_criterion_1_hard_family_reproduction():
             assert exact_total_cover(g, limits).size == n // 2 + 1
             result = approx_total_cover(g)
             assert len(result.cover) == (
-                result.matching_size + result.bad_vertex_count + result.isolated_count
+                result.matching.size + result.bad_vertex_count + result.isolated_count
             )
             assert len(result.cover) == n  # m = n, k = t = 0
 
@@ -90,7 +90,7 @@ def test_criterion_3_oracle_sweep():
             assert is_total_cover(g, result.cover)[0]
             alg_size = len(result.cover)
             assert alg_size == (
-                result.matching_size + result.bad_vertex_count + result.isolated_count
+                result.matching.size + result.bad_vertex_count + result.isolated_count
             )
             exact_size = exact_total_cover(g).size
             assert result.lower_bound <= exact_size <= alg_size <= 2 * exact_size
@@ -126,7 +126,7 @@ def test_criterion_6_randomized_robustness():
             assert is_total_cover(g, result.cover)[0]
             size = len(result.cover)
             assert size == (
-                result.matching_size + result.bad_vertex_count + result.isolated_count
+                result.matching.size + result.bad_vertex_count + result.isolated_count
             )
             assert size <= 2 * result.lower_bound or result.lower_bound == 0
             if g.n + len(g.edges) <= 32:

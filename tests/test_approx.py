@@ -94,7 +94,7 @@ def test_approx_k2():
     g = Graph(2, [(0, 1)])
     result = approx_total_cover(g)
     assert result.cover == ElementSet(g, edges=[0])
-    assert (result.matching_size, result.bad_vertex_count, result.isolated_count) == (1, 0, 0)
+    assert (result.matching.size, result.bad_vertex_count, result.isolated_count) == (1, 0, 0)
     assert result.lower_bound == 1
     assert result.certified_ratio == 1
 
@@ -103,7 +103,7 @@ def test_approx_k3():
     g = complete(3)
     result = approx_total_cover(g)
     assert result.cover == ElementSet(g, vertices=[2], edges=[0])
-    assert len(result.cover) == 2 == result.matching_size + result.bad_vertex_count
+    assert len(result.cover) == 2 == result.matching.size + result.bad_vertex_count
 
 
 def test_approx_isolated_only():
@@ -125,7 +125,7 @@ def test_approx_hard_instance_trace():
     g = hard_instance(4)
     result = approx_total_cover(g)
     assert len(result.cover) == 4
-    assert (result.matching_size, result.bad_vertex_count, result.isolated_count) == (4, 0, 0)
+    assert (result.matching.size, result.bad_vertex_count, result.isolated_count) == (4, 0, 0)
     reasons = [step.reason for step in result.trace]
     assert reasons == ["endpoint", "matching-edge", "matching-edge", "matching-edge"]
     # the single endpoint addition is the rail top that covers the apex
@@ -244,14 +244,14 @@ def test_sweep_small_graphs():
         ok, witness = is_total_cover(g, result.cover)
         assert ok, witness
         assert len(result.cover) == (
-            result.matching_size + result.bad_vertex_count + result.isolated_count
+            result.matching.size + result.bad_vertex_count + result.isolated_count
         )
         assert len(result.cover) <= 2 * result.lower_bound or result.lower_bound == 0
         assert result.certified_ratio <= 2
         # chosen bad edges pairwise distinct
         matching = maximum_matching(g)
         assignment = bad_vertex_assignment(g, matching)
-        edge_ids = assignment.edge_ids()
+        edge_ids = [eid for _, eid in assignment.pairs]
         assert len(edge_ids) == len(set(edge_ids))
         # baselines stay valid too
         assert is_total_cover(g, matched_vertices_cover(g, matching))[0]
@@ -274,7 +274,7 @@ def test_approx_valid_on_random_graphs(g):
     result = approx_total_cover(g)
     assert is_total_cover(g, result.cover)[0]
     assert len(result.cover) == (
-        result.matching_size + result.bad_vertex_count + result.isolated_count
+        result.matching.size + result.bad_vertex_count + result.isolated_count
     )
 
 
@@ -334,4 +334,4 @@ def planted_graph(seed: int) -> Graph:
 ], ids=["path200001", "star100001", "planted64k", "hard100000"])
 def test_approx_at_scale(build, m, k, t):
     result = approx_total_cover(build())
-    assert (result.matching_size, result.bad_vertex_count, result.isolated_count) == (m, k, t)
+    assert (result.matching.size, result.bad_vertex_count, result.isolated_count) == (m, k, t)

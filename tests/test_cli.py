@@ -91,10 +91,22 @@ def test_exact_start_at_lower_bound(k3, capsys):
     assert capsys.readouterr().out.startswith("size=2")
 
 
-def test_exact_guard_exit(tmp_path):
+def test_exact_guard_exit(tmp_path, capsys, monkeypatch):
     big = tmp_path / "k20.gr"
     big.write_text(serialize_graph(complete(20)))
     assert main(["exact", str(big)]) == 4
+    assert capsys.readouterr().err == "error: 210 elements exceeds max_elements=32\n"
+    # with --start-at-lower-bound, refused the same way without running the approximation
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return tcover.approx.approx_total_cover(g)
+
+    monkeypatch.setattr(tcover.cli, "approx_total_cover", counting)
+    assert main(["exact", str(big), "--start-at-lower-bound"]) == 4
+    assert capsys.readouterr().err == "error: 210 elements exceeds max_elements=32\n"
+    assert calls == []
 
 
 def test_exact_budget_exit(k3):
@@ -353,6 +365,7 @@ def test_compare_tags_internal_errors_and_exits_3(hard4, k3, tmp_path, monkeypat
 @pytest.mark.parametrize("command, patched, message", [
     ("solve", tcover.approx, "constructed cover misses vertex 1"),
     ("baseline", tcover.cli, "baseline cover misses vertex 1"),
+    ("exact", tcover.exact, "exact total cover misses vertex 1"),
 ])
 def test_failed_validation_exits_3(k3, capsys, monkeypatch, command, patched, message):
     monkeypatch.setattr(patched, "is_total_cover", lambda g, d: (False, Element.vertex(0)))

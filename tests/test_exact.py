@@ -7,6 +7,7 @@ import tcover.exact
 from tcover import (
     BudgetExceededError,
     CertificateError,
+    Element,
     ElementSet,
     Graph,
     SearchLimits,
@@ -15,7 +16,7 @@ from tcover import (
     cross_check_total_graph,
     exact_dominating_set,
     exact_total_cover,
-    first_uncovered,
+    is_total_cover,
     total_cover_lower_bound,
     total_graph,
 )
@@ -96,7 +97,7 @@ def test_start_size_shortcut_agrees():
         base = exact_total_cover(g)
         r = approx_total_cover(g)
         bound = total_cover_lower_bound(
-            r.matching_size, r.bad_vertex_count, r.isolated_count
+            r.matching.size, r.bad_vertex_count, r.isolated_count
         )
         shortcut = exact_total_cover(g, SearchLimits(start_size=bound))
         assert shortcut.size == base.size
@@ -118,9 +119,8 @@ def test_no_smaller_cover_exists():
         assert best > 0
         n, m = g.n, len(g.edges)
         for combo in combinations(range(n + m), best - 1):
-            vertex_ids = {i for i in combo if i < n}
-            edge_ids = {i - n for i in combo if i >= n}
-            assert first_uncovered(g, vertex_ids, edge_ids) is not None
+            d = ElementSet(g, [i for i in combo if i < n], [i - n for i in combo if i >= n])
+            assert not is_total_cover(g, d)[0]
 
 
 def test_cross_check_examples():
@@ -159,7 +159,7 @@ def test_dominating_oracle_against_cover_oracle_on_total_graphs():
     # the two oracles implement different predicates; they must still
     # agree through the element bijection
     for g in (star(4), cycle(4), path(5)):
-        tg, _ = total_graph(g)
+        tg = total_graph(g)
         assert exact_total_cover(g).size == exact_dominating_set(tg).size
 
 
@@ -231,3 +231,13 @@ def test_wrong_masks_raise_certificate_error(monkeypatch, oracle, builder, messa
     monkeypatch.setattr(tcover.exact, builder, covers_everything)
     with pytest.raises(CertificateError, match=f"^{message}$"):
         oracle(path(3))
+
+
+def test_exact_optimum_is_confirmed_by_is_total_cover(monkeypatch):
+    # the search result is handed to the one cover check, whose verdict stands
+    def rejects_everything(g, d):
+        return False, Element.vertex(0)
+
+    monkeypatch.setattr(tcover.exact, "is_total_cover", rejects_everything)
+    with pytest.raises(CertificateError, match="^exact total cover misses vertex 1$"):
+        exact_total_cover(path(3))

@@ -11,9 +11,7 @@ from tcover import (
     SelfLoopError,
     UnknownEdgeError,
     VertexOutOfRangeError,
-    all_elements,
     element_cover_line,
-    first_uncovered,
     format_element,
     is_total_cover,
     isolated_vertices,
@@ -70,31 +68,32 @@ def test_isolated_vertices():
 
 
 def test_total_graph_of_k2_is_triangle():
-    tg, elements = total_graph(Graph(2, [(0, 1)]))
+    tg = total_graph(Graph(2, [(0, 1)]))
     assert tg.n == 3
     assert len(tg.edges) == 3
-    assert elements == (Element.vertex(0), Element.vertex(1), Element.edge(0))
+    # vertices keep their ids, edge 0 becomes vertex n + 0 = 2
+    assert tg.edge_pairs() == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_total_graph_of_isolated_vertex():
-    tg, elements = total_graph(Graph(1, []))
+    tg = total_graph(Graph(1, []))
     assert tg.n == 1
     assert len(tg.edges) == 0
-    assert elements == (Element.vertex(0),)
+    assert tg.adj == ((),)
 
 
 def test_total_graph_of_p3_center_degree():
-    tg, _ = total_graph(path(3))
+    tg = total_graph(path(3))
     assert tg.n == 5
     # middle vertex sees both neighbors and both incident edges
-    assert tg.degree(1) == 4
+    assert len(tg.adj[1]) == 4
 
 
 def test_total_graph_counts():
     for g in enumerate_graphs(4):
-        tg, _ = total_graph(g)
+        tg = total_graph(g)
         m = len(g.edges)
-        shared = sum(g.degree(v) * (g.degree(v) - 1) // 2 for v in range(g.n))
+        shared = sum(len(a) * (len(a) - 1) // 2 for a in g.adj)
         assert tg.n == g.n + m
         assert len(tg.edges) == 3 * m + shared
 
@@ -114,7 +113,7 @@ def test_is_total_cover_k3_single_vertex_fails():
 
 def test_is_total_cover_everything():
     for g in [Graph(0, []), complete(3), path(4)]:
-        ok, _ = is_total_cover(g, all_elements(g))
+        ok, _ = is_total_cover(g, ElementSet(g, range(g.n), range(len(g.edges))))
         assert ok
 
 
@@ -124,7 +123,10 @@ def test_cover_agrees_with_total_graph_domination(case):
     # with the domination side coded here from scratch
     # and the witness pinned to the lowest undominated total-graph vertex
     g, d = case
-    tg, elements = total_graph(g)
+    tg = total_graph(g)
+    # total-graph vertex v < n is vertex v of g, vertex n + e is edge e
+    elements = [Element.vertex(v) for v in range(g.n)]
+    elements += [Element.edge(e) for e in range(len(g.edges))]
     members = {i for i, el in enumerate(elements) if el in d}
     undominated = [
         v for v in range(tg.n)
@@ -133,14 +135,6 @@ def test_cover_agrees_with_total_graph_domination(case):
     assert is_total_cover(g, d) == (
         (False, elements[undominated[0]]) if undominated else (True, None)
     )
-
-
-def test_first_uncovered_ignores_ids_outside_the_graph():
-    g = path(4)  # edges 0 = (0,1), 1 = (1,2), 2 = (2,3)
-    assert first_uncovered(g, set(), {0, 2}) is None
-    # -1 does not stand for the last edge, nor 3 for a fourth one
-    assert first_uncovered(g, set(), {0, -1, 3}) == Element.vertex(2)
-    assert first_uncovered(g, {-1, 4}, {0}) == Element.vertex(2)
 
 
 def test_element_set_validates():

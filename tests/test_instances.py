@@ -59,7 +59,7 @@ def test_standard_families():
     assert len(path(3).edges) == 2
     assert len(cycle(5).edges) == 5
     assert len(complete(4).edges) == 6
-    assert star(5).degree(0) == 4
+    assert len(star(5).adj[0]) == 4
     assert path(1).n == 1
 
 
@@ -124,4 +124,4 @@ def test_petersen():
     g = petersen()
     assert g.n == 10
     assert len(g.edges) == 15
-    assert all(g.degree(v) == 3 for v in range(10))
+    assert all(len(g.adj[v]) == 3 for v in range(10))

@@ -38,7 +38,7 @@ def test_matching_partner_map():
     assert m.size == 2
     assert m.partner(0) == 1 and m.partner(1) == 0
     assert m.partner(2) == 3 and m.partner(3) == 2
-    assert m.unmatched_vertices() == []
+    assert [v for v in range(g.n) if not m.is_matched(v)] == []
 
 
 def test_matching_rejects_shared_endpoint():
@@ -173,10 +173,10 @@ def test_matching_invariants_random(g):
     assert verify_matching(g, blossom, "valid")
     greedy = greedy_maximal_matching(g)
     assert 2 * greedy.size >= blossom.size
-    unmatched = blossom.unmatched_vertices()
+    unmatched = [v for v in range(g.n) if not blossom.is_matched(v)]
     # unmatched vertices of a maximum matching form an independent set
     assert not any(
-        g.has_edge(u, v) for i, u in enumerate(unmatched) for v in unmatched[i + 1:]
+        g.edge_id(u, v) is not None for i, u in enumerate(unmatched) for v in unmatched[i + 1:]
     )
 
 

@@ -5,6 +5,7 @@ import glob
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -27,6 +28,13 @@ def test_no_invariant_lives_in_assert(path):
              if isinstance(node, ast.Name) and node.id == "AssertionError"]
     assert asserts == [], f"assert statements at lines {asserts}"
     assert names == [], f"AssertionError at lines {names}"
+
+
+def test_exports_are_exactly_the_public_names():
+    # a deleted function cannot leave a dangling export or an unexported import
+    bound = {name for name, value in vars(tcover).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(tcover.__all__) == bound
 
 
 def test_demos_are_found():
