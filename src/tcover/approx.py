@@ -129,27 +129,19 @@ def approx_total_cover(g: Graph) -> ApproxResult:
     addition covers all its unmatched neighbors), otherwise add the edge
     itself.  Each step record lands in the trace.
     """
-    trace: list[TraceStep] = []
-    cover_vertices: set[int] = set()
-    cover_edges: set[int] = set()
-
     isolates = isolated_vertices(g)
-    for v in isolates:
-        cover_vertices.add(v)
-        trace.append(TraceStep(1, "isolated", Element.vertex(v)))
-    isolated_count = len(isolates)
+    trace = [TraceStep(1, "isolated", Element.vertex(v)) for v in isolates]
 
     matching = maximum_matching(g)
     assignment = bad_vertex_assignment(g, matching)
     for v, eid in assignment.pairs:
-        cover_vertices.add(v)
-        cover_edges.add(eid)
         trace.append(TraceStep(2, "bad-vertex", Element.vertex(v)))
         trace.append(TraceStep(2, "bad-edge", Element.edge(eid)))
-    bad_vertex_count = assignment.count
+    bad_vertices = {v for v, _ in assignment.pairs}
+    bad_edges = {eid for _, eid in assignment.pairs}
 
     # Step 3 works on the surviving graph, whose unmatched vertices are the
-    # unmatched ones outside the cover (step 3 adds only matched vertices).
+    # ones that are unmatched and not bad (isolated ones have no neighbors).
     # Only endpoint additions can cover them (edges added here join two
     # matched vertices, and the step-1/2 elements lost all unmatched
     # neighbors with their removal), so a covered flag per unmatched
@@ -157,11 +149,10 @@ def approx_total_cover(g: Graph) -> ApproxResult:
     covered = [False] * g.n
 
     def unmatched_neighbors(x: int) -> list[int]:
-        return [z for z in g.adj[x] if not matching.is_matched(z) and z not in cover_vertices]
+        return [z for z in g.adj[x] if not matching.is_matched(z) and z not in bad_vertices]
 
-    # Step 3 adds only the edge it visits, so edges found here are step 2's.
     for e in matching.edges():
-        if e.id in cover_edges:
+        if e.id in bad_edges:
             continue
         near_u = unmatched_neighbors(e.u)
         near_v = unmatched_neighbors(e.v)
@@ -172,19 +163,20 @@ def approx_total_cover(g: Graph) -> ApproxResult:
             raise NotMaximumError(f"both endpoints of matching edge {e.id} reach unmatched vertices")
         endpoint, near = (e.u, near_u) if near_u else (e.v, near_v)
         if any(not covered[z] for z in near):
-            cover_vertices.add(endpoint)
             trace.append(TraceStep(3, "endpoint", Element.vertex(endpoint)))
             for z in near:
                 covered[z] = True
         else:
-            cover_edges.add(e.id)
             trace.append(TraceStep(3, "matching-edge", Element.edge(e.id)))
 
-    cover = ElementSet(g, cover_vertices, cover_edges)
+    # the trace is the cover; the size law below also proves no element
+    # was recorded twice, since the trace has exactly m + k + t steps
+    cover = ElementSet(g, [s.element.index for s in trace if s.element.kind == "vertex"],
+                       [s.element.index for s in trace if s.element.kind == "edge"])
     size = len(cover)
-    if size != matching.size + bad_vertex_count + isolated_count:
+    if size != matching.size + assignment.count + len(isolates):
         raise CertificateError(f"cover has {size} elements, not m + k + t")
-    lower_bound = total_cover_lower_bound(matching.size, bad_vertex_count, isolated_count)
+    lower_bound = total_cover_lower_bound(matching.size, assignment.count, len(isolates))
     ratio = Fraction(size, lower_bound) if lower_bound > 0 else Fraction(1)
     if ratio > 2:
         raise CertificateError(f"certified ratio {ratio} exceeds 2")
@@ -194,8 +186,8 @@ def approx_total_cover(g: Graph) -> ApproxResult:
     return ApproxResult(
         cover=cover,
         matching=matching,
-        bad_vertex_count=bad_vertex_count,
-        isolated_count=isolated_count,
+        bad_vertex_count=assignment.count,
+        isolated_count=len(isolates),
         lower_bound=lower_bound,
         certified_ratio=ratio,
         trace=tuple(trace),

@@ -215,8 +215,7 @@ def cmd_compare(args) -> int:
         paths += [os.path.join(args.dir, name) for name in names
                   if os.path.isfile(os.path.join(args.dir, name))]
     if not paths:
-        print("error: no input instances (pass files or --dir)", file=sys.stderr)
-        return EXIT_PARSE
+        raise ParameterOutOfRangeError("no input instances (pass files or --dir)")
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER)
@@ -248,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exact = sub.add_parser("exact", help="exhaustive minimum total cover")
     p_exact.add_argument("graph", help="graph file")
-    p_exact.add_argument("--max-elements", type=int, default=32)
-    p_exact.add_argument("--max-candidates", type=int, default=100_000_000)
+    p_exact.add_argument("--max-elements", type=int, default=SearchLimits.max_elements)
+    p_exact.add_argument("--max-candidates", type=int, default=SearchLimits.max_candidates)
     p_exact.add_argument("--start-at-lower-bound", action="store_true",
                          help="start the search at the certified lower bound")
     p_exact.set_defaults(func=cmd_exact)
@@ -280,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("graphs", nargs="*", help="graph files")
     p_cmp.add_argument("--dir", help="directory of graph files (sorted by name)")
     p_cmp.add_argument("--csv", metavar="FILE", help="write CSV here instead of stdout")
-    p_cmp.add_argument("--exact-limit", type=int, default=32,
+    p_cmp.add_argument("--exact-limit", type=int, default=SearchLimits.max_elements,
                        help="run the exact oracle when n + |E| fits this many elements")
     p_cmp.set_defaults(func=cmd_compare)
 

@@ -14,7 +14,6 @@ Guards keep accidental blowups in check.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -56,7 +55,6 @@ class ExactResult:
     optimum: ElementSet
     size: int
     candidates_checked: int
-    elapsed: float
 
 
 @dataclass(frozen=True)
@@ -140,13 +138,12 @@ def exact_total_cover(g: Graph, limits: SearchLimits | None = None) -> ExactResu
         raise TooLargeError(
             f"{total} elements exceeds max_elements={limits.max_elements}"
         )
-    start = time.perf_counter()
     combo, checked = _first_covering(_total_cover_masks(g), limits)
     optimum = ElementSet(g, [i for i in combo if i < n], [i - n for i in combo if i >= n])
     ok, witness = is_total_cover(g, optimum)
     if not ok:
         raise CertificateError(f"exact total cover misses {format_element(g, witness)}")
-    return ExactResult(optimum, len(combo), checked, time.perf_counter() - start)
+    return ExactResult(optimum, len(combo), checked)
 
 
 def exact_dominating_set(g: Graph, limits: SearchLimits | None = None) -> ExactResult:
@@ -162,7 +159,6 @@ def exact_dominating_set(g: Graph, limits: SearchLimits | None = None) -> ExactR
     n = g.n
     if n > limits.max_elements:
         raise TooLargeError(f"{n} vertices exceeds max_elements={limits.max_elements}")
-    start = time.perf_counter()
     combo, checked = _first_covering(_domination_masks(g), limits)
     members = set(combo)
     for w in range(n):
@@ -170,7 +166,7 @@ def exact_dominating_set(g: Graph, limits: SearchLimits | None = None) -> ExactR
             raise CertificateError(
                 f"exact dominating set misses {format_element(g, Element.vertex(w))}"
             )
-    return ExactResult(ElementSet(g, combo), len(combo), checked, time.perf_counter() - start)
+    return ExactResult(ElementSet(g, combo), len(combo), checked)
 
 
 def cross_check_total_graph(g: Graph, limits: SearchLimits | None = None) -> TotalGraphCrossCheck:

@@ -168,11 +168,6 @@ class ElementSet:
     def __len__(self) -> int:
         return len(self.vertex_ids) + len(self.edge_ids)
 
-    def __contains__(self, el: Element) -> bool:
-        if el.kind == "vertex":
-            return el.index in self.vertex_ids
-        return el.index in self.edge_ids
-
     def __iter__(self) -> Iterator[Element]:
         for v in sorted(self.vertex_ids):
             yield Element.vertex(v)

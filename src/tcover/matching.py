@@ -229,7 +229,7 @@ def brute_force_maximum_matching(g: Graph) -> Matching:
     return Matching(g, best)
 
 
-def _augmenting_path_exists(g: Graph, partner: list[int]) -> bool:
+def _augmenting_path_exists(g: Graph, partner: tuple[int, ...]) -> bool:
     # Exhaustive depth-first search over simple alternating paths; after
     # each non-matching edge the matched continuation is forced, so the
     # tree only branches at outer vertices.  Slow but independent of the
@@ -262,23 +262,19 @@ def _augmenting_path_exists(g: Graph, partner: list[int]) -> bool:
 def verify_matching(g: Graph, matching, mode: str = "valid") -> bool:
     """Check a matching (a Matching or a collection of edge ids).
 
-    mode "valid": edges exist and are pairwise vertex-disjoint.
+    mode "valid": the ids make a Matching of g (edges exist and are
+    pairwise vertex-disjoint).
     mode "maximal": additionally no edge of g could still be added.
     mode "maximum": additionally no augmenting path exists, established
     by an independent exhaustive alternating-path search.
     """
     if mode not in ("valid", "maximal", "maximum"):
         raise ValueError(f"unknown mode {mode!r}")
-    edge_ids = matching.edge_ids if isinstance(matching, Matching) else set(matching)
-    partner = [-1] * g.n
-    for eid in sorted(edge_ids):
-        if not 0 <= eid < len(g.edges):
-            return False
-        e = g.edges[eid]
-        if partner[e.u] != -1 or partner[e.v] != -1:
-            return False
-        partner[e.u] = e.v
-        partner[e.v] = e.u
+    try:
+        checked = Matching(g, matching.edge_ids if isinstance(matching, Matching) else matching)
+    except GraphError:
+        return False
+    partner = checked._partner
     if mode == "valid":
         return True
     if mode == "maximal":

@@ -11,7 +11,7 @@ import tcover.cli
 import tcover.exact
 from tcover import CertificateError, Element, Graph, parse_graph, serialize_graph
 from tcover.cli import main
-from tcover.instances import complete, gnp, hard_instance, star
+from tcover.instances import add_isolated, complete, cycle, gnp, hard_instance, petersen, star
 
 from helpers import golden_graph
 
@@ -342,6 +342,9 @@ def test_compare_searches_one_matching_per_row(hard4, k3, tmp_path, monkeypatch)
 
 def test_compare_requires_inputs(capsys):
     assert main(["compare"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no input instances (pass files or --dir)\n"
 
 
 def test_compare_tags_internal_errors_and_exits_3(hard4, k3, tmp_path, monkeypatch):
@@ -463,3 +466,32 @@ def test_solve_trace_and_cover_golden(name, tmp_path, capsys):
     stdout = capsys.readouterr().out
     digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (stdout, cover.read_text()))
     assert digests == GOLDEN_SOLVES[name]
+
+
+def compare_corpus(directory):
+    """Graph files for the pinned `compare --dir` run: exact rows, rows past
+    the exact limit, isolated vertices, and one file that fails to parse."""
+    graphs = {
+        "hard4.gr": hard_instance(4),
+        "hard6.gr": hard_instance(6),
+        "hard50.gr": hard_instance(50),
+        "c7plus2.gr": add_isolated(cycle(7), 2),
+        "petersen.gr": petersen(),
+    }
+    graphs.update({f"gnp{s:02d}.gr": gnp(8 + s % 5, 0.3, s) for s in range(20)})
+    for name, g in graphs.items():
+        (directory / name).write_text(serialize_graph(g))
+    (directory / "range.gr").write_text("p edge 3 2\ne 1 2\ne 2 4\n")
+
+
+# sha256 of `compare --dir` stdout on compare_corpus(), recorded before the
+# approximation stopped keeping its cover sets beside the trace.
+GOLDEN_COMPARE = "792909d93d1de48b4ccc84e0c5e1c64b0a453b8341ceaa59ee330197d751a3f7"
+
+
+def test_compare_csv_golden(tmp_path, capsys):
+    compare_corpus(tmp_path)
+    assert main(["compare", "--dir", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == GOLDEN_COMPARE

@@ -108,8 +108,7 @@ def test_results_are_deterministic():
     g = cycle(6)
     a = exact_total_cover(g)
     b = exact_total_cover(g)
-    assert a.optimum == b.optimum
-    assert a.candidates_checked == b.candidates_checked
+    assert a == b  # no wall-clock field to differ
 
 
 def test_no_smaller_cover_exists():

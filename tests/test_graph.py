@@ -1,4 +1,6 @@
-from hypothesis import given
+import contextlib
+
+from hypothesis import given, strategies as st
 
 import pytest
 
@@ -7,6 +9,7 @@ from tcover import (
     Element,
     ElementSet,
     Graph,
+    GraphError,
     ParseError,
     SelfLoopError,
     UnknownEdgeError,
@@ -21,7 +24,7 @@ from tcover import (
     serialize_graph,
     total_graph,
 )
-from tcover.instances import complete, enumerate_graphs, path
+from tcover.instances import complete, cycle, enumerate_graphs, path
 
 from helpers import graphs_with_element_sets, small_graphs
 
@@ -127,7 +130,7 @@ def test_cover_agrees_with_total_graph_domination(case):
     # total-graph vertex v < n is vertex v of g, vertex n + e is edge e
     elements = [Element.vertex(v) for v in range(g.n)]
     elements += [Element.edge(e) for e in range(len(g.edges))]
-    members = {i for i, el in enumerate(elements) if el in d}
+    members = set(d.vertex_ids) | {g.n + e for e in d.edge_ids}
     undominated = [
         v for v in range(tg.n)
         if v not in members and not any(u in members for u in tg.adj[v])
@@ -240,3 +243,28 @@ def test_element_formatting():
     assert format_element(g, Element.edge(g.edge_id(1, 2))) == "edge (2,3)"
     assert element_cover_line(g, Element.vertex(0)) == "v 1"
     assert element_cover_line(g, Element.edge(0)) == "e 1 2"
+
+
+# Fields short enough that a header never declares 10**4 vertices or more:
+# an oversized header makes Graph allocate per declared vertex, and that
+# MemoryError is not covered here.
+FIELDS = st.one_of(
+    st.integers(min_value=-3, max_value=12).map(str),
+    st.sampled_from(["", "x", "1.5", "+2", "0x1", "\u0663", "\uff11\uff12", "1_0"]),
+    st.text(max_size=4),
+)
+LINES = st.one_of(
+    st.lists(FIELDS, max_size=3).map(lambda fields: " ".join(["p", "edge", *fields])),
+    st.lists(FIELDS, max_size=3).map(lambda fields: " ".join(["e", *fields])),
+    st.lists(FIELDS, max_size=2).map(lambda fields: " ".join(["v", *fields])),
+    st.sampled_from(["", "   ", "# comment", "c comment"]),
+    st.text(max_size=8),
+)
+
+
+@given(st.lists(LINES, max_size=8).map("\n".join))
+def test_parsers_raise_only_graph_errors(text):
+    with contextlib.suppress(GraphError):
+        parse_graph(text)
+    with contextlib.suppress(GraphError):
+        parse_cover(text, cycle(5))

@@ -118,6 +118,24 @@ def test_verify_rejects_bad_edge_sets():
     assert not verify_matching(p3, [7], "valid")  # no such edge
 
 
+@pytest.mark.parametrize("g, ids, mode, expected", [
+    (path(3), [-1], "valid", False),
+    (path(3), [2], "valid", False),  # id == len(g.edges)
+    (path(3), [0, 0], "valid", True),
+    (path(3), [0, 0], "maximum", True),
+    (path(3), [0, 1], "valid", False),  # share vertex 1
+    (path(3), [0, 1], "maximal", False),
+    (path(4), Matching(path(4), [1]), "maximal", True),  # built on an equal graph
+    (path(4), Matching(path(4), [1]), "maximum", False),
+    (Graph(3, []), [], "maximum", True),
+    (Graph(0, []), [], "maximum", True),
+], ids=["negative", "one-past-last", "duplicate", "duplicate-maximum", "shared-endpoint",
+        "shared-endpoint-maximal", "equal-graph-maximal", "equal-graph-maximum",
+        "edgeless", "empty"])
+def test_verify_matching_validity_edges(g, ids, mode, expected):
+    assert verify_matching(g, ids, mode) is expected
+
+
 def test_verify_detects_non_maximum():
     # matching {middle edge} of P4 is maximal but not maximum
     p4 = path(4)

@@ -37,6 +37,20 @@ def test_exports_are_exactly_the_public_names():
     assert set(tcover.__all__) == bound
 
 
+def test_cli_reports_errors_only_in_main():
+    # one error path: commands raise, and main alone maps the exception
+    # through EXIT_CODES to an exit code and its `error:` line
+    path = os.path.join(SRC, "tcover", "cli.py")
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), path)
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    uses = [node for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stderr"]
+    assert len(uses) == 1, f"sys.stderr at lines {[node.lineno for node in uses]}"
+    assert uses[0] in list(ast.walk(main))
+
+
 def test_demos_are_found():
     assert len(DEMOS) >= 5
 
