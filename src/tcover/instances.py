@@ -72,17 +72,7 @@ def petersen() -> Graph:
 
 
 _MASK64 = (1 << 64) - 1
-
-
-def _splitmix64(state: int) -> tuple[int, int]:
-    # splitmix64: state advances by the golden-ratio increment, output is
-    # the finalized mix.  Fixed here so instance corpora can be
-    # regenerated bit-exactly from (n, p, seed).
-    state = (state + 0x9E3779B97F4A7C15) & _MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31), state
+_GAMMA = 0x9E3779B97F4A7C15  # splitmix64's golden-ratio state increment
 
 
 def gnp(n: int, p: float, seed: int) -> Graph:
@@ -90,20 +80,49 @@ def gnp(n: int, p: float, seed: int) -> Graph:
 
     Pairs are visited in lexicographic order (0,1), (0,2), ...; each pair
     draws one splitmix64 value from a stream seeded with ``seed`` and is
-    kept when the draw falls below ``p * 2**64``.
+    kept when the draw falls below ``p * 2**64``.  The stream is fixed
+    here so instance corpora can be regenerated bit-exactly from
+    (n, p, seed): draw i, counted from 1, is the splitmix64 mix of the
+    state ``seed + i * 0x9E3779B97F4A7C15 mod 2**64``.
+
+    The draws are computed a row at a time.  The states of row u's pairs
+    (u, u+1) ... (u, n-1) form an arithmetic progression; they are packed
+    one per 128-bit lane of a Python int, the value in the lane's low 64
+    bits, so that every 64x64-bit product stays inside its lane and each
+    mix step is a few big-int operations per row, not per pair.  Still
+    O(n^2) draws, whatever p is.
     """
     if n < 0:
         raise ParameterOutOfRangeError(f"gnp requires n >= 0, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ParameterOutOfRangeError(f"gnp requires 0 <= p <= 1, got {p}")
     threshold = int(p * float(1 << 64))
+    lanes = max(n - 1, 0)
+    ones = int.from_bytes((b"\x01" + bytes(15)) * lanes, "little")
+    low = _MASK64 * ones
+    # a lane's bit 64 is set after adding the bias exactly when its draw >= threshold
+    bias = ((1 << 64) - threshold) * ones
+    # lane j steps (lanes - j) * gamma from the row's start; shifted right by
+    # u lanes, row u's lane j holds pair (u, n-1-j)
+    ramp = int.from_bytes(b"".join(((lanes - j) * _GAMMA & _MASK64).to_bytes(16, "little")
+                                   for j in range(lanes)), "little")
     state = seed & _MASK64
     pairs = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            value, state = _splitmix64(state)
-            if value < threshold:
-                pairs.append((u, v))
+    for u in range(n - 1):
+        count = n - 1 - u
+        shift = 128 * u
+        z = (state * (ones >> shift) + (ramp >> shift)) & low
+        z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
+        z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
+        # the next lane's bits shifted in land at bits 97..127, clear of bit 64
+        z = (z ^ (z >> 31)) + (bias >> shift)
+        # big-endian byte 7 of each lane is its bit 64, for pairs (u, u+1) first
+        dropped = z.to_bytes(16 * count, "big")[7::16]
+        i = dropped.find(0)
+        while i != -1:
+            pairs.append((u, u + 1 + i))
+            i = dropped.find(0, i + 1)
+        state = (state + count * _GAMMA) & _MASK64
     return Graph(n, pairs)
 
 

@@ -267,11 +267,16 @@ def verify_matching(g: Graph, matching, mode: str = "valid") -> bool:
     mode "maximal": additionally no edge of g could still be added.
     mode "maximum": additionally no augmenting path exists, established
     by an independent exhaustive alternating-path search.
+    Raises ValueError if a Matching belongs to another graph.
     """
     if mode not in ("valid", "maximal", "maximum"):
         raise ValueError(f"unknown mode {mode!r}")
+    if isinstance(matching, Matching):
+        if matching.graph != g:
+            raise ValueError("the matching belongs to another graph")
+        matching = matching.edge_ids
     try:
-        checked = Matching(g, matching.edge_ids if isinstance(matching, Matching) else matching)
+        checked = Matching(g, matching)
     except GraphError:
         return False
     partner = checked._partner

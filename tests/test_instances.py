@@ -1,3 +1,6 @@
+import hashlib
+
+from hypothesis import given, strategies as st
 import pytest
 
 from tcover import (
@@ -9,6 +12,7 @@ from tcover import (
     is_total_cover,
     isolated_vertices,
     maximum_matching,
+    serialize_graph,
 )
 from tcover.instances import (
     complete,
@@ -84,6 +88,47 @@ def test_gnp_is_deterministic():
     b = gnp(10, 0.3, 42)
     assert a == b
     assert gnp(10, 0.3, 43) != a  # a different seed moves at least one pair
+
+
+def splitmix64_gnp_pairs(n, p, seed):
+    """Per-pair reference: one splitmix64 draw per pair (u, v), u < v, in
+    lexicographic order, kept when the draw falls below p * 2**64."""
+    mask = (1 << 64) - 1
+    threshold = int(p * 2.0 ** 64)
+    state = seed & mask
+    pairs = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            state = (state + 0x9E3779B97F4A7C15) & mask
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            if z ^ (z >> 31) < threshold:
+                pairs.append((u, v))
+    return pairs
+
+
+@given(
+    st.integers(0, 70) | st.sampled_from([0, 1, 2]),
+    st.sampled_from([0.0, 1.0, 1e-12]) | st.floats(0.0, 1.0),
+    st.sampled_from([0, 2**64 - 1, 2**64 + 5, -1]) | st.integers(0, 2**64 - 1),
+)
+def test_gnp_matches_per_pair_splitmix64(n, p, seed):
+    assert gnp(n, p, seed).edge_pairs() == splitmix64_gnp_pairs(n, p, seed)
+
+
+# sha256 of serialize_graph(gnp(n, p, seed)), recorded from the per-pair
+# generator; the first is the perfbench gen-gnp input at seed 101.
+GOLDEN_GNP = [
+    ((1200, 0.0033, 2972571474616006777),
+     "4240084fa087b81ca324d3403994ec9f5bef841874b29af0f1bcfcae2c3afda0"),
+    ((2000, 0.001, 1), "4f34a8b9c564893a4a06e9bb04be99407300aa581cd24d0bd827e064dda49f50"),
+]
+
+
+@pytest.mark.parametrize("args, digest", GOLDEN_GNP, ids=["gen-gnp-101", "n2000"])
+def test_gnp_golden_hashes(args, digest):
+    text = serialize_graph(gnp(*args))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_gnp_parameter_checks():

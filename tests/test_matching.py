@@ -148,6 +148,13 @@ def test_verify_mode_validation():
         verify_matching(path(3), [], "biggest")
 
 
+def test_verify_rejects_a_matching_of_another_graph():
+    # same edges as path(4) in another order: edge ids 0 and 2 name other pairs
+    reordered = Graph(4, [(0, 1), (2, 3), (1, 2)])
+    with pytest.raises(ValueError, match="another graph"):
+        verify_matching(reordered, Matching(path(4), [0, 2]), "maximum")
+
+
 @pytest.mark.parametrize("g", [path(3001), cycle(3001)], ids=["path3001", "cycle3001"])
 def test_verify_maximum_on_long_alternating_paths(g):
     assert verify_matching(g, maximum_matching(g), "maximum")
