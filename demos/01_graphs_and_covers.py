@@ -7,7 +7,6 @@ and shows the file formats used by the ``tcover`` command line tool.
 """
 
 from tcover import (
-    Element,
     ElementSet,
     Graph,
     format_element,
@@ -23,27 +22,30 @@ print("graph:", p4)
 print("adjacency of vertex 1:", p4.adj[1])
 print("edges:", p4.edge_pairs())
 
-# Try to cover it with the two inner vertices.
-candidate = ElementSet(p4, vertices=[1, 2])
+# An element is named by its vertex id in the total graph (introduced
+# below): vertex v is v, edge e is n + e.  Try the two inner vertices.
+candidate = ElementSet(p4, [1, 2])
 ok, witness = is_total_cover(p4, candidate)
 print("\n{vertex 1, vertex 2} is a total cover:", ok)
 
 # A single middle edge is NOT enough: the first end vertex touches
 # nothing chosen.  (Displayed names are 1-indexed, as in the file formats.)
-candidate = ElementSet(p4, edges=[1])
+candidate = ElementSet(p4, [p4.n + 1])
 ok, witness = is_total_cover(p4, candidate)
 print("{middle edge} is a total cover:", ok, "- first uncovered:", format_element(p4, witness))
 
 # Mixing kinds works: one vertex and one edge suffice here.
-candidate = ElementSet(p4, vertices=[1], edges=[2])
+candidate = ElementSet(p4, [1, p4.n + 2])
 print("{vertex 1, edge (2,3)} is a total cover:", is_total_cover(p4, candidate)[0])
 
 # The total graph makes the adjacency-or-incidence relation ordinary
-# vertex adjacency: one vertex per element of the original graph.  Vertex
-# v keeps its id and edge e becomes vertex n + e.
+# vertex adjacency: one vertex per element of the original graph, with
+# the ids ElementSet uses.  Vertex v keeps its id and edge e becomes
+# vertex n + e.
 tg = total_graph(p4)
 print("\ntotal graph of P4:", tg)
-print("its vertex 5 stands for", format_element(p4, Element.edge(5 - p4.n)))
+print("its vertex 5 stands for", format_element(p4, 5))
+print("the cover above as ids:", list(candidate))
 
 # Everything serializes to a small line-oriented text format.
 print("\ngraph file for P4:")

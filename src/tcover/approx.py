@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import Element, ElementSet, Graph, format_element, is_total_cover
+from .graph import ElementSet, Graph, format_element, is_total_cover
 from .graph import isolated_vertices, total_graph
 from .matching import CertificateError, Matching, maximum_matching
 
@@ -46,11 +46,12 @@ class TraceStep:
     """One element added to the cover: which algorithm step added it and why.
 
     Reason tags: isolated, bad-vertex, bad-edge, endpoint, matching-edge.
+    The element is numbered as in ElementSet: vertex v is v, edge e is n + e.
     """
 
     step: int
     reason: str
-    element: Element
+    element: int
 
 
 @dataclass(frozen=True)
@@ -130,13 +131,13 @@ def approx_total_cover(g: Graph) -> ApproxResult:
     itself.  Each step record lands in the trace.
     """
     isolates = isolated_vertices(g)
-    trace = [TraceStep(1, "isolated", Element.vertex(v)) for v in isolates]
+    trace = [TraceStep(1, "isolated", v) for v in isolates]
 
     matching = maximum_matching(g)
     assignment = bad_vertex_assignment(g, matching)
     for v, eid in assignment.pairs:
-        trace.append(TraceStep(2, "bad-vertex", Element.vertex(v)))
-        trace.append(TraceStep(2, "bad-edge", Element.edge(eid)))
+        trace.append(TraceStep(2, "bad-vertex", v))
+        trace.append(TraceStep(2, "bad-edge", g.n + eid))
     bad_vertices = {v for v, _ in assignment.pairs}
     bad_edges = {eid for _, eid in assignment.pairs}
 
@@ -163,16 +164,15 @@ def approx_total_cover(g: Graph) -> ApproxResult:
             raise NotMaximumError(f"both endpoints of matching edge {e.id} reach unmatched vertices")
         endpoint, near = (e.u, near_u) if near_u else (e.v, near_v)
         if any(not covered[z] for z in near):
-            trace.append(TraceStep(3, "endpoint", Element.vertex(endpoint)))
+            trace.append(TraceStep(3, "endpoint", endpoint))
             for z in near:
                 covered[z] = True
         else:
-            trace.append(TraceStep(3, "matching-edge", Element.edge(e.id)))
+            trace.append(TraceStep(3, "matching-edge", g.n + e.id))
 
     # the trace is the cover; the size law below also proves no element
     # was recorded twice, since the trace has exactly m + k + t steps
-    cover = ElementSet(g, [s.element.index for s in trace if s.element.kind == "vertex"],
-                       [s.element.index for s in trace if s.element.kind == "edge"])
+    cover = ElementSet(g, [s.element for s in trace])
     size = len(cover)
     if size != matching.size + assignment.count + len(isolates):
         raise CertificateError(f"cover has {size} elements, not m + k + t")
@@ -216,9 +216,9 @@ def greedy_domination_cover(g: Graph) -> ElementSet:
 
     Repeatedly picks the total-graph vertex that dominates the most
     not-yet-dominated vertices (ties to the lowest id) until everything
-    is dominated, then translates the picks back into vertices and edges
-    of ``g``.  Standard greedy, so the size is within a logarithmic
-    factor of the optimum.
+    is dominated; the picks are the elements of ``g`` by their ids.
+    Standard greedy, so the size is within a logarithmic factor of the
+    optimum.
     """
     tg = total_graph(g)
     gain = [1 + len(neighbors) for neighbors in tg.adj]  # undominated members of N[x]
@@ -233,5 +233,4 @@ def greedy_domination_cover(g: Graph) -> ElementSet:
                 gain[y] -= 1
                 for x in tg.adj[y]:
                     gain[x] -= 1
-    n = g.n
-    return ElementSet(g, [x for x in picks if x < n], [x - n for x in picks if x >= n])
+    return ElementSet(g, picks)

@@ -49,20 +49,20 @@ EXIT_INTERNAL = 3
 EXIT_TOO_LARGE = 4
 EXIT_BUDGET = 5
 
-# main() turns exceptions of these classes into (exit code, stderr prefix);
-# anything else, such as the plain ValueError of SearchLimits, propagates.
+# main() turns exceptions of these classes into exit codes; anything else,
+# such as the plain ValueError of SearchLimits, propagates.
 # UnicodeDecodeError is an input file that is not UTF-8 text.
-EXIT_CODES: dict[type[BaseException], tuple[int, str]] = {
-    OSError: (EXIT_PARSE, "error"),
-    UnicodeDecodeError: (EXIT_PARSE, "error"),
-    GraphError: (EXIT_PARSE, "error"),
-    OddParameterError: (EXIT_PARSE, "error"),
-    ParameterOutOfRangeError: (EXIT_PARSE, "error"),
-    TooLargeError: (EXIT_TOO_LARGE, "error"),
-    BudgetExceededError: (EXIT_BUDGET, "error"),
+EXIT_CODES: dict[type[BaseException], int] = {
+    OSError: EXIT_PARSE,
+    UnicodeDecodeError: EXIT_PARSE,
+    GraphError: EXIT_PARSE,
+    OddParameterError: EXIT_PARSE,
+    ParameterOutOfRangeError: EXIT_PARSE,
+    TooLargeError: EXIT_TOO_LARGE,
+    BudgetExceededError: EXIT_BUDGET,
     # a solver bug, not bad input
-    CertificateError: (EXIT_INTERNAL, "internal error"),
-    NotMaximumError: (EXIT_INTERNAL, "internal error"),
+    CertificateError: EXIT_INTERNAL,
+    NotMaximumError: EXIT_INTERNAL,
 }
 
 CSV_HEADER = [
@@ -74,7 +74,8 @@ CSV_HEADER = [
 
 def exit_status(exc: BaseException) -> tuple[int, str]:
     """Exit code and stderr prefix of an exception listed in EXIT_CODES."""
-    return next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
+    code = next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
+    return code, "internal error" if code == EXIT_INTERNAL else "error"
 
 
 def format_ratio(value: Fraction) -> str:
@@ -83,6 +84,17 @@ def format_ratio(value: Fraction) -> str:
     if 2 * rem >= value.denominator:
         units += 1
     return f"{units // 10000}.{units % 10000:04d}"
+
+
+def _limit(text: str) -> int:
+    """argparse type of a search guard: a non-negative int, else exit 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"invalid non-negative int value: {text!r}")
+    return value
 
 
 def _read_graph(path_arg: str) -> Graph:
@@ -247,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exact = sub.add_parser("exact", help="exhaustive minimum total cover")
     p_exact.add_argument("graph", help="graph file")
-    p_exact.add_argument("--max-elements", type=int, default=SearchLimits.max_elements)
-    p_exact.add_argument("--max-candidates", type=int, default=SearchLimits.max_candidates)
+    p_exact.add_argument("--max-elements", type=_limit, default=SearchLimits.max_elements)
+    p_exact.add_argument("--max-candidates", type=_limit, default=SearchLimits.max_candidates)
     p_exact.add_argument("--start-at-lower-bound", action="store_true",
                          help="start the search at the certified lower bound")
     p_exact.set_defaults(func=cmd_exact)

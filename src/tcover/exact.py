@@ -19,7 +19,6 @@ from typing import Iterable
 
 from .graph import (
     BudgetExceededError,
-    Element,
     ElementSet,
     Graph,
     TooLargeError,
@@ -132,14 +131,13 @@ def exact_total_cover(g: Graph, limits: SearchLimits | None = None) -> ExactResu
     an element the set misses.
     """
     limits = limits or SearchLimits()
-    n = g.n
-    total = n + len(g.edges)
+    total = g.n + len(g.edges)
     if total > limits.max_elements:
         raise TooLargeError(
             f"{total} elements exceeds max_elements={limits.max_elements}"
         )
     combo, checked = _first_covering(_total_cover_masks(g), limits)
-    optimum = ElementSet(g, [i for i in combo if i < n], [i - n for i in combo if i >= n])
+    optimum = ElementSet(g, combo)
     ok, witness = is_total_cover(g, optimum)
     if not ok:
         raise CertificateError(f"exact total cover misses {format_element(g, witness)}")
@@ -163,9 +161,7 @@ def exact_dominating_set(g: Graph, limits: SearchLimits | None = None) -> ExactR
     members = set(combo)
     for w in range(n):
         if w not in members and members.isdisjoint(g.adj[w]):
-            raise CertificateError(
-                f"exact dominating set misses {format_element(g, Element.vertex(w))}"
-            )
+            raise CertificateError(f"exact dominating set misses {format_element(g, w)}")
     return ExactResult(ElementSet(g, combo), len(combo), checked)
 
 

@@ -1,11 +1,12 @@
-"""Immutable undirected graphs and the vertex/edge element model.
+"""Immutable undirected graphs and the element model.
 
 The covering problems in this package live on vertices and edges
 together: a *total cover* is a set of vertices and edges such that every
 vertex and edge outside the set is adjacent or incident to a member.
-This module holds the graph type, elements and element sets, the
-total-cover validity check, the total-graph construction, and the text
-file formats used by the command line tools.
+An element is numbered as its vertex of the total graph: vertex ``v`` is
+``v`` and edge ``e`` is ``n + e``.  This module holds the graph type,
+element sets, the total-cover validity check, the total-graph
+construction, and the text file formats used by the command line tools.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ class DuplicateEdgeError(GraphError):
 
 
 class VertexOutOfRangeError(GraphError):
-    """A vertex index lies outside [0, n)."""
+    """A vertex index lies outside [0, n), or an element id outside [0, n + |E|)."""
 
 
 class UnknownEdgeError(GraphError):
@@ -61,22 +62,6 @@ class Edge:
     u: int
     v: int
     id: int
-
-
-@dataclass(frozen=True)
-class Element:
-    """A vertex or an edge of a graph, the unit of a total cover."""
-
-    kind: str  # "vertex" or "edge"
-    index: int
-
-    @classmethod
-    def vertex(cls, index: int) -> "Element":
-        return cls("vertex", index)
-
-    @classmethod
-    def edge(cls, index: int) -> "Element":
-        return cls("edge", index)
 
 
 class Graph:
@@ -142,73 +127,64 @@ def isolated_vertices(g: Graph) -> list[int]:
 
 
 class ElementSet:
-    """A set of vertices and edges of one graph.
+    """A set of vertices and edges of one graph, held as vertex ids of its
+    total graph: vertex ``v`` is ``v`` and edge ``e`` is ``n + e``.
 
-    Every member is validated against the graph at construction.
-    Iteration yields vertices ascending, then edges ascending.
+    Every id is validated against the graph at construction.  Iteration
+    yields ids ascending: vertices ascending, then edges ascending.
     """
 
-    __slots__ = ("graph", "vertex_ids", "edge_ids")
+    __slots__ = ("graph", "ids")
 
-    def __init__(self, graph: Graph, vertices: Iterable[int] = (), edges: Iterable[int] = ()):
-        """Raises VertexOutOfRangeError or UnknownEdgeError naming the first
-        id outside the graph, checking vertices in the order given, then
-        edges."""
-        vertices, edges = tuple(vertices), tuple(edges)
-        for v in vertices:
-            if not 0 <= v < graph.n:
-                raise VertexOutOfRangeError(f"vertex {v} leaves [0, {graph.n})")
-        for e in edges:
-            if not 0 <= e < len(graph.edges):
-                raise UnknownEdgeError(f"edge id {e} leaves [0, {len(graph.edges)})")
+    def __init__(self, graph: Graph, ids: Iterable[int] = ()):
+        """Raises VertexOutOfRangeError naming the first id outside
+        [0, n + |E|), in the order given."""
+        ids = tuple(ids)
+        total = graph.n + len(graph.edges)
+        for x in ids:
+            if not 0 <= x < total:
+                raise VertexOutOfRangeError(f"total-graph vertex {x} leaves [0, {total})")
         self.graph = graph
-        self.vertex_ids = frozenset(vertices)
-        self.edge_ids = frozenset(edges)
+        self.ids = frozenset(ids)
 
     def __len__(self) -> int:
-        return len(self.vertex_ids) + len(self.edge_ids)
+        return len(self.ids)
 
-    def __iter__(self) -> Iterator[Element]:
-        for v in sorted(self.vertex_ids):
-            yield Element.vertex(v)
-        for e in sorted(self.edge_ids):
-            yield Element.edge(e)
+    def __iter__(self) -> Iterator[int]:
+        return iter(sorted(self.ids))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ElementSet):
             return NotImplemented
-        return (
-            self.graph == other.graph
-            and self.vertex_ids == other.vertex_ids
-            and self.edge_ids == other.edge_ids
-        )
+        return self.graph == other.graph and self.ids == other.ids
 
     def __repr__(self) -> str:
-        return f"ElementSet(vertices={sorted(self.vertex_ids)}, edges={sorted(self.edge_ids)})"
+        return f"ElementSet(ids={sorted(self.ids)})"
 
 
-def is_total_cover(g: Graph, d: ElementSet) -> tuple[bool, Optional[Element]]:
+def is_total_cover(g: Graph, d: ElementSet) -> tuple[bool, Optional[int]]:
     """Check whether ``d`` is a total cover of ``g``.
 
     The hubs are the chosen vertices and both endpoints of every chosen
     edge.  A vertex is covered when it is a hub or has a chosen neighbour;
     an edge is covered when it is chosen or has a hub endpoint.  Returns
     ``(True, None)`` when valid, otherwise ``(False, witness)`` where the
-    witness is the first uncovered element (lowest vertex id first, then
-    lowest edge id), so it is reproducible.
+    witness is the lowest id of an uncovered element (vertices before
+    edges), so it is reproducible.
     """
-    vertex_ids, edge_ids = d.vertex_ids, d.edge_ids
-    hubs = set(vertex_ids)
-    for eid in edge_ids:
-        e = g.edges[eid]
-        hubs.add(e.u)
-        hubs.add(e.v)
-    for v in range(g.n):
-        if v not in hubs and vertex_ids.isdisjoint(g.adj[v]):
-            return False, Element.vertex(v)
+    n, ids = g.n, d.ids
+    hubs = {x for x in ids if x < n}
+    for x in ids:
+        if x >= n:
+            e = g.edges[x - n]
+            hubs.add(e.u)
+            hubs.add(e.v)
+    for v in range(n):
+        if v not in hubs and ids.isdisjoint(g.adj[v]):
+            return False, v
     for e in g.edges:
-        if e.id not in edge_ids and e.u not in hubs and e.v not in hubs:
-            return False, Element.edge(e.id)
+        if n + e.id not in ids and e.u not in hubs and e.v not in hubs:
+            return False, n + e.id
     return True, None
 
 
@@ -233,19 +209,19 @@ def total_graph(g: Graph) -> Graph:
     return Graph(n + len(g.edges), pairs)
 
 
-def format_element(g: Graph, el: Element) -> str:
+def format_element(g: Graph, x: int) -> str:
     """Human-readable, 1-indexed form: ``vertex 3`` or ``edge (1,2)``."""
-    if el.kind == "vertex":
-        return f"vertex {el.index + 1}"
-    e = g.edges[el.index]
+    if x < g.n:
+        return f"vertex {x + 1}"
+    e = g.edges[x - g.n]
     return f"edge ({e.u + 1},{e.v + 1})"
 
 
-def element_cover_line(g: Graph, el: Element) -> str:
+def element_cover_line(g: Graph, x: int) -> str:
     """Cover-file form of one element: ``v 3`` or ``e 1 2`` (1-indexed)."""
-    if el.kind == "vertex":
-        return f"v {el.index + 1}"
-    e = g.edges[el.index]
+    if x < g.n:
+        return f"v {x + 1}"
+    e = g.edges[x - g.n]
     return f"e {e.u + 1} {e.v + 1}"
 
 
@@ -312,8 +288,7 @@ def parse_cover(text: str, g: Graph) -> ElementSet:
     comments and blank lines are skipped.  An edge line whose pair is not
     an edge of ``g`` raises UnknownEdgeError.
     """
-    vertex_ids: list[int] = []
-    edge_ids: list[int] = []
+    ids: list[int] = []
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -326,7 +301,7 @@ def parse_cover(text: str, g: Graph) -> ElementSet:
                 raise ParseError(line_no, f"non-integer vertex in {line!r}") from None
             if not 0 <= idx < g.n:
                 raise VertexOutOfRangeError(f"line {line_no}: vertex {idx + 1} leaves [1, {g.n}]")
-            vertex_ids.append(idx)
+            ids.append(idx)
         elif fields[0] == "e" and len(fields) == 3:
             try:
                 u, v = int(fields[1]) - 1, int(fields[2]) - 1
@@ -335,14 +310,13 @@ def parse_cover(text: str, g: Graph) -> ElementSet:
             eid = g.edge_id(u, v) if u != v else None
             if eid is None:
                 raise UnknownEdgeError(f"line {line_no}: ({u + 1},{v + 1}) is not an edge of the graph")
-            edge_ids.append(eid)
+            ids.append(g.n + eid)
         else:
             raise ParseError(line_no, f"unrecognized line {line!r}")
-    return ElementSet(g, vertex_ids, edge_ids)
+    return ElementSet(g, ids)
 
 
 def serialize_cover(d: ElementSet) -> str:
     """Cover file text: vertices ascending, then edges ascending."""
-    g = d.graph
-    lines = [element_cover_line(g, el) for el in d]
+    lines = [element_cover_line(d.graph, x) for x in d]
     return "\n".join(lines) + "\n" if lines else ""

@@ -35,9 +35,7 @@ def graphs_with_element_sets(draw, max_n: int = 5):
     g = draw(small_graphs(max_n=max_n))
     total = g.n + len(g.edges)
     mask = draw(st.integers(min_value=0, max_value=max(0, (1 << total) - 1)))
-    vertices = [i for i in range(g.n) if mask >> i & 1]
-    edges = [e for e in range(len(g.edges)) if mask >> (g.n + e) & 1]
-    return g, ElementSet(g, vertices=vertices, edges=edges)
+    return g, ElementSet(g, [x for x in range(total) if mask >> x & 1])
 
 
 def triangles_and_isolates() -> Graph:

@@ -55,7 +55,8 @@ def test_criterion_1_hard_family_reproduction():
         for n in (4, 6, 8):
             g = hard_instance(n)
             assert maximum_matching(g).size == n
-            known = ElementSet(g, vertices=[0], edges=range(2 * n, 2 * n + n // 2))
+            rungs = range(g.n + 2 * n, g.n + 2 * n + n // 2)
+            known = ElementSet(g, [0, *rungs])
             assert is_total_cover(g, known)[0]
             assert len(known) == n // 2 + 1
             assert exact_total_cover(g, limits).size == n // 2 + 1

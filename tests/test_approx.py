@@ -11,7 +11,6 @@ import pytest
 
 import tcover
 from tcover import (
-    Element,
     ElementSet,
     Graph,
     Matching,
@@ -93,7 +92,7 @@ def test_lower_bound_validation():
 def test_approx_k2():
     g = Graph(2, [(0, 1)])
     result = approx_total_cover(g)
-    assert result.cover == ElementSet(g, edges=[0])
+    assert result.cover == ElementSet(g, [g.n + 0])
     assert (result.matching.size, result.bad_vertex_count, result.isolated_count) == (1, 0, 0)
     assert result.lower_bound == 1
     assert result.certified_ratio == 1
@@ -102,14 +101,14 @@ def test_approx_k2():
 def test_approx_k3():
     g = complete(3)
     result = approx_total_cover(g)
-    assert result.cover == ElementSet(g, vertices=[2], edges=[0])
+    assert result.cover == ElementSet(g, [2, g.n + 0])
     assert len(result.cover) == 2 == result.matching.size + result.bad_vertex_count
 
 
 def test_approx_isolated_only():
     g = Graph(3, [])
     result = approx_total_cover(g)
-    assert result.cover == ElementSet(g, vertices=[0, 1, 2])
+    assert result.cover == ElementSet(g, [0, 1, 2])
     assert result.isolated_count == 3
     assert result.certified_ratio == 1
 
@@ -129,7 +128,7 @@ def test_approx_hard_instance_trace():
     reasons = [step.reason for step in result.trace]
     assert reasons == ["endpoint", "matching-edge", "matching-edge", "matching-edge"]
     # the single endpoint addition is the rail top that covers the apex
-    assert result.trace[0].element == Element.vertex(1)
+    assert result.trace[0].element == 1
 
 
 def test_approx_with_isolated_vertex():
@@ -148,11 +147,11 @@ def test_approx_k5_uses_bad_round():
 
 def test_matched_vertices_cover_examples():
     k2 = Graph(2, [(0, 1)])
-    assert matched_vertices_cover(k2, maximum_matching(k2)) == ElementSet(k2, vertices=[0, 1])
+    assert matched_vertices_cover(k2, maximum_matching(k2)) == ElementSet(k2, [0, 1])
     g = hard_instance(4)
     assert len(matched_vertices_cover(g, maximum_matching(g))) == 8
     empty2 = Graph(2, [])
-    assert matched_vertices_cover(empty2, maximum_matching(empty2)) == ElementSet(empty2, vertices=[0, 1])
+    assert matched_vertices_cover(empty2, maximum_matching(empty2)) == ElementSet(empty2, [0, 1])
 
 
 def test_matched_vertices_cover_maximal_mode():
@@ -177,18 +176,18 @@ def test_greedy_domination_star():
     cover = greedy_domination_cover(g)
     assert is_total_cover(g, cover)[0]
     assert len(cover) <= 2
-    assert 0 in cover.vertex_ids
+    assert 0 in cover.ids
 
 
 def test_greedy_domination_k2():
     g = Graph(2, [(0, 1)])
     # T(K2) is a triangle; the tie breaks to the lowest id, vertex 0
-    assert greedy_domination_cover(g) == ElementSet(g, vertices=[0])
+    assert greedy_domination_cover(g) == ElementSet(g, [0])
 
 
 def test_greedy_domination_single_vertex():
     g = Graph(1, [])
-    assert greedy_domination_cover(g) == ElementSet(g, vertices=[0])
+    assert greedy_domination_cover(g) == ElementSet(g, [0])
 
 
 # sha256 of the cover file, recorded from the greedy that recomputed every
@@ -278,15 +277,41 @@ def test_approx_valid_on_random_graphs(g):
     )
 
 
+@st.composite
+def shuffled_copies(draw):
+    """A small or gnp graph, and the same graph built from its edge list
+    shuffled, with each pair's endpoints swapped at random."""
+    g = draw(st.one_of(
+        small_graphs(max_n=7),
+        st.builds(gnp, st.integers(2, 40), st.sampled_from([0.05, 0.1, 0.2, 0.4]),
+                  st.integers(0, 2**64 - 1)),
+    ))
+    pairs = draw(st.permutations(g.edge_pairs()))
+    swaps = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return g, Graph(g.n, [(v, u) if swap else (u, v) for (u, v), swap in zip(pairs, swaps)])
+
+
+@given(shuffled_copies())
+def test_certificate_is_invariant_under_shuffled_edges(case):
+    # edge ids follow the input order, but the matching's vertex pairs and
+    # every certificate quantity do not; the cover's elements may differ
+    g, shuffled = case
+    a, b = approx_total_cover(g), approx_total_cover(shuffled)
+    assert {(e.u, e.v) for e in a.matching.edges()} == {(e.u, e.v) for e in b.matching.edges()}
+    assert (a.matching.size, a.bad_vertex_count, a.isolated_count, a.lower_bound, len(a.cover)) == (
+        b.matching.size, b.bad_vertex_count, b.isolated_count, b.lower_bound, len(b.cover))
+    assert is_total_cover(g, a.cover)[0] and is_total_cover(shuffled, b.cover)[0]
+
+
 CERTIFICATE_UNDER_O = """
 import sys
 import tcover.approx
-from tcover import CertificateError, Element
+from tcover import CertificateError
 from tcover.instances import path
 
 if __debug__:
     sys.exit("expected to run under python -O")
-tcover.approx.is_total_cover = lambda g, d: (False, Element.vertex(1))
+tcover.approx.is_total_cover = lambda g, d: (False, 1)
 try:
     tcover.approx.approx_total_cover(path(3))
 except CertificateError as exc:

@@ -9,7 +9,7 @@ import pytest
 import tcover.approx
 import tcover.cli
 import tcover.exact
-from tcover import CertificateError, Element, Graph, parse_graph, serialize_graph
+from tcover import CertificateError, Graph, parse_graph, serialize_graph
 from tcover.cli import main
 from tcover.instances import add_isolated, complete, cycle, gnp, hard_instance, petersen, star
 
@@ -371,7 +371,7 @@ def test_compare_tags_internal_errors_and_exits_3(hard4, k3, tmp_path, monkeypat
     ("exact", tcover.exact, "exact total cover misses vertex 1"),
 ])
 def test_failed_validation_exits_3(k3, capsys, monkeypatch, command, patched, message):
-    monkeypatch.setattr(patched, "is_total_cover", lambda g, d: (False, Element.vertex(0)))
+    monkeypatch.setattr(patched, "is_total_cover", lambda g, d: (False, 0))
     argv = [command, k3] + (["--method", "matched-vertices"] if command == "baseline" else [])
     assert main(argv) == 3
     captured = capsys.readouterr()
@@ -413,9 +413,22 @@ def test_unwritable_output_exits_2(k3, tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
 
 
-def test_negative_search_limit_is_not_mapped(k3):
-    with pytest.raises(ValueError, match="search limits must be non-negative"):
-        main(["exact", k3, "--max-elements", "-1"])
+def test_negative_search_limit_is_a_usage_error(k3, capsys):
+    # argparse rejects a negative guard before SearchLimits sees it; a
+    # malformed one reads as it did with type=int
+    for extra, message in [
+        (["--max-candidates", "-1"], "argument --max-candidates: invalid non-negative int value: '-1'"),
+        (["--max-elements", "-1"], "argument --max-elements: invalid non-negative int value: '-1'"),
+        (["--max-elements", "-1", "--start-at-lower-bound"],
+         "argument --max-elements: invalid non-negative int value: '-1'"),
+        (["--max-elements", "x"], "argument --max-elements: invalid int value: 'x'"),
+    ]:
+        with pytest.raises(SystemExit) as err:
+            main(["exact", k3] + extra)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.endswith(f"tcover exact: error: {message}\n")
+        assert captured.out == ""
 
 
 def test_module_entry_point(tmp_path):
@@ -466,6 +479,29 @@ def test_solve_trace_and_cover_golden(name, tmp_path, capsys):
     stdout = capsys.readouterr().out
     digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (stdout, cover.read_text()))
     assert digests == GOLDEN_SOLVES[name]
+
+
+# sha256 of `verify` stdout over the GOLDEN_SOLVES graphs, each checked
+# against its `solve --output` cover with one element deleted, every
+# floor(|cover|/40)-th in turn (179 runs), recorded while covers still held
+# vertex and edge ids apart: a witness must name the same element.
+GOLDEN_VERIFY = "0aecfb76958b50ec3adffbf21635e3f64c90ace4f2e1a5212b38d63289390dfa"
+
+
+def test_verify_witness_golden(tmp_path, capsys):
+    graph, cover, cut = tmp_path / "g.gr", tmp_path / "out.cover", tmp_path / "cut.cover"
+    outputs = []
+    for name in sorted(GOLDEN_SOLVES):
+        graph.write_text(serialize_graph(golden_graph(name)))
+        assert main(["solve", str(graph), "--output", str(cover)]) == 0
+        capsys.readouterr()
+        lines = cover.read_text().splitlines(keepends=True)
+        for i in range(0, len(lines), max(1, len(lines) // 40)):
+            cut.write_text("".join(lines[:i] + lines[i + 1:]))
+            main(["verify", str(graph), "--cover", str(cut)])
+            outputs.append(capsys.readouterr().out)
+    assert len(outputs) == 179
+    assert hashlib.sha256("".join(outputs).encode()).hexdigest() == GOLDEN_VERIFY
 
 
 def compare_corpus(directory):

@@ -7,7 +7,6 @@ import tcover.exact
 from tcover import (
     BudgetExceededError,
     CertificateError,
-    Element,
     ElementSet,
     Graph,
     SearchLimits,
@@ -30,7 +29,7 @@ def test_exact_total_cover_k3():
 def test_exact_total_cover_p3_picks_middle_vertex():
     result = exact_total_cover(path(3))
     assert result.size == 1
-    assert result.optimum == ElementSet(path(3), vertices=[1])
+    assert result.optimum == ElementSet(path(3), [1])
 
 
 def test_exact_total_cover_hard_instance():
@@ -38,7 +37,7 @@ def test_exact_total_cover_hard_instance():
     result = exact_total_cover(g, SearchLimits(max_elements=64))
     assert result.size == 3
     # lexicographically first optimum: the apex plus the two rungs
-    assert result.optimum == ElementSet(g, vertices=[0], edges=[8, 9])
+    assert result.optimum == ElementSet(g, [0, g.n + 8, g.n + 9])
 
 
 def test_exact_total_cover_isolated():
@@ -59,7 +58,7 @@ def test_exact_dominating_set_examples():
 
 def test_exact_dominating_set_optimum_is_lexicographic():
     result = exact_dominating_set(complete(3))
-    assert result.optimum == ElementSet(complete(3), vertices=[0])
+    assert result.optimum == ElementSet(complete(3), [0])
 
 
 def test_too_large_guards():
@@ -116,10 +115,8 @@ def test_no_smaller_cover_exists():
     for g in (complete(3), path(5), hard_instance(4)):
         best = exact_total_cover(g, SearchLimits(max_elements=64)).size
         assert best > 0
-        n, m = g.n, len(g.edges)
-        for combo in combinations(range(n + m), best - 1):
-            d = ElementSet(g, [i for i in combo if i < n], [i - n for i in combo if i >= n])
-            assert not is_total_cover(g, d)[0]
+        for combo in combinations(range(g.n + len(g.edges)), best - 1):
+            assert not is_total_cover(g, ElementSet(g, combo))[0]
 
 
 def test_cross_check_examples():
@@ -176,7 +173,8 @@ def golden_corpus():
 # sha256 over one "size candidates [vertex ids] [edge ids]" line per graph of
 # golden_corpus(), recorded from the searches that tested each candidate
 # with first_uncovered and with a per-vertex membership scan: a faster test
-# must return the same optimum after the same number of candidates.
+# must return the same optimum after the same number of candidates.  The
+# line splits the optimum's ids into vertices (id < n) and edges (id - n).
 GOLDEN_EXACT = {
     "exact_total_cover": "c08e15a82f5cd145991126660667be08168c1d936416498348ea4609ab4c69cf",
     "exact_dominating_set": "77b712599b0ff68544db42e78ee6f9c86738147baffd80f76f3419009cfc3da8",
@@ -189,8 +187,9 @@ def test_exact_oracles_golden(oracle):
     lines = []
     for g in golden_corpus():
         r = oracle(g)
+        ids = sorted(r.optimum.ids)
         lines.append(f"{r.size} {r.candidates_checked} "
-                     f"{sorted(r.optimum.vertex_ids)} {sorted(r.optimum.edge_ids)}")
+                     f"{[x for x in ids if x < g.n]} {[x - g.n for x in ids if x >= g.n]}")
     assert len(lines) == 1283
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == GOLDEN_EXACT[oracle.__name__]
@@ -235,7 +234,7 @@ def test_wrong_masks_raise_certificate_error(monkeypatch, oracle, builder, messa
 def test_exact_optimum_is_confirmed_by_is_total_cover(monkeypatch):
     # the search result is handed to the one cover check, whose verdict stands
     def rejects_everything(g, d):
-        return False, Element.vertex(0)
+        return False, 0
 
     monkeypatch.setattr(tcover.exact, "is_total_cover", rejects_everything)
     with pytest.raises(CertificateError, match="^exact total cover misses vertex 1$"):

@@ -6,7 +6,6 @@ import pytest
 
 from tcover import (
     DuplicateEdgeError,
-    Element,
     ElementSet,
     Graph,
     GraphError,
@@ -103,20 +102,20 @@ def test_total_graph_counts():
 
 def test_is_total_cover_k2_edge():
     g = Graph(2, [(0, 1)])
-    ok, witness = is_total_cover(g, ElementSet(g, edges=[0]))
+    ok, witness = is_total_cover(g, ElementSet(g, [g.n + 0]))
     assert ok and witness is None
 
 
 def test_is_total_cover_k3_single_vertex_fails():
     g = complete(3)
-    ok, witness = is_total_cover(g, ElementSet(g, vertices=[0]))
+    ok, witness = is_total_cover(g, ElementSet(g, [0]))
     assert not ok
-    assert witness == Element.edge(g.edge_id(1, 2))
+    assert witness == g.n + g.edge_id(1, 2)
 
 
 def test_is_total_cover_everything():
     for g in [Graph(0, []), complete(3), path(4)]:
-        ok, _ = is_total_cover(g, ElementSet(g, range(g.n), range(len(g.edges))))
+        ok, _ = is_total_cover(g, ElementSet(g, range(g.n + len(g.edges))))
         assert ok
 
 
@@ -127,40 +126,37 @@ def test_cover_agrees_with_total_graph_domination(case):
     # and the witness pinned to the lowest undominated total-graph vertex
     g, d = case
     tg = total_graph(g)
-    # total-graph vertex v < n is vertex v of g, vertex n + e is edge e
-    elements = [Element.vertex(v) for v in range(g.n)]
-    elements += [Element.edge(e) for e in range(len(g.edges))]
-    members = set(d.vertex_ids) | {g.n + e for e in d.edge_ids}
     undominated = [
         v for v in range(tg.n)
-        if v not in members and not any(u in members for u in tg.adj[v])
+        if v not in d.ids and not any(u in d.ids for u in tg.adj[v])
     ]
     assert is_total_cover(g, d) == (
-        (False, elements[undominated[0]]) if undominated else (True, None)
+        (False, undominated[0]) if undominated else (True, None)
     )
 
 
 def test_element_set_validates():
+    # K2's elements are total-graph vertices 0 and 1 (its vertices), 2 (its edge)
     g = Graph(2, [(0, 1)])
-    with pytest.raises(VertexOutOfRangeError):
-        ElementSet(g, vertices=[2])
-    with pytest.raises(UnknownEdgeError):
-        ElementSet(g, edges=[1])
+    assert list(ElementSet(g, [2])) == [2]
+    for bad in (3, -1):
+        with pytest.raises(VertexOutOfRangeError, match=rf"^total-graph vertex {bad} "):
+            ElementSet(g, [bad])
 
 
 def test_element_set_names_the_first_bad_id_given():
-    # a frozenset of {0, 5, 9} or {0, 6, 10} would yield 9 or 10 first
+    # a frozenset of {0, 5, 9} or {1, 2, 6, 10} would yield 9 or 10 first
     g = Graph(2, [(0, 1)])
-    with pytest.raises(VertexOutOfRangeError, match=r"^vertex 5 leaves \[0, 2\)$"):
-        ElementSet(g, vertices=iter([0, 5, 9]), edges=[6])
-    with pytest.raises(UnknownEdgeError, match=r"^edge id 6 leaves \[0, 1\)$"):
-        ElementSet(g, vertices=[1], edges=iter([0, 6, 10]))
+    with pytest.raises(VertexOutOfRangeError, match=r"^total-graph vertex 5 leaves \[0, 3\)$"):
+        ElementSet(g, iter([0, 5, 9]))
+    with pytest.raises(VertexOutOfRangeError, match=r"^total-graph vertex 6 leaves \[0, 3\)$"):
+        ElementSet(g, iter([1, 2, 6, 10]))
 
 
 def test_element_set_iteration_order():
     g = complete(3)
-    d = ElementSet(g, vertices=[2, 0], edges=[1])
-    assert list(d) == [Element.vertex(0), Element.vertex(2), Element.edge(1)]
+    d = ElementSet(g, [g.n + 1, 2, 0])
+    assert list(d) == [0, 2, g.n + 1]  # vertices ascending, then edges ascending
     assert len(d) == 3
 
 
@@ -208,9 +204,9 @@ def test_graph_roundtrip(g):
 
 def test_parse_cover_vertex_and_edge():
     g = Graph(2, [(0, 1)])
-    assert parse_cover("v 1\n", g) == ElementSet(g, vertices=[0])
-    assert parse_cover("e 1 2\n", g) == ElementSet(g, edges=[0])
-    assert parse_cover("# note\nv 2\ne 2 1\n", g) == ElementSet(g, vertices=[1], edges=[0])
+    assert parse_cover("v 1\n", g) == ElementSet(g, [0])
+    assert parse_cover("e 1 2\n", g) == ElementSet(g, [g.n + 0])
+    assert parse_cover("# note\nv 2\ne 2 1\n", g) == ElementSet(g, [1, g.n + 0])
 
 
 def test_parse_cover_unknown_edge():
@@ -239,10 +235,10 @@ def test_cover_roundtrip(case):
 
 def test_element_formatting():
     g = complete(3)
-    assert format_element(g, Element.vertex(1)) == "vertex 2"
-    assert format_element(g, Element.edge(g.edge_id(1, 2))) == "edge (2,3)"
-    assert element_cover_line(g, Element.vertex(0)) == "v 1"
-    assert element_cover_line(g, Element.edge(0)) == "e 1 2"
+    assert format_element(g, 1) == "vertex 2"
+    assert format_element(g, g.n + g.edge_id(1, 2)) == "edge (2,3)"
+    assert element_cover_line(g, 0) == "v 1"
+    assert element_cover_line(g, g.n + 0) == "e 1 2"
 
 
 # Fields short enough that a header never declares 10**4 vertices or more:

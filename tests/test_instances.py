@@ -53,8 +53,8 @@ def test_hard_instance_matching_and_cover():
     for n in (2, 4, 6, 8):
         g = hard_instance(n)
         assert maximum_matching(g).size == n
-        rungs = range(2 * n, 2 * n + n // 2)
-        cover = ElementSet(g, vertices=[0], edges=rungs)
+        rungs = range(g.n + 2 * n, g.n + 2 * n + n // 2)
+        cover = ElementSet(g, [0, *rungs])
         assert is_total_cover(g, cover)[0]
         assert len(cover) == n // 2 + 1
 

@@ -78,9 +78,10 @@ def test_matching_serializes_as_cover_file():
 
     g = cycle(6)
     m = maximum_matching(g)
-    text = serialize_cover(ElementSet(g, edges=m.edge_ids))
+    ids = {g.n + eid for eid in m.edge_ids}
+    text = serialize_cover(ElementSet(g, ids))
     assert all(line.startswith("e ") for line in text.splitlines())
-    assert parse_cover(text, g).edge_ids == m.edge_ids
+    assert parse_cover(text, g).ids == ids
 
 
 def test_maximum_odd_cycle():

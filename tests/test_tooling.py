@@ -3,6 +3,7 @@
 import ast
 import glob
 import os
+import re
 import subprocess
 import sys
 import types
@@ -55,9 +56,22 @@ def test_demos_are_found():
     assert len(DEMOS) >= 5
 
 
-@pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
-def test_demo_runs(path):
+def run_python(args):
     env = {**os.environ, "PYTHONPATH": SRC}  # the child needs only tcover and the stdlib
-    proc = subprocess.run([sys.executable, path], capture_output=True, text=True, env=env,
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
+def test_demo_runs(path):
+    run_python([path])
+
+
+def test_readme_python_runs():
+    # a public API change cannot leave the quick start stale
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
+        blocks = re.findall(r"^```python\n(.*?)^```$", handle.read(), re.M | re.S)
+    assert blocks
+    for code in blocks:
+        run_python(["-c", code])
