@@ -20,7 +20,7 @@ from tcover import (
 p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
 print("graph:", p4)
 print("adjacency of vertex 1:", p4.adj[1])
-print("edges:", p4.edge_pairs())
+print("edges:", list(p4.edges))
 
 # An element is named by its vertex id in the total graph (introduced
 # below): vertex v is v, edge e is n + e.  Try the two inner vertices.

@@ -152,23 +152,22 @@ def approx_total_cover(g: Graph) -> ApproxResult:
     def unmatched_neighbors(x: int) -> list[int]:
         return [z for z in g.adj[x] if not matching.is_matched(z) and z not in bad_vertices]
 
-    for e in matching.edges():
-        if e.id in bad_edges:
-            continue
-        near_u = unmatched_neighbors(e.u)
-        near_v = unmatched_neighbors(e.v)
+    for eid in sorted(matching.edge_ids - bad_edges):
+        u, v = g.edges[eid]
+        near_u = unmatched_neighbors(u)
+        near_v = unmatched_neighbors(v)
         # With a maximum matching at most one endpoint can see unmatched
         # vertices: two distinct ones give an augmenting path, a shared
         # one would have been a bad vertex.
         if near_u and near_v:
-            raise NotMaximumError(f"both endpoints of matching edge {e.id} reach unmatched vertices")
-        endpoint, near = (e.u, near_u) if near_u else (e.v, near_v)
+            raise NotMaximumError(f"both endpoints of matching edge {eid} reach unmatched vertices")
+        endpoint, near = (u, near_u) if near_u else (v, near_v)
         if any(not covered[z] for z in near):
             trace.append(TraceStep(3, "endpoint", endpoint))
             for z in near:
                 covered[z] = True
         else:
-            trace.append(TraceStep(3, "matching-edge", g.n + e.id))
+            trace.append(TraceStep(3, "matching-edge", g.n + eid))
 
     # the trace is the cover; the size law below also proves no element
     # was recorded twice, since the trace has exactly m + k + t steps
@@ -207,7 +206,7 @@ def matched_vertices_cover(g: Graph, matching: Matching) -> ElementSet:
     """
     if matching.graph != g:
         raise ValueError("the matching belongs to another graph")
-    matched = [x for e in matching.edges() for x in (e.u, e.v)]
+    matched = [x for eid in matching.edge_ids for x in g.edges[eid]]
     return ElementSet(g, isolated_vertices(g) + matched)
 
 

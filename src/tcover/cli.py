@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("graphs", nargs="*", help="graph files")
     p_cmp.add_argument("--dir", help="directory of graph files (sorted by name)")
     p_cmp.add_argument("--csv", metavar="FILE", help="write CSV here instead of stdout")
-    p_cmp.add_argument("--exact-limit", type=int, default=SearchLimits.max_elements,
+    p_cmp.add_argument("--exact-limit", type=_limit, default=SearchLimits.max_elements,
                        help="run the exact oracle when n + |E| fits this many elements")
     p_cmp.set_defaults(func=cmd_compare)
 

@@ -82,7 +82,7 @@ def _total_cover_masks(g: Graph) -> list[int]:
     both hold the edge itself)."""
     n = g.n
     vertex_masks = [_bits((v, *g.adj[v])) | _bits(g.inc[v], n) for v in range(n)]
-    edge_masks = [_bits((e.u, e.v)) | _bits(g.inc[e.u] + g.inc[e.v], n) for e in g.edges]
+    edge_masks = [_bits((u, v)) | _bits(g.inc[u] + g.inc[v], n) for u, v in g.edges]
     return vertex_masks + edge_masks
 
 

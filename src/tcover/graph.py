@@ -11,7 +11,7 @@ construction, and the text file formats used by the command line tools.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
 from typing import Iterable, Iterator, Optional
 
 
@@ -55,33 +55,25 @@ class BudgetExceededError(ValueError):
         self.cardinality_reached = cardinality_reached
 
 
-@dataclass(frozen=True)
-class Edge:
-    """An undirected edge, stored with u < v and a dense id."""
-
-    u: int
-    v: int
-    id: int
-
-
 class Graph:
     """An immutable simple undirected graph with dense vertex and edge ids.
 
-    Vertices are the integers ``0 .. n-1``.  Edges get ids in input order
-    after canonicalising each pair to ``u < v``.  Adjacency and incidence
-    lists are sorted ascending, which makes every algorithm in this
-    package deterministic.
+    Vertices are the integers ``0 .. n-1``; edge ``e`` is ``edges[e]``,
+    the pair ``(u, v)`` with ``u < v``, and ids follow input order.  Each
+    ``adj[v]`` is sorted ascending, which makes every algorithm in this
+    package deterministic, and ``inc[v][i]`` is the id of the edge from
+    ``v`` to ``adj[v][i]``.
     """
 
-    __slots__ = ("n", "edges", "adj", "inc", "_pair_ids")
+    __slots__ = ("n", "edges", "adj", "inc")
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]] = ()):
         """Raises SelfLoopError, DuplicateEdgeError, or VertexOutOfRangeError,
-        each naming the offending pair."""
+        each naming the first offending pair in input order."""
         if n < 0:
             raise VertexOutOfRangeError(f"vertex count {n} is negative")
-        edges: list[Edge] = []
-        pair_ids: dict[tuple[int, int], int] = {}
+        edges: list[tuple[int, int]] = []
+        seen: set[tuple[int, int]] = set()
         adj: list[list[int]] = [[] for _ in range(n)]
         inc: list[list[int]] = [[] for _ in range(n)]
         for u, v in pairs:
@@ -89,28 +81,31 @@ class Graph:
                 raise VertexOutOfRangeError(f"edge ({u}, {v}) leaves [0, {n})")
             if u == v:
                 raise SelfLoopError(f"edge ({u}, {v}) is a self-loop")
-            a, b = (u, v) if u < v else (v, u)
-            if (a, b) in pair_ids:
-                raise DuplicateEdgeError(f"edge ({a}, {b}) appears twice")
-            eid = len(edges)
-            pair_ids[(a, b)] = eid
-            edges.append(Edge(a, b, eid))
-            adj[a].append(b)
-            adj[b].append(a)
-            inc[a].append(eid)
-            inc[b].append(eid)
+            pair = (u, v) if u < v else (v, u)
+            if pair in seen:
+                raise DuplicateEdgeError(f"edge ({pair[0]}, {pair[1]}) appears twice")
+            seen.add(pair)
+            adj[u].append(v)
+            adj[v].append(u)
+            inc[u].append(len(edges))
+            inc[v].append(len(edges))
+            edges.append(pair)
+        del seen  # freed before the per-vertex sort, which lowers the construction peak
+        for v in range(n):
+            # sort by neighbour; each edge id moves with its neighbour
+            order = sorted(range(len(adj[v])), key=adj[v].__getitem__)
+            adj[v] = tuple([adj[v][i] for i in order])
+            inc[v] = tuple([inc[v][i] for i in order])
         self.n = n
-        self.edges: tuple[Edge, ...] = tuple(edges)
-        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
-        self.inc: tuple[tuple[int, ...], ...] = tuple(tuple(i) for i in inc)
-        self._pair_ids = pair_ids
+        self.edges: tuple[tuple[int, int], ...] = tuple(edges)
+        self.adj: tuple[tuple[int, ...], ...] = tuple(adj)
+        self.inc: tuple[tuple[int, ...], ...] = tuple(inc)
 
     def edge_id(self, u: int, v: int) -> Optional[int]:
-        a, b = (u, v) if u < v else (v, u)
-        return self._pair_ids.get((a, b))
-
-    def edge_pairs(self) -> list[tuple[int, int]]:
-        return [(e.u, e.v) for e in self.edges]
+        """The id of edge ``{u, v}``; None for a non-edge or a vertex outside [0, n)."""
+        neighbors = self.adj[u] if 0 <= u < self.n else ()
+        i = bisect_left(neighbors, v)
+        return self.inc[u][i] if i < len(neighbors) and neighbors[i] == v else None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -170,21 +165,22 @@ def is_total_cover(g: Graph, d: ElementSet) -> tuple[bool, Optional[int]]:
     an edge is covered when it is chosen or has a hub endpoint.  Returns
     ``(True, None)`` when valid, otherwise ``(False, witness)`` where the
     witness is the lowest id of an uncovered element (vertices before
-    edges), so it is reproducible.
+    edges), so it is reproducible.  Raises ValueError if ``d`` belongs to
+    another graph.
     """
+    if d.graph != g:
+        raise ValueError("the cover belongs to another graph")
     n, ids = g.n, d.ids
     hubs = {x for x in ids if x < n}
     for x in ids:
         if x >= n:
-            e = g.edges[x - n]
-            hubs.add(e.u)
-            hubs.add(e.v)
+            hubs.update(g.edges[x - n])
     for v in range(n):
         if v not in hubs and ids.isdisjoint(g.adj[v]):
             return False, v
-    for e in g.edges:
-        if n + e.id not in ids and e.u not in hubs and e.v not in hubs:
-            return False, n + e.id
+    for eid, (u, v) in enumerate(g.edges):
+        if n + eid not in ids and u not in hubs and v not in hubs:
+            return False, n + eid
     return True, None
 
 
@@ -192,15 +188,15 @@ def total_graph(g: Graph) -> Graph:
     """Build the total graph of ``g``.
 
     The total graph has one vertex per element of ``g``: original
-    vertices keep their ids, edge ``e`` becomes vertex ``n + e.id``.  Two
+    vertices keep their ids, edge ``e`` becomes vertex ``n + e``.  Two
     total-graph vertices are adjacent exactly when the corresponding
     elements are adjacent or incident in ``g``.
     """
     n = g.n
-    pairs = g.edge_pairs()
-    for e in g.edges:
-        pairs.append((e.u, n + e.id))
-        pairs.append((e.v, n + e.id))
+    pairs = list(g.edges)
+    for eid, (u, v) in enumerate(g.edges):
+        pairs.append((u, n + eid))
+        pairs.append((v, n + eid))
     for v in range(n):
         incident = g.inc[v]
         for i in range(len(incident)):
@@ -213,16 +209,16 @@ def format_element(g: Graph, x: int) -> str:
     """Human-readable, 1-indexed form: ``vertex 3`` or ``edge (1,2)``."""
     if x < g.n:
         return f"vertex {x + 1}"
-    e = g.edges[x - g.n]
-    return f"edge ({e.u + 1},{e.v + 1})"
+    u, v = g.edges[x - g.n]
+    return f"edge ({u + 1},{v + 1})"
 
 
 def element_cover_line(g: Graph, x: int) -> str:
     """Cover-file form of one element: ``v 3`` or ``e 1 2`` (1-indexed)."""
     if x < g.n:
         return f"v {x + 1}"
-    e = g.edges[x - g.n]
-    return f"e {e.u + 1} {e.v + 1}"
+    u, v = g.edges[x - g.n]
+    return f"e {u + 1} {v + 1}"
 
 
 def parse_graph(text: str) -> Graph:
@@ -277,7 +273,7 @@ def parse_graph(text: str) -> Graph:
 def serialize_graph(g: Graph) -> str:
     """Graph file text; parse_graph(serialize_graph(g)) reproduces g."""
     lines = [f"p edge {g.n} {len(g.edges)}"]
-    lines += [f"e {e.u + 1} {e.v + 1}" for e in g.edges]
+    lines += [f"e {u + 1} {v + 1}" for u, v in g.edges]
     return "\n".join(lines) + "\n"
 
 
@@ -307,7 +303,7 @@ def parse_cover(text: str, g: Graph) -> ElementSet:
                 u, v = int(fields[1]) - 1, int(fields[2]) - 1
             except ValueError:
                 raise ParseError(line_no, f"non-integer endpoints in {line!r}") from None
-            eid = g.edge_id(u, v) if u != v else None
+            eid = g.edge_id(u, v)
             if eid is None:
                 raise UnknownEdgeError(f"line {line_no}: ({u + 1},{v + 1}) is not an edge of the graph")
             ids.append(g.n + eid)

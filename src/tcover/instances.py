@@ -20,7 +20,7 @@ def hard_instance(n: int) -> Graph:
 
     An apex vertex 0 is joined to the top vertex of each of ``n`` rails;
     rail i hangs from top vertex i down to bottom vertex n+i; consecutive
-    bottoms pair up in n/2 rungs.  Edge ids: spokes (0,i) first, then
+    bottoms pair up in n/2 rungs.  Ids go to spokes (0,i) first, then
     rails (i, n+i), then rungs (n+2j-1, n+2j).  The maximum matching has
     size n, yet the apex plus the rungs already form a total cover of
     size n/2 + 1, so covers built from matched vertices are almost four
@@ -130,7 +130,7 @@ def add_isolated(g: Graph, t: int) -> Graph:
     """Append t isolated vertices with the next indices."""
     if t < 0:
         raise ParameterOutOfRangeError(f"isolated vertex count must be >= 0, got {t}")
-    return Graph(g.n + t, g.edge_pairs())
+    return Graph(g.n + t, g.edges)
 
 
 def enumerate_graphs(n: int) -> Iterator[Graph]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Union
 
-from .graph import Edge, Graph, GraphError, TooLargeError
+from .graph import Graph, GraphError, TooLargeError
 
 BRUTE_FORCE_EDGE_LIMIT = 24
 
@@ -32,11 +32,11 @@ class Matching:
         for eid in ids:
             if not 0 <= eid < len(graph.edges):
                 raise GraphError(f"edge id {eid} leaves [0, {len(graph.edges)})")
-            e = graph.edges[eid]
-            if partner[e.u] != -1 or partner[e.v] != -1:
+            u, v = graph.edges[eid]
+            if partner[u] != -1 or partner[v] != -1:
                 raise GraphError(f"matching edges share endpoint at edge {eid}")
-            partner[e.u] = e.v
-            partner[e.v] = e.u
+            partner[u] = v
+            partner[v] = u
         self.graph = graph
         self.edge_ids = frozenset(ids)
         self._partner = tuple(partner)
@@ -51,9 +51,6 @@ class Matching:
 
     def is_matched(self, v: int) -> bool:
         return self._partner[v] != -1
-
-    def edges(self) -> list[Edge]:
-        return [self.graph.edges[eid] for eid in sorted(self.edge_ids)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matching):
@@ -70,10 +67,10 @@ def greedy_maximal_matching(g: Graph) -> Matching:
     two unmatched endpoints."""
     free = [True] * g.n
     taken = []
-    for e in g.edges:
-        if free[e.u] and free[e.v]:
-            free[e.u] = free[e.v] = False
-            taken.append(e.id)
+    for eid, (u, v) in enumerate(g.edges):
+        if free[u] and free[v]:
+            free[u] = free[v] = False
+            taken.append(eid)
     return Matching(g, taken)
 
 
@@ -216,13 +213,13 @@ def brute_force_maximum_matching(g: Graph) -> Matching:
                 return
         if i == m or len(chosen) + (m - i) <= len(best):
             return
-        e = g.edges[i]
-        if not used[e.u] and not used[e.v]:
-            used[e.u] = used[e.v] = True
+        u, v = g.edges[i]
+        if not used[u] and not used[v]:
+            used[u] = used[v] = True
             chosen.append(i)
             search(i + 1)
             chosen.pop()
-            used[e.u] = used[e.v] = False
+            used[u] = used[v] = False
         search(i + 1)
 
     search(0)
@@ -283,5 +280,5 @@ def verify_matching(g: Graph, matching, mode: str = "valid") -> bool:
     if mode == "valid":
         return True
     if mode == "maximal":
-        return all(partner[e.u] != -1 or partner[e.v] != -1 for e in g.edges)
+        return all(partner[u] != -1 or partner[v] != -1 for u, v in g.edges)
     return not _augmenting_path_exists(g, partner)

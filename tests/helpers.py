@@ -5,6 +5,7 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 from tcover import ElementSet, Graph
+from tcover.instances import gnp
 
 
 def connected(g: Graph) -> bool:
@@ -38,6 +39,20 @@ def graphs_with_element_sets(draw, max_n: int = 5):
     return g, ElementSet(g, [x for x in range(total) if mask >> x & 1])
 
 
+@st.composite
+def shuffled_copies(draw):
+    """A small or gnp graph, and the same graph built from its edge list
+    shuffled, with each pair's endpoints swapped at random."""
+    g = draw(st.one_of(
+        small_graphs(max_n=7),
+        st.builds(gnp, st.integers(2, 40), st.sampled_from([0.05, 0.1, 0.2, 0.4]),
+                  st.integers(0, 2**64 - 1)),
+    ))
+    pairs = draw(st.permutations(g.edges))
+    swaps = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return g, Graph(g.n, [(v, u) if swap else (u, v) for (u, v), swap in zip(pairs, swaps)])
+
+
 def triangles_and_isolates() -> Graph:
     """200 vertex-disjoint triangles, every third one bridged to the next,
     then 50 isolated vertices: many bad vertices, blossoms and step-1 picks."""
@@ -52,7 +67,7 @@ def triangles_and_isolates() -> Graph:
 
 def golden_graph(name: str) -> Graph:
     """Graphs whose matchings and `solve --trace` output are pinned by hash."""
-    from tcover.instances import gnp, hard_instance, star
+    from tcover.instances import hard_instance, star
 
     return {
         "hard3000": lambda: hard_instance(3000),

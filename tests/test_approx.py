@@ -37,7 +37,7 @@ from tcover.instances import (
     star,
 )
 
-from helpers import golden_graph, small_graphs
+from helpers import golden_graph, shuffled_copies, small_graphs
 
 
 def test_bad_vertices_of_triangle():
@@ -277,27 +277,14 @@ def test_approx_valid_on_random_graphs(g):
     )
 
 
-@st.composite
-def shuffled_copies(draw):
-    """A small or gnp graph, and the same graph built from its edge list
-    shuffled, with each pair's endpoints swapped at random."""
-    g = draw(st.one_of(
-        small_graphs(max_n=7),
-        st.builds(gnp, st.integers(2, 40), st.sampled_from([0.05, 0.1, 0.2, 0.4]),
-                  st.integers(0, 2**64 - 1)),
-    ))
-    pairs = draw(st.permutations(g.edge_pairs()))
-    swaps = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return g, Graph(g.n, [(v, u) if swap else (u, v) for (u, v), swap in zip(pairs, swaps)])
-
-
 @given(shuffled_copies())
 def test_certificate_is_invariant_under_shuffled_edges(case):
     # edge ids follow the input order, but the matching's vertex pairs and
     # every certificate quantity do not; the cover's elements may differ
     g, shuffled = case
     a, b = approx_total_cover(g), approx_total_cover(shuffled)
-    assert {(e.u, e.v) for e in a.matching.edges()} == {(e.u, e.v) for e in b.matching.edges()}
+    pairs_a = {g.edges[eid] for eid in a.matching.edge_ids}
+    assert pairs_a == {shuffled.edges[eid] for eid in b.matching.edge_ids}
     assert (a.matching.size, a.bad_vertex_count, a.isolated_count, a.lower_bound, len(a.cover)) == (
         b.matching.size, b.bad_vertex_count, b.isolated_count, b.lower_bound, len(b.cover))
     assert is_total_cover(g, a.cover)[0] and is_total_cover(shuffled, b.cover)[0]

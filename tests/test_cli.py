@@ -416,28 +416,34 @@ def test_unwritable_output_exits_2(k3, tmp_path, capsys, argv):
 def test_negative_search_limit_is_a_usage_error(k3, capsys):
     # argparse rejects a negative guard before SearchLimits sees it; a
     # malformed one reads as it did with type=int
-    for extra, message in [
-        (["--max-candidates", "-1"], "argument --max-candidates: invalid non-negative int value: '-1'"),
-        (["--max-elements", "-1"], "argument --max-elements: invalid non-negative int value: '-1'"),
-        (["--max-elements", "-1", "--start-at-lower-bound"],
+    for command, extra, message in [
+        ("exact", ["--max-candidates", "-1"],
+         "argument --max-candidates: invalid non-negative int value: '-1'"),
+        ("exact", ["--max-elements", "-1"], "argument --max-elements: invalid non-negative int value: '-1'"),
+        ("exact", ["--max-elements", "-1", "--start-at-lower-bound"],
          "argument --max-elements: invalid non-negative int value: '-1'"),
-        (["--max-elements", "x"], "argument --max-elements: invalid int value: 'x'"),
+        ("exact", ["--max-elements", "x"], "argument --max-elements: invalid int value: 'x'"),
+        ("compare", ["--exact-limit", "-1"], "argument --exact-limit: invalid non-negative int value: '-1'"),
+        ("compare", ["--exact-limit", "x"], "argument --exact-limit: invalid int value: 'x'"),
     ]:
         with pytest.raises(SystemExit) as err:
-            main(["exact", k3] + extra)
+            main([command, k3] + extra)
         assert err.value.code == 2
         captured = capsys.readouterr()
-        assert captured.err.endswith(f"tcover exact: error: {message}\n")
+        assert captured.err.endswith(f"tcover {command}: error: {message}\n")
         assert captured.out == ""
 
 
 def test_module_entry_point(tmp_path):
     graph = tmp_path / "k2.gr"
     graph.write_text("p edge 2 1\ne 1 2\n")
+    src = os.path.dirname(os.path.dirname(tcover.cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}  # the child needs only tcover and the stdlib
     proc = subprocess.run(
         [sys.executable, "-m", "tcover.cli", "solve", str(graph)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("size=1")

@@ -23,15 +23,17 @@ from tcover import (
     serialize_graph,
     total_graph,
 )
-from tcover.instances import complete, cycle, enumerate_graphs, path
+from tcover.instances import complete, cycle, enumerate_graphs, hard_instance, path
 
-from helpers import graphs_with_element_sets, small_graphs
+from helpers import graphs_with_element_sets, shuffled_copies, small_graphs
 
 
 def test_build_k2():
     g = Graph(2, [(0, 1)])
     assert g.n == 2
-    assert [(e.u, e.v, e.id) for e in g.edges] == [(0, 1, 0)]
+    assert g.edges == ((0, 1),)
+    assert type(g.edges[0]) is tuple
+    assert Graph.__slots__ == ("n", "edges", "adj", "inc")
 
 
 def test_build_k3_adjacency():
@@ -43,7 +45,7 @@ def test_build_k3_adjacency():
 
 def test_build_canonicalizes_pairs():
     g = Graph(3, [(2, 0)])
-    assert (g.edges[0].u, g.edges[0].v) == (0, 2)
+    assert g.edges[0] == (0, 2)
     assert g.edge_id(0, 2) == 0
     assert g.edge_id(2, 0) == 0
 
@@ -63,6 +65,47 @@ def test_build_rejects_out_of_range():
         Graph(2, [(0, 2)])
 
 
+@pytest.mark.parametrize("pairs, error, message", [
+    ([(0, 1), (1, 0), (0, 9)], DuplicateEdgeError, "edge (0, 1) appears twice"),
+    ([(0, 9), (0, 1), (1, 0)], VertexOutOfRangeError, "edge (0, 9) leaves [0, 5)"),
+    ([(0, 1), (2, 2), (1, 0)], SelfLoopError, "edge (2, 2) is a self-loop"),
+    ([(3, 4), (0, 1), (4, 3), (2, 2)], DuplicateEdgeError, "edge (3, 4) appears twice"),
+    ([(1, 2), (-1, 0)], VertexOutOfRangeError, "edge (-1, 0) leaves [0, 5)"),
+])
+def test_build_reports_the_first_fault_in_input_order(pairs, error, message):
+    with pytest.raises(GraphError) as err:
+        Graph(5, pairs)
+    assert (type(err.value), str(err.value)) == (error, message)
+
+
+def assert_one_record_per_edge(g):
+    # inc[v][i] is the edge from v to adj[v][i], and edge_id agrees with a
+    # scan of g.edges for every pair, vertices outside [0, n) included
+    scanned = {}
+    for eid, (u, v) in enumerate(g.edges):
+        assert u < v
+        scanned[u, v] = scanned[v, u] = eid
+    for v in range(g.n):
+        assert list(g.adj[v]) == sorted(g.adj[v])
+        assert len(g.inc[v]) == len(g.adj[v])
+        for w, eid in zip(g.adj[v], g.inc[v]):
+            assert g.edges[eid] == (min(v, w), max(v, w))
+    for u in range(-1, g.n + 1):
+        for v in range(-1, g.n + 1):
+            assert g.edge_id(u, v) == scanned.get((u, v))
+
+
+@given(shuffled_copies())
+def test_inc_lines_up_with_adj(case):
+    for g in case:
+        assert_one_record_per_edge(g)
+
+
+def test_inc_lines_up_with_adj_on_the_hard_family():
+    for n in (2, 4, 12):
+        assert_one_record_per_edge(hard_instance(n))
+
+
 def test_isolated_vertices():
     assert isolated_vertices(Graph(2, [(0, 1)])) == []
     assert isolated_vertices(Graph(3, [])) == [0, 1, 2]
@@ -74,7 +117,7 @@ def test_total_graph_of_k2_is_triangle():
     assert tg.n == 3
     assert len(tg.edges) == 3
     # vertices keep their ids, edge 0 becomes vertex n + 0 = 2
-    assert tg.edge_pairs() == [(0, 1), (0, 2), (1, 2)]
+    assert list(tg.edges) == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_total_graph_of_isolated_vertex():
@@ -111,6 +154,12 @@ def test_is_total_cover_k3_single_vertex_fails():
     ok, witness = is_total_cover(g, ElementSet(g, [0]))
     assert not ok
     assert witness == g.n + g.edge_id(1, 2)
+
+
+def test_is_total_cover_rejects_a_cover_of_another_graph():
+    for g, other, ids in [(path(3), path(5), [6]), (path(5), path(3), [0, 1, 2])]:
+        with pytest.raises(ValueError, match="^the cover belongs to another graph$"):
+            is_total_cover(g, ElementSet(other, ids))
 
 
 def test_is_total_cover_everything():
@@ -163,12 +212,12 @@ def test_element_set_iteration_order():
 def test_parse_k2():
     g = parse_graph("p edge 2 1\ne 1 2\n")
     assert g.n == 2
-    assert g.edge_pairs() == [(0, 1)]
+    assert list(g.edges) == [(0, 1)]
 
 
 def test_parse_skips_comments():
     g = parse_graph("# header comment\nc another\np edge 2 1\n\ne 1 2\n")
-    assert g.edge_pairs() == [(0, 1)]
+    assert list(g.edges) == [(0, 1)]
 
 
 def test_parse_out_of_range_delegates():
@@ -210,9 +259,12 @@ def test_parse_cover_vertex_and_edge():
 
 
 def test_parse_cover_unknown_edge():
-    g = Graph(2, [(0, 1)])
-    with pytest.raises(UnknownEdgeError):
-        parse_cover("e 1 3\n", g)
+    # 0 and 4 name vertices outside path(3): a pair holding one is no edge,
+    # and 0 must not wrap around to the last vertex
+    g = path(3)
+    for u, v in [(1, 3), (0, 2), (4, 2), (2, 4), (2, 0), (2, 2)]:
+        with pytest.raises(UnknownEdgeError, match=rf"^line 1: \({u},{v}\) is not an edge of the graph$"):
+            parse_cover(f"e {u} {v}\n", g)
 
 
 def test_parse_cover_vertex_out_of_range():

@@ -180,7 +180,7 @@ def test_exhaustive_small_corpus():
         for g in enumerate_graphs(n):
             blossom = maximum_matching(g)
             brute = brute_force_maximum_matching(g)
-            assert blossom.size == brute.size, g.edge_pairs()
+            assert blossom.size == brute.size, g.edges
             assert verify_matching(g, blossom, "maximum")
             greedy = greedy_maximal_matching(g)
             assert verify_matching(g, greedy, "maximal")
