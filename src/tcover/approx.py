@@ -29,9 +29,9 @@ class BadVertexAssignment:
     each paired with its chosen matching edge id.
 
     Vertices appear in ascending order; each picks its lowest-id
-    qualifying edge.  For a maximum matching the chosen edges are
-    automatically pairwise distinct (two such vertices sharing an edge
-    would form an augmenting path).
+    qualifying edge, whose pair is lexicographically least.  For a
+    maximum matching the chosen edges are automatically pairwise distinct
+    (two such vertices sharing an edge would form an augmenting path).
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -78,20 +78,22 @@ def bad_vertex_assignment(g: Graph, matching: Matching) -> BadVertexAssignment:
 
     A bad vertex is unmatched and adjacent to both endpoints of some
     matching edge.  Raises NotMaximumError when two bad vertices claim
-    the same matching edge, which cannot happen for a maximum matching.
+    the same matching edge, which cannot happen for a maximum matching,
+    and ValueError if the matching belongs to another graph.
     """
+    if matching.graph != g:
+        raise ValueError("the matching belongs to another graph")
     pairs: list[tuple[int, int]] = []
     claimed: dict[int, int] = {}
     for v in range(g.n):
         if matching.is_matched(v):
             continue
         # matching edges with both endpoints in N(v) are the edges u-mate(u)
-        # for neighbors u whose mate is a neighbor too; keep the lowest id
+        # for neighbors u whose mate is a neighbor too; the first such u is
+        # the smaller endpoint of the least pair, so its edge has the lowest id
         neighbors = set(g.adj[v])
-        eid = min(
-            (g.edge_id(u, mate) for u in g.adj[v] if (mate := matching.partner(u)) in neighbors),
-            default=None,
-        )
+        eid = next((g.edge_id(u, mate) for u in g.adj[v]
+                    if (mate := matching.partner(u)) in neighbors), None)
         if eid is None:
             continue
         if eid in claimed:
@@ -125,10 +127,11 @@ def approx_total_cover(g: Graph) -> ApproxResult:
     Step 1: every isolated vertex goes into the cover and leaves the
     working graph.  Step 2: for each bad vertex, add it together with its
     matching edge and remove the triangle's three vertices.  Step 3: walk
-    the remaining matching edges in ascending id order; when an endpoint
-    still has an uncovered unmatched neighbor, add that endpoint (one
-    addition covers all its unmatched neighbors), otherwise add the edge
-    itself.  Each step record lands in the trace.
+    the remaining matching edges in ascending id order, which is their
+    pairs' lexicographic order; when an endpoint still has an uncovered
+    unmatched neighbor, add that endpoint (one addition covers all its
+    unmatched neighbors), otherwise add the edge itself.  Each step
+    record lands in the trace.
     """
     isolates = isolated_vertices(g)
     trace = [TraceStep(1, "isolated", v) for v in isolates]

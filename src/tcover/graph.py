@@ -12,6 +12,7 @@ construction, and the text file formats used by the command line tools.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
 
@@ -59,10 +60,10 @@ class Graph:
     """An immutable simple undirected graph with dense vertex and edge ids.
 
     Vertices are the integers ``0 .. n-1``; edge ``e`` is ``edges[e]``,
-    the pair ``(u, v)`` with ``u < v``, and ids follow input order.  Each
-    ``adj[v]`` is sorted ascending, which makes every algorithm in this
-    package deterministic, and ``inc[v][i]`` is the id of the edge from
-    ``v`` to ``adj[v][i]``.
+    the pair ``(u, v)`` with ``u < v``, and ids are the pairs' ranks in
+    lexicographic order, whatever the input's order.  Each ``adj[v]`` is
+    sorted ascending, which makes every algorithm in this package
+    deterministic, and ``inc[v][i]`` is the id of the edge to ``adj[v][i]``.
     """
 
     __slots__ = ("n", "edges", "adj", "inc")
@@ -74,8 +75,6 @@ class Graph:
             raise VertexOutOfRangeError(f"vertex count {n} is negative")
         edges: list[tuple[int, int]] = []
         seen: set[tuple[int, int]] = set()
-        adj: list[list[int]] = [[] for _ in range(n)]
-        inc: list[list[int]] = [[] for _ in range(n)]
         for u, v in pairs:
             if not (0 <= u < n) or not (0 <= v < n):
                 raise VertexOutOfRangeError(f"edge ({u}, {v}) leaves [0, {n})")
@@ -85,17 +84,20 @@ class Graph:
             if pair in seen:
                 raise DuplicateEdgeError(f"edge ({pair[0]}, {pair[1]}) appears twice")
             seen.add(pair)
+            edges.append(pair)
+        del seen  # freed before the lists are made, which lowers the construction peak
+        edges.sort()  # linear on already sorted input, such as every generator's
+        adj: list = [[] for _ in range(n)]
+        inc: list = [[] for _ in range(n)]
+        # a vertex meets its smaller neighbours (as v), then its larger (as u), ascending
+        for eid, (u, v) in enumerate(edges):
             adj[u].append(v)
             adj[v].append(u)
-            inc[u].append(len(edges))
-            inc[v].append(len(edges))
-            edges.append(pair)
-        del seen  # freed before the per-vertex sort, which lowers the construction peak
-        for v in range(n):
-            # sort by neighbour; each edge id moves with its neighbour
-            order = sorted(range(len(adj[v])), key=adj[v].__getitem__)
-            adj[v] = tuple([adj[v][i] for i in order])
-            inc[v] = tuple([inc[v][i] for i in order])
+            inc[u].append(eid)
+            inc[v].append(eid)
+        for v in range(n):  # one list at a time, each freed as its tuple is made
+            adj[v] = tuple(adj[v])
+            inc[v] = tuple(inc[v])
         self.n = n
         self.edges: tuple[tuple[int, int], ...] = tuple(edges)
         self.adj: tuple[tuple[int, ...], ...] = tuple(adj)
@@ -197,11 +199,7 @@ def total_graph(g: Graph) -> Graph:
     for eid, (u, v) in enumerate(g.edges):
         pairs.append((u, n + eid))
         pairs.append((v, n + eid))
-    for v in range(n):
-        incident = g.inc[v]
-        for i in range(len(incident)):
-            for j in range(i + 1, len(incident)):
-                pairs.append((n + incident[i], n + incident[j]))
+    pairs += [(n + a, n + b) for v in range(n) for a, b in combinations(g.inc[v], 2)]
     return Graph(n + len(g.edges), pairs)
 
 

@@ -46,8 +46,7 @@ def path(n: int) -> Graph:
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ParameterOutOfRangeError(f"cycle requires n >= 3, got {n}")
-    pairs = sorted([(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
-    return Graph(n, pairs)
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def star(n: int) -> Graph:
@@ -68,7 +67,7 @@ def petersen() -> Graph:
     pairs = [(i, (i + 1) % 5) for i in range(5)]
     pairs += [(i, i + 5) for i in range(5)]
     pairs += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return Graph(10, sorted(tuple(sorted(p)) for p in pairs))
+    return Graph(10, pairs)
 
 
 _MASK64 = (1 << 64) - 1

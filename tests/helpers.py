@@ -40,9 +40,9 @@ def graphs_with_element_sets(draw, max_n: int = 5):
 
 
 @st.composite
-def shuffled_copies(draw):
-    """A small or gnp graph, and the same graph built from its edge list
-    shuffled, with each pair's endpoints swapped at random."""
+def scrambled_edge_lists(draw):
+    """A small or gnp graph, and its edge list shuffled, with each pair's
+    endpoints swapped at random."""
     g = draw(st.one_of(
         small_graphs(max_n=7),
         st.builds(gnp, st.integers(2, 40), st.sampled_from([0.05, 0.1, 0.2, 0.4]),
@@ -50,7 +50,13 @@ def shuffled_copies(draw):
     ))
     pairs = draw(st.permutations(g.edges))
     swaps = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return g, Graph(g.n, [(v, u) if swap else (u, v) for (u, v), swap in zip(pairs, swaps)])
+    return g, [(v, u) if swap else (u, v) for (u, v), swap in zip(pairs, swaps)]
+
+
+def shuffled_copies():
+    """A graph of scrambled_edge_lists(), and the graph built from its
+    scrambled edge list."""
+    return scrambled_edge_lists().map(lambda case: (case[0], Graph(case[0].n, case[1])))
 
 
 def triangles_and_isolates() -> Graph:

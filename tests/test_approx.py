@@ -17,6 +17,7 @@ from tcover import (
     NotMaximumError,
     approx_total_cover,
     bad_vertex_assignment,
+    exact_total_cover,
     greedy_domination_cover,
     greedy_maximal_matching,
     is_total_cover,
@@ -24,6 +25,7 @@ from tcover import (
     maximum_matching,
     serialize_cover,
     total_cover_lower_bound,
+    verify_matching,
 )
 from tcover.instances import (
     add_isolated,
@@ -279,15 +281,35 @@ def test_approx_valid_on_random_graphs(g):
 
 @given(shuffled_copies())
 def test_certificate_is_invariant_under_shuffled_edges(case):
-    # edge ids follow the input order, but the matching's vertex pairs and
-    # every certificate quantity do not; the cover's elements may differ
+    # edge ids are the pairs' ranks, so results are equal as wholes:
+    # matching, trace, cover, baselines and the exact optimum
     g, shuffled = case
-    a, b = approx_total_cover(g), approx_total_cover(shuffled)
-    pairs_a = {g.edges[eid] for eid in a.matching.edge_ids}
-    assert pairs_a == {shuffled.edges[eid] for eid in b.matching.edge_ids}
-    assert (a.matching.size, a.bad_vertex_count, a.isolated_count, a.lower_bound, len(a.cover)) == (
-        b.matching.size, b.bad_vertex_count, b.isolated_count, b.lower_bound, len(b.cover))
-    assert is_total_cover(g, a.cover)[0] and is_total_cover(shuffled, b.cover)[0]
+    assert maximum_matching(shuffled) == maximum_matching(g)
+    assert approx_total_cover(shuffled) == approx_total_cover(g)
+    assert greedy_domination_cover(shuffled) == greedy_domination_cover(g)
+    if g.n + len(g.edges) <= 20:
+        assert exact_total_cover(shuffled) == exact_total_cover(g)
+
+
+# each takes the graph g and a graph h, and reads a matching or cover of h against g
+GUARDED = {
+    "bad_vertex_assignment": lambda g, h: bad_vertex_assignment(g, maximum_matching(h)),
+    "is_total_cover": lambda g, h: is_total_cover(g, ElementSet(h, range(h.n + len(h.edges)))),
+    "matched_vertices_cover": lambda g, h: matched_vertices_cover(g, maximum_matching(h)),
+    "verify_matching": lambda g, h: verify_matching(g, maximum_matching(h), "maximum"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARDED))
+def test_a_matching_or_cover_of_another_graph_is_rejected(name):
+    check = GUARDED[name]
+    g = Graph(7, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])  # k = 2, t = 1
+    for other in (Graph(6, g.edges), add_isolated(g, 1)):
+        with pytest.raises(ValueError, match="^the (matching|cover) belongs to another graph$"):
+            check(g, other)
+    # the same edges listed in another order, each pair reversed, are the same graph
+    shuffled = Graph(g.n, [(v, u) for u, v in reversed(g.edges)])
+    assert check(g, shuffled) == check(g, g)
 
 
 CERTIFICATE_UNDER_O = """

@@ -1,8 +1,13 @@
+import contextlib
 import csv
 import hashlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
+
+from hypothesis import given, settings
 
 import pytest
 
@@ -13,7 +18,7 @@ from tcover import CertificateError, Graph, parse_graph, serialize_graph
 from tcover.cli import main
 from tcover.instances import add_isolated, complete, cycle, gnp, hard_instance, petersen, star
 
-from helpers import golden_graph
+from helpers import golden_graph, scrambled_edge_lists
 
 
 @pytest.fixture
@@ -157,6 +162,43 @@ def test_exact_confirmation_survives_python_O(k3):
     assert proc.stdout == ""
 
 
+def cli_outputs(graph_file):
+    """stdout and written files of every command that reads one graph."""
+    outputs = []
+    cover = graph_file + ".cover"
+    for argv in (["solve", graph_file, "--trace", "--output", cover],
+                 ["exact", graph_file, "--max-elements", "20"],
+                 ["baseline", graph_file, "--method", "matched-vertices"],
+                 ["baseline", graph_file, "--method", "matched-vertices", "--matching", "maximal"],
+                 ["baseline", graph_file, "--method", "greedy-domination"]):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            outputs.append((main(argv), out.getvalue()))
+    with open(cover) as handle:
+        outputs.append(handle.read())
+    return outputs
+
+
+@settings(max_examples=40, deadline=None)
+@given(scrambled_edge_lists())
+def test_output_ignores_the_order_of_edge_lines(case):
+    g, pairs = case
+    with tempfile.TemporaryDirectory() as tmp:
+        listed = os.path.join(tmp, "sorted.gr")
+        scrambled = os.path.join(tmp, "scrambled.gr")
+        with open(listed, "w") as handle:
+            handle.write(serialize_graph(g))
+        with open(scrambled, "w") as handle:
+            handle.write(f"p edge {g.n} {len(pairs)}\n")
+            handle.writelines(f"e {u + 1} {v + 1}\n" for u, v in pairs)
+        assert cli_outputs(scrambled) == cli_outputs(listed)
+        report = os.path.join(tmp, "report.csv")
+        assert main(["compare", listed, scrambled, "--exact-limit", "20", "--csv", report]) == 0
+        with open(report) as handle:
+            rows = list(csv.reader(handle))[1:]
+    assert len(rows) == 2
+    assert rows[0][1:] == rows[1][1:]  # all but the instance name
+
+
 def test_baseline_matched_vertices(hard4, capsys):
     assert main(["baseline", hard4, "--method", "matched-vertices"]) == 0
     assert capsys.readouterr().out.strip() == "size=8 valid=true"
@@ -230,6 +272,22 @@ def test_gen_gnp_deterministic(tmp_path):
 
 def test_gen_gnp_requires_p_and_seed(capsys):
     assert main(["gen", "gnp", "--n", "5"]) == 2
+
+
+# sha256 of `gen` stdout for every non-random family, with and without
+# --isolated, then serialize_graph(petersen()), recorded while cycle and
+# petersen still sorted their pairs themselves.
+GOLDEN_GEN = "290590a40de3ba8c13d8f314378a004d3a7e0bb35bb1779130265819c2f58e2c"
+
+
+def test_gen_families_golden(capsys):
+    outputs = []
+    for family, n in [("figure1", 6), ("path", 7), ("cycle", 7), ("star", 7), ("complete", 6)]:
+        for extra in ([], ["--isolated", "2"]):
+            assert main(["gen", family, "--n", str(n), *extra]) == 0
+            outputs.append(capsys.readouterr().out)
+    outputs.append(serialize_graph(petersen()))
+    assert hashlib.sha256("".join(outputs).encode()).hexdigest() == GOLDEN_GEN
 
 
 def test_gen_isolated_flag(tmp_path, capsys):

@@ -37,10 +37,11 @@ def test_build_k2():
 
 
 def test_build_k3_adjacency():
+    # ids are the pairs' lexicographic ranks: (0, 2) is edge 1, (1, 2) edge 2
     g = Graph(3, [(0, 1), (1, 2), (0, 2)])
     assert g.adj[1] == (0, 2)
     assert g.adj[0] == (1, 2)
-    assert g.inc[1] == (0, 1)
+    assert g.inc[1] == (0, 2)
 
 
 def test_build_canonicalizes_pairs():
@@ -99,6 +100,15 @@ def assert_one_record_per_edge(g):
 def test_inc_lines_up_with_adj(case):
     for g in case:
         assert_one_record_per_edge(g)
+
+
+@given(shuffled_copies())
+def test_a_graph_is_its_edge_set(case):
+    g, shuffled = case
+    assert shuffled == g
+    assert (shuffled.edges, shuffled.adj, shuffled.inc) == (g.edges, g.adj, g.inc)
+    assert list(g.edges) == sorted(g.edges)
+    assert serialize_graph(shuffled) == serialize_graph(g)
 
 
 def test_inc_lines_up_with_adj_on_the_hard_family():

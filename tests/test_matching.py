@@ -150,10 +150,14 @@ def test_verify_mode_validation():
 
 
 def test_verify_rejects_a_matching_of_another_graph():
-    # same edges as path(4) in another order: edge ids 0 and 2 name other pairs
+    # the same edges as path(4) in another order make the same graph
     reordered = Graph(4, [(0, 1), (2, 3), (1, 2)])
+    assert reordered == path(4)
+    assert verify_matching(reordered, Matching(path(4), [0, 2]), "maximum")
+    # another edge set is another graph, whatever the ids name
+    closed = Graph(4, [(0, 1), (2, 3), (0, 3)])
     with pytest.raises(ValueError, match="another graph"):
-        verify_matching(reordered, Matching(path(4), [0, 2]), "maximum")
+        verify_matching(closed, Matching(path(4), [0, 2]), "maximum")
 
 
 @pytest.mark.parametrize("g", [path(3001), cycle(3001)], ids=["path3001", "cycle3001"])
