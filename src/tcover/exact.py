@@ -1,20 +1,26 @@
 """Exhaustive-search oracles for minimum total covers and dominating sets.
 
-Candidate sets are enumerated by increasing cardinality, in lexicographic
-order, and the first that covers everything is returned.  Each element
-has a bitmask of its closed neighbourhood, the elements it covers, so a
-candidate is tested with one OR of its members' masks.  The masks are
-built here from adjacency and incidence lists: neither oracle goes
-through ``total_graph`` or ``is_total_cover`` to search, which keeps the
-oracles independent of the approximation code and of each other.  The
-set a search returns is confirmed once against the plain definition.
-Guards keep accidental blowups in check.
+Candidate sets are ranked by increasing cardinality, then in
+lexicographic order, and the first that covers everything is returned.
+Each element has a bitmask of its closed neighbourhood, the elements it
+covers.  The search walks each cardinality depth first over prefixes,
+carrying a prefix's OR, and skips a prefix's whole subtree when no
+completion can cover: the prefix with every later mask still misses a
+bit, or more bits are uncovered than the members still to pick can hold.
+``candidates_checked`` is the optimum's rank in that order, with skipped
+subtrees counted whole, so it and the ``max_candidates`` budget mean what
+they would if every candidate were tested.  The masks are built here
+from adjacency and incidence lists: neither oracle goes through
+``total_graph`` or ``is_total_cover`` to search, which keeps the oracles
+independent of the approximation code and of each other.  The set a
+search returns is confirmed once against the plain definition.  Guards
+keep accidental blowups in check.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable
 
 from .graph import (
@@ -92,31 +98,75 @@ def _domination_masks(g: Graph) -> list[int]:
     return [_bits((v, *g.adj[v])) for v in range(g.n)]
 
 
+def _spend(checked: int, step: int, budget: int, size: int) -> int:
+    """``checked + step``; raises BudgetExceededError when that passes the budget."""
+    if checked + step > budget:
+        raise BudgetExceededError(
+            f"exceeded max_candidates={budget} at cardinality {size}",
+            cardinality_reached=size,
+        )
+    return checked + step
+
+
 def _first_covering(masks: list[int], limits: SearchLimits) -> tuple[tuple[int, ...], int]:
     """The lexicographically first smallest index set, from size
-    ``limits.start_size`` up, whose masks OR to all ones, with the number
-    of candidates tried.  Every mask holds its own bit, so the full index
-    set covers and the search always ends with a result.  Raises
-    ValueError if ``limits.start_size`` exceeds the number of masks, and
-    BudgetExceededError at candidate ``limits.max_candidates + 1``."""
-    if limits.start_size > len(masks):
-        raise ValueError(f"start_size={limits.start_size} exceeds the {len(masks)} elements")
-    everything = (1 << len(masks)) - 1
+    ``limits.start_size`` up, whose masks OR to all ones, with its rank
+    among the candidates of the enumeration.  Every mask holds its own
+    bit, so the full index set covers and the search always ends with a
+    result.  Raises ValueError if ``limits.start_size`` exceeds the number
+    of masks, and BudgetExceededError at candidate
+    ``limits.max_candidates + 1``.
+
+    Each size is walked as the module docstring says, with an explicit
+    stack, so a search as deep as ``max_elements`` never meets the
+    recursion limit.
+    """
+    count = len(masks)
+    if limits.start_size > count:
+        raise ValueError(f"start_size={limits.start_size} exceeds the {count} elements")
+    everything = (1 << count) - 1
     budget = limits.max_candidates
+    # later[i]: the OR of masks[i:]; widest[i]: the most bits in one of them
+    later = [0] * (count + 1)
+    widest = [0] * (count + 1)
+    for i in reversed(range(count)):
+        later[i] = later[i + 1] | masks[i]
+        widest[i] = max(widest[i + 1], masks[i].bit_count())
     checked = 0
-    for s in range(limits.start_size, len(masks) + 1):
-        for combo in itertools.combinations(range(len(masks)), s):
-            checked += 1
-            if checked > budget:
-                raise BudgetExceededError(
-                    f"exceeded max_candidates={budget} at cardinality {s}",
-                    cardinality_reached=s,
-                )
-            covered = 0
-            for i in combo:
-                covered |= masks[i]
-            if covered == everything:
-                return combo, checked
+    for size in range(limits.start_size, count + 1):
+        if size == 0:  # the empty set covers only an empty graph
+            checked = _spend(checked, 1, budget, size)
+            if everything == 0:
+                return (), checked
+            continue
+        combo: list[int] = []
+        ors = [0]  # ors[d]: the OR of the masks of combo[:d]
+        i = 0  # the next index to try at position len(combo)
+        while True:
+            left = size - len(combo)  # members still to pick, this one included
+            if i > count - left:  # too few indices remain: back up
+                if not combo:
+                    break
+                i = combo.pop() + 1
+                ors.pop()
+                continue
+            if left == 1:
+                need = everything & ~ors[-1]
+                for k in range(i, count):
+                    if masks[k] & need == need:
+                        return (*combo, k), _spend(checked, k - i + 1, budget, size)
+                checked = _spend(checked, count - i, budget, size)
+                i = count
+                continue
+            covered = ors[-1] | masks[i]
+            if (covered | later[i + 1] != everything
+                    or (everything & ~covered).bit_count() > (left - 1) * widest[i + 1]):
+                checked = _spend(checked, comb(count - 1 - i, left - 1), budget, size)
+                i += 1
+                continue
+            combo.append(i)
+            ors.append(covered)
+            i += 1
 
 
 def exact_total_cover(g: Graph, limits: SearchLimits | None = None) -> ExactResult:

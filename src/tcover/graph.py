@@ -29,7 +29,8 @@ class DuplicateEdgeError(GraphError):
 
 
 class VertexOutOfRangeError(GraphError):
-    """A vertex index lies outside [0, n), or an element id outside [0, n + |E|)."""
+    """A vertex index lies outside [0, n), an element id outside [0, n + |E|),
+    or a vertex count outside [0, MAX_VERTICES]."""
 
 
 class UnknownEdgeError(GraphError):
@@ -56,6 +57,11 @@ class BudgetExceededError(ValueError):
         self.cardinality_reached = cardinality_reached
 
 
+# Graph allocates per vertex before it reads an edge, so a header may not
+# declare more vertices than this.
+MAX_VERTICES = 1 << 22
+
+
 class Graph:
     """An immutable simple undirected graph with dense vertex and edge ids.
 
@@ -73,6 +79,8 @@ class Graph:
         each naming the first offending pair in input order."""
         if n < 0:
             raise VertexOutOfRangeError(f"vertex count {n} is negative")
+        if n > MAX_VERTICES:
+            raise VertexOutOfRangeError(f"vertex count {n} exceeds MAX_VERTICES={MAX_VERTICES}")
         edges: list[tuple[int, int]] = []
         seen: set[tuple[int, int]] = set()
         for u, v in pairs:

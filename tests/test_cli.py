@@ -16,6 +16,7 @@ import tcover.cli
 import tcover.exact
 from tcover import CertificateError, Graph, parse_graph, serialize_graph
 from tcover.cli import main
+from tcover.graph import MAX_VERTICES
 from tcover.instances import add_isolated, complete, cycle, gnp, hard_instance, petersen, star
 
 from helpers import golden_graph, scrambled_edge_lists
@@ -353,6 +354,18 @@ def test_compare_records_non_utf8_input_and_continues(tmp_path):
     assert "can't decode byte 0xff" in rows[2][-1]
     lines = out.read_text().splitlines()
     assert lines[:2] + lines[3:] == clean.read_text().splitlines()
+
+
+def test_header_above_the_vertex_ceiling_is_an_input_error(tmp_path, capsys):
+    huge = tmp_path / "huge.gr"
+    huge.write_text(f"p edge {MAX_VERTICES + 1} 0\n")
+    message = f"vertex count {MAX_VERTICES + 1} exceeds MAX_VERTICES={MAX_VERTICES}"
+    assert main(["solve", str(huge)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    out = tmp_path / "report.csv"
+    assert main(["compare", str(huge), "--csv", str(out)]) == 0
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert rows[1] == ["huge.gr"] + [""] * 12 + [message]
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,6 +2,7 @@ import hashlib
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import tcover.exact
 from tcover import (
@@ -19,6 +20,7 @@ from tcover import (
     total_cover_lower_bound,
     total_graph,
 )
+from tcover.exact import _first_covering
 from tcover.instances import complete, cycle, enumerate_graphs, gnp, hard_instance, path, star
 
 
@@ -46,8 +48,10 @@ def test_exact_total_cover_isolated():
 
 def test_exact_total_cover_empty_graph():
     result = exact_total_cover(Graph(0, []))
-    assert result.size == 0
+    assert (result.size, result.candidates_checked) == (0, 1)
     assert len(result.optimum) == 0
+    with pytest.raises(BudgetExceededError, match="^exceeded max_candidates=0 at cardinality 0$"):
+        exact_total_cover(Graph(0, []), SearchLimits(max_candidates=0))
 
 
 def test_exact_dominating_set_examples():
@@ -239,3 +243,74 @@ def test_exact_optimum_is_confirmed_by_is_total_cover(monkeypatch):
     monkeypatch.setattr(tcover.exact, "is_total_cover", rejects_everything)
     with pytest.raises(CertificateError, match="^exact total cover misses vertex 1$"):
         exact_total_cover(path(3))
+
+
+def plain_first_covering(masks, limits):
+    """Reference for _first_covering: every candidate of every size, in
+    itertools.combinations order, tested with one OR of its masks."""
+    everything = (1 << len(masks)) - 1
+    checked = 0
+    for size in range(limits.start_size, len(masks) + 1):
+        for combo in combinations(range(len(masks)), size):
+            checked += 1
+            if checked > limits.max_candidates:
+                raise BudgetExceededError(
+                    f"exceeded max_candidates={limits.max_candidates} at cardinality {size}",
+                    cardinality_reached=size,
+                )
+            covered = 0
+            for i in combo:
+                covered |= masks[i]
+            if covered == everything:
+                return combo, checked
+
+
+@st.composite
+def mask_searches(draw):
+    """Up to 14 masks, each holding its own bit and, at random density,
+    others; a start size and a candidate budget, 0 included."""
+    count = draw(st.integers(0, 14))
+    thinning = draw(st.integers(0, 3))  # ANDs of random words make sparser masks
+    masks = []
+    for i in range(count):
+        mask = (1 << count) - 1
+        for _ in range(thinning + 1):
+            mask &= draw(st.integers(0, (1 << count) - 1))
+        masks.append(mask | 1 << i)
+    budget = draw(st.one_of(st.just(0), st.integers(1, 1 << count)))
+    return masks, SearchLimits(max_candidates=budget, start_size=draw(st.integers(0, count)))
+
+
+def search_outcome(search, masks, limits):
+    try:
+        return search(masks, limits)
+    except BudgetExceededError as err:
+        return str(err), err.cardinality_reached
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask_searches())
+@example(([], SearchLimits()))
+@example(([], SearchLimits(max_candidates=0)))
+def test_first_covering_matches_the_plain_enumeration(case):
+    masks, limits = case
+    assert (search_outcome(_first_covering, masks, limits)
+            == search_outcome(plain_first_covering, masks, limits))
+
+
+# Recorded from the plain enumeration, which tested every candidate: the
+# walk skips most of them, and must count each one it skips.
+@pytest.mark.parametrize("build, optimum, candidates", [
+    (lambda: gnp(16, 0.12, 3), [0, 1, 2, 3, 7, 11, 12, 13, 14, 15], 5_711_584),
+    (lambda: path(16), [0, 2, 4, 9, 14, 22, 27], 1_087_328),
+    (lambda: cycle(16), [0, 1, 6, 11, 20, 25, 30], 1_233_367),
+])
+def test_skipped_subtrees_are_counted_whole(build, optimum, candidates):
+    result = exact_total_cover(build())
+    assert (sorted(result.optimum.ids), result.size, result.candidates_checked) == (
+        optimum, len(optimum), candidates)
+
+
+def test_search_deeper_than_the_recursion_limit():
+    result = exact_total_cover(Graph(1500), SearchLimits(max_elements=1500, start_size=1499))
+    assert (result.size, result.candidates_checked) == (1500, 1501)

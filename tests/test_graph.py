@@ -1,4 +1,5 @@
 import contextlib
+import tracemalloc
 
 from hypothesis import given, strategies as st
 
@@ -23,6 +24,7 @@ from tcover import (
     serialize_graph,
     total_graph,
 )
+from tcover.graph import MAX_VERTICES
 from tcover.instances import complete, cycle, enumerate_graphs, hard_instance, path
 
 from helpers import graphs_with_element_sets, shuffled_copies, small_graphs
@@ -64,6 +66,18 @@ def test_build_rejects_duplicate_edge():
 def test_build_rejects_out_of_range():
     with pytest.raises(VertexOutOfRangeError):
         Graph(2, [(0, 2)])
+
+
+def test_header_above_the_vertex_ceiling_allocates_nothing():
+    tracemalloc.start()
+    try:
+        with pytest.raises(VertexOutOfRangeError,
+                           match=f"^vertex count {MAX_VERTICES + 1} exceeds MAX_VERTICES={MAX_VERTICES}$"):
+            parse_graph(f"p edge {MAX_VERTICES + 1} 0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("pairs, error, message", [
@@ -303,11 +317,11 @@ def test_element_formatting():
     assert element_cover_line(g, g.n + 0) == "e 1 2"
 
 
-# Fields short enough that a header never declares 10**4 vertices or more:
-# an oversized header makes Graph allocate per declared vertex, and that
-# MemoryError is not covered here.
+# Counts are small or above MAX_VERTICES: a header within the ceiling
+# makes Graph allocate per declared vertex, which is slow, not an error.
 FIELDS = st.one_of(
     st.integers(min_value=-3, max_value=12).map(str),
+    st.integers(min_value=MAX_VERTICES + 1, max_value=10**30).map(str),
     st.sampled_from(["", "x", "1.5", "+2", "0x1", "\u0663", "\uff11\uff12", "1_0"]),
     st.text(max_size=4),
 )
