@@ -85,15 +85,15 @@ def bad_vertex_assignment(g: Graph, matching: Matching) -> BadVertexAssignment:
         raise ValueError("the matching belongs to another graph")
     pairs: list[tuple[int, int]] = []
     claimed: dict[int, int] = {}
-    for v in range(g.n):
-        if matching.is_matched(v):
+    partner = matching._partner  # -1 for an unmatched vertex, never a neighbor
+    for v, near in enumerate(g.adj):
+        if partner[v] != -1 or len(near) < 2:
             continue
         # matching edges with both endpoints in N(v) are the edges u-mate(u)
         # for neighbors u whose mate is a neighbor too; the first such u is
         # the smaller endpoint of the least pair, so its edge has the lowest id
-        neighbors = set(g.adj[v])
-        eid = next((g.edge_id(u, mate) for u in g.adj[v]
-                    if (mate := matching.partner(u)) in neighbors), None)
+        neighbors = set(near)
+        eid = next((g.edge_id(u, mate) for u in near if (mate := partner[u]) in neighbors), None)
         if eid is None:
             continue
         if eid in claimed:
@@ -138,22 +138,22 @@ def approx_total_cover(g: Graph) -> ApproxResult:
 
     matching = maximum_matching(g)
     assignment = bad_vertex_assignment(g, matching)
-    for v, eid in assignment.pairs:
-        trace.append(TraceStep(2, "bad-vertex", v))
-        trace.append(TraceStep(2, "bad-edge", g.n + eid))
-    bad_vertices = {v for v, _ in assignment.pairs}
-    bad_edges = {eid for _, eid in assignment.pairs}
-
     # Step 3 works on the surviving graph, whose unmatched vertices are the
     # ones that are unmatched and not bad (isolated ones have no neighbors).
     # Only endpoint additions can cover them (edges added here join two
     # matched vertices, and the step-1/2 elements lost all unmatched
     # neighbors with their removal), so a covered flag per unmatched
     # vertex tracks coverage exactly.
+    unmatched = [mate == -1 for mate in matching._partner]
+    for v, eid in assignment.pairs:
+        trace.append(TraceStep(2, "bad-vertex", v))
+        trace.append(TraceStep(2, "bad-edge", g.n + eid))
+        unmatched[v] = False
+    bad_edges = {eid for _, eid in assignment.pairs}
     covered = [False] * g.n
 
     def unmatched_neighbors(x: int) -> list[int]:
-        return [z for z in g.adj[x] if not matching.is_matched(z) and z not in bad_vertices]
+        return [z for z in g.adj[x] if unmatched[z]]
 
     for eid in sorted(matching.edge_ids - bad_edges):
         u, v = g.edges[eid]

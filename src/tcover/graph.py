@@ -62,6 +62,23 @@ class BudgetExceededError(ValueError):
 MAX_VERTICES = 1 << 22
 
 
+def check_vertex_count(n: int) -> None:
+    """Raises VertexOutOfRangeError unless 0 <= n <= MAX_VERTICES."""
+    if n < 0:
+        raise VertexOutOfRangeError(f"vertex count {n} is negative")
+    if n > MAX_VERTICES:
+        raise VertexOutOfRangeError(f"vertex count {n} exceeds MAX_VERTICES={MAX_VERTICES}")
+
+
+def _raise_first_duplicate(n: int, keys: list[int]) -> None:
+    """Raises DuplicateEdgeError for the first key equal to an earlier one."""
+    seen: set[int] = set()
+    for key in keys:
+        if key in seen:
+            raise DuplicateEdgeError(f"edge ({key // n}, {key % n}) appears twice")
+        seen.add(key)
+
+
 class Graph:
     """An immutable simple undirected graph with dense vertex and edge ids.
 
@@ -77,24 +94,21 @@ class Graph:
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]] = ()):
         """Raises SelfLoopError, DuplicateEdgeError, or VertexOutOfRangeError,
         each naming the first offending pair in input order."""
-        if n < 0:
-            raise VertexOutOfRangeError(f"vertex count {n} is negative")
-        if n > MAX_VERTICES:
-            raise VertexOutOfRangeError(f"vertex count {n} exceeds MAX_VERTICES={MAX_VERTICES}")
-        edges: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
+        check_vertex_count(n)
+        keys: list[int] = []  # pair (u, v), u < v, as u * n + v
         for u, v in pairs:
             if not (0 <= u < n) or not (0 <= v < n):
+                _raise_first_duplicate(n, keys)
                 raise VertexOutOfRangeError(f"edge ({u}, {v}) leaves [0, {n})")
             if u == v:
+                _raise_first_duplicate(n, keys)
                 raise SelfLoopError(f"edge ({u}, {v}) is a self-loop")
-            pair = (u, v) if u < v else (v, u)
-            if pair in seen:
-                raise DuplicateEdgeError(f"edge ({pair[0]}, {pair[1]}) appears twice")
-            seen.add(pair)
-            edges.append(pair)
-        del seen  # freed before the lists are made, which lowers the construction peak
-        edges.sort()  # linear on already sorted input, such as every generator's
+            keys.append(u * n + v if u < v else v * n + u)
+        if len(set(keys)) != len(keys):
+            _raise_first_duplicate(n, keys)
+        keys.sort()  # linear on already sorted input, such as every generator's
+        edges = [divmod(key, n) for key in keys]
+        del keys  # freed before the lists are made, which lowers the construction peak
         adj: list = [[] for _ in range(n)]
         inc: list = [[] for _ in range(n)]
         # a vertex meets its smaller neighbours (as v), then its larger (as u), ascending
@@ -239,13 +253,18 @@ def parse_graph(text: str) -> Graph:
     n = -1
     declared_edges = -1
     pairs: list[tuple[int, int]] = []
-    last_line = 0
+    line_no = 0
     for line_no, raw in enumerate(text.splitlines(), 1):
-        last_line = line_no
-        line = raw.strip()
-        if not line or line[0] in "#c":
+        fields = raw.split()
+        if len(fields) == 3 and fields[0] == "e" and n >= 0:
+            try:
+                pairs.append((int(fields[1]) - 1, int(fields[2]) - 1))
+            except ValueError:
+                raise ParseError(line_no, f"non-integer endpoints in {raw.strip()!r}") from None
             continue
-        fields = line.split()
+        if not fields or fields[0][0] in "#c":
+            continue
+        line = raw.strip()
         if fields[0] == "p":
             if n >= 0:
                 raise ParseError(line_no, "duplicate 'p edge' header")
@@ -260,19 +279,13 @@ def parse_graph(text: str) -> Graph:
         elif fields[0] == "e":
             if n < 0:
                 raise ParseError(line_no, "edge line before 'p edge' header")
-            if len(fields) != 3:
-                raise ParseError(line_no, f"malformed edge line {line!r}")
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise ParseError(line_no, f"non-integer endpoints in {line!r}") from None
-            pairs.append((u - 1, v - 1))
+            raise ParseError(line_no, f"malformed edge line {line!r}")
         else:
             raise ParseError(line_no, f"unrecognized line {line!r}")
     if n < 0:
-        raise ParseError(last_line + 1, "missing 'p edge' header")
+        raise ParseError(line_no + 1, "missing 'p edge' header")
     if len(pairs) != declared_edges:
-        raise ParseError(last_line, f"header declared {declared_edges} edges, file has {len(pairs)}")
+        raise ParseError(line_no, f"header declared {declared_edges} edges, file has {len(pairs)}")
     return Graph(n, pairs)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .graph import Graph
+from .graph import Graph, check_vertex_count
 
 
 class ParameterOutOfRangeError(ValueError):
@@ -31,6 +31,7 @@ def hard_instance(n: int) -> Graph:
         raise OddParameterError(f"family requires even n, got {n}")
     if n < 2:
         raise ParameterOutOfRangeError(f"family requires n >= 2, got {n}")
+    check_vertex_count(2 * n + 1)
     pairs = [(0, i) for i in range(1, n + 1)]
     pairs += [(i, n + i) for i in range(1, n + 1)]
     pairs += [(n + 2 * j - 1, n + 2 * j) for j in range(1, n // 2 + 1)]
@@ -40,12 +41,14 @@ def hard_instance(n: int) -> Graph:
 def path(n: int) -> Graph:
     if n < 1:
         raise ParameterOutOfRangeError(f"path requires n >= 1, got {n}")
+    check_vertex_count(n)
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ParameterOutOfRangeError(f"cycle requires n >= 3, got {n}")
+    check_vertex_count(n)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -53,12 +56,14 @@ def star(n: int) -> Graph:
     """Star on n vertices: center 0 joined to each of the n-1 leaves."""
     if n < 1:
         raise ParameterOutOfRangeError(f"star requires n >= 1, got {n}")
+    check_vertex_count(n)
     return Graph(n, [(0, i) for i in range(1, n)])
 
 
 def complete(n: int) -> Graph:
     if n < 1:
         raise ParameterOutOfRangeError(f"complete requires n >= 1, got {n}")
+    check_vertex_count(n)
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
@@ -93,6 +98,7 @@ def gnp(n: int, p: float, seed: int) -> Graph:
     """
     if n < 0:
         raise ParameterOutOfRangeError(f"gnp requires n >= 0, got {n}")
+    check_vertex_count(n)
     if not 0.0 <= p <= 1.0:
         raise ParameterOutOfRangeError(f"gnp requires 0 <= p <= 1, got {p}")
     threshold = int(p * float(1 << 64))

@@ -87,50 +87,60 @@ def maximum_matching(g: Graph) -> Matching:
     touches, not to n: the per-vertex arrays are allocated once and each
     search resets only the entries it wrote.
 
+    Two shortcuts return the very matching the plain search would.  A
+    root with a free neighbor is matched to the first one unsearched: the
+    search scans the root's neighbors first and would augment to it.  A
+    failed search (a Hungarian tree, Edmonds 1965) marks its vertices
+    dead, and later searches skip dead neighbors.  Every outer vertex of
+    a failed tree has all its neighbors in the tree, so a later search
+    could enter it only at an inner vertex, reach only the bases of its
+    blossoms and label only its vertices: no live vertex would change its
+    label, base or place in the queue, and no free vertex lies inside.
+
     Raises CertificateError if a matched pair is not an edge of g.
     """
-    n = g.n
+    n, adj = g.n, g.adj
     match = [-1] * n
     parent = [-1] * n
     base = list(range(n))
     in_queue = [False] * n
+    dead = [False] * n
 
-    def find_augmenting_path(root: int, queue: list[int], inner: list[int]) -> None:
+    def lowest_common_base(a: int, b: int) -> int:
+        on_path = set()
+        x = a
+        while True:
+            x = base[x]
+            on_path.add(x)
+            if match[x] == -1:
+                break
+            x = parent[match[x]]
+        y = b
+        while True:
+            y = base[y]
+            if y in on_path:
+                return y
+            y = parent[match[y]]
+
+    def mark_cycle(x: int, anchor: int, child: int, in_blossom: set[int]) -> None:
+        while base[x] != anchor:
+            in_blossom.add(base[x])
+            in_blossom.add(base[match[x]])
+            parent[x] = child
+            child = match[x]
+            x = parent[match[x]]
+
+    def find_augmenting_path(root: int, queue: list[int], inner: list[int]) -> bool:
         # queue starts as [root] and keeps every vertex ever enqueued (head
         # walks it); inner records every vertex given a tree parent.
         # Together they are all the entries of parent/base/in_queue written.
         members: dict[int, list[int]] = {}  # blossom base -> its vertices, once grown
-
-        def lowest_common_base(a: int, b: int) -> int:
-            on_path = set()
-            x = a
-            while True:
-                x = base[x]
-                on_path.add(x)
-                if match[x] == -1:
-                    break
-                x = parent[match[x]]
-            y = b
-            while True:
-                y = base[y]
-                if y in on_path:
-                    return y
-                y = parent[match[y]]
-
-        def mark_cycle(x: int, anchor: int, child: int, in_blossom: set[int]) -> None:
-            while base[x] != anchor:
-                in_blossom.add(base[x])
-                in_blossom.add(base[match[x]])
-                parent[x] = child
-                child = match[x]
-                x = parent[match[x]]
-
         head = 0
         while head < len(queue):
             v = queue[head]
             head += 1
-            for w in g.adj[v]:
-                if base[v] == base[w] or match[v] == w:
+            for w in adj[v]:
+                if dead[w] or base[v] == base[w] or match[v] == w:
                     continue
                 if w == root or (match[w] != -1 and parent[match[w]] != -1):
                     # second endpoint is an outer vertex: contract the odd cycle
@@ -158,23 +168,33 @@ def maximum_matching(g: Graph) -> Matching:
                             match[x] = prev
                             match[prev] = x
                             x = nxt
-                        return
+                        return True
                     mate = match[w]
                     if not in_queue[mate]:
                         in_queue[mate] = True
                         queue.append(mate)
+        return False
 
     for root in range(n):
-        if match[root] == -1:
-            queue, inner = [root], []
-            in_queue[root] = True
-            find_augmenting_path(root, queue, inner)
-            for x in queue:
-                parent[x] = -1
-                base[x] = x
-                in_queue[x] = False
-            for x in inner:
-                parent[x] = -1
+        if match[root] != -1:
+            continue
+        free = next((w for w in adj[root] if match[w] == -1), -1)
+        if free != -1:
+            match[root], match[free] = free, root
+            continue
+        queue, inner = [root], []
+        in_queue[root] = True
+        if not find_augmenting_path(root, queue, inner):
+            # no later search reads a dead vertex's entries, so they stay as they are
+            for x in queue + inner:
+                dead[x] = True
+            continue
+        for x in queue:
+            parent[x] = -1
+            base[x] = x
+            in_queue[x] = False
+        for x in inner:
+            parent[x] = -1
 
     edge_ids = set()
     for v in range(n):

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 from hypothesis import strategies as st
 
 from tcover import ElementSet, Graph
 from tcover.instances import gnp
+from tcover.matching import CertificateError, Matching
 
 
 def connected(g: Graph) -> bool:
@@ -59,6 +62,52 @@ def shuffled_copies():
     return scrambled_edge_lists().map(lambda case: (case[0], Graph(case[0].n, case[1])))
 
 
+def relabelled(n: int, pairs: list[tuple[int, int]], rng) -> Graph:
+    """The graph on n vertices with its vertex labels shuffled by rng."""
+    label = list(range(n))
+    rng.shuffle(label)
+    return Graph(n, [(label[u], label[v]) for u, v in pairs])
+
+
+@st.composite
+def sparse_graphs_with_pendant_triangles(draw):
+    """A random sparse core, triangles hung from some of its vertices by one
+    edge, isolated vertices, all relabelled: many searches fail, next to
+    blossoms and free neighbours.  At most 300 vertices."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    core = draw(st.integers(0, 150))
+    triangles = draw(st.integers(0, 40))
+    n = core + 3 * triangles + draw(st.integers(0, 30))
+    degree = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+    pairs = set()
+    wanted = min(int(degree * core / 2), core * (core - 1) // 2)
+    while len(pairs) < wanted:
+        pairs.add(tuple(sorted(rng.sample(range(core), 2))))
+    for i in range(triangles):
+        a = core + 3 * i
+        pairs |= {(a, a + 1), (a, a + 2), (a + 1, a + 2)}
+        if core and rng.random() < 0.8:
+            pairs.add((rng.randrange(core), a + rng.randrange(3)))
+    return relabelled(n, sorted(pairs), rng)
+
+
+@st.composite
+def chorded_odd_cycles(draw):
+    """Vertex-disjoint odd cycles joined by random chords, relabelled:
+    blossoms form next to trees that earlier searches gave up."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    lengths = draw(st.lists(st.sampled_from([3, 5, 7, 9]), min_size=1, max_size=15))
+    pairs = set()
+    start = 0
+    for length in lengths:
+        pairs |= {tuple(sorted((start + i, start + (i + 1) % length))) for i in range(length)}
+        start += length
+    n = start + draw(st.integers(0, 5))
+    for _ in range(draw(st.integers(0, len(lengths) * 2))):
+        pairs.add(tuple(sorted(rng.sample(range(n), 2))))
+    return relabelled(n, sorted(pairs), rng)
+
+
 def triangles_and_isolates() -> Graph:
     """200 vertex-disjoint triangles, every third one bridged to the next,
     then 50 isolated vertices: many bad vertices, blossoms and step-1 picks."""
@@ -80,5 +129,121 @@ def golden_graph(name: str) -> Graph:
         "star8001": lambda: star(8001),
         "gnp600": lambda: gnp(600, 0.005, seed=3),
         "gnp300": lambda: gnp(300, 0.05, seed=5),
+        "gnp2000": lambda: gnp(2000, 0.001, seed=1),  # 428 of its searches fail
         "triangles": triangles_and_isolates,
     }[name]()
+
+
+def reference_maximum_matching(g: Graph) -> Matching:
+    """maximum_matching as it was before its free-neighbor step and dead
+    vertices, kept verbatim as the oracle for its exact edge ids.
+
+    Compute a maximum-cardinality matching of a general graph.
+
+    Grows an alternating tree from each unmatched vertex in ascending
+    order.  When a scanned edge closes an odd cycle, the cycle is
+    contracted onto its nearest common ancestor (the blossom base) and the
+    search continues in the contracted graph; when it reaches another
+    unmatched vertex, the alternating path is flipped to gain one edge.
+    Neighbors are scanned in ascending order, so the output is
+    deterministic.  A search costs in proportion to the vertices it
+    touches, not to n: the per-vertex arrays are allocated once and each
+    search resets only the entries it wrote.
+
+    Raises CertificateError if a matched pair is not an edge of g.
+    """
+    n = g.n
+    match = [-1] * n
+    parent = [-1] * n
+    base = list(range(n))
+    in_queue = [False] * n
+
+    def find_augmenting_path(root: int, queue: list[int], inner: list[int]) -> None:
+        # queue starts as [root] and keeps every vertex ever enqueued (head
+        # walks it); inner records every vertex given a tree parent.
+        # Together they are all the entries of parent/base/in_queue written.
+        members: dict[int, list[int]] = {}  # blossom base -> its vertices, once grown
+
+        def lowest_common_base(a: int, b: int) -> int:
+            on_path = set()
+            x = a
+            while True:
+                x = base[x]
+                on_path.add(x)
+                if match[x] == -1:
+                    break
+                x = parent[match[x]]
+            y = b
+            while True:
+                y = base[y]
+                if y in on_path:
+                    return y
+                y = parent[match[y]]
+
+        def mark_cycle(x: int, anchor: int, child: int, in_blossom: set[int]) -> None:
+            while base[x] != anchor:
+                in_blossom.add(base[x])
+                in_blossom.add(base[match[x]])
+                parent[x] = child
+                child = match[x]
+                x = parent[match[x]]
+
+        head = 0
+        while head < len(queue):
+            v = queue[head]
+            head += 1
+            for w in g.adj[v]:
+                if base[v] == base[w] or match[v] == w:
+                    continue
+                if w == root or (match[w] != -1 and parent[match[w]] != -1):
+                    # second endpoint is an outer vertex: contract the odd cycle
+                    anchor = lowest_common_base(v, w)
+                    in_blossom: set[int] = set()
+                    mark_cycle(v, anchor, w, in_blossom)
+                    mark_cycle(w, anchor, v, in_blossom)
+                    # ascending, the order in which a scan of all vertices meets them
+                    absorbed = sorted([x for b in in_blossom for x in members.pop(b, (b,))])
+                    for x in absorbed:
+                        base[x] = anchor
+                        if not in_queue[x]:
+                            in_queue[x] = True
+                            queue.append(x)
+                    members.setdefault(anchor, [anchor]).extend(absorbed)
+                elif parent[w] == -1:
+                    parent[w] = v
+                    inner.append(w)
+                    if match[w] == -1:
+                        # augment along root .. v - w
+                        x = w
+                        while x != -1:
+                            prev = parent[x]
+                            nxt = match[prev]
+                            match[x] = prev
+                            match[prev] = x
+                            x = nxt
+                        return
+                    mate = match[w]
+                    if not in_queue[mate]:
+                        in_queue[mate] = True
+                        queue.append(mate)
+
+    for root in range(n):
+        if match[root] == -1:
+            queue, inner = [root], []
+            in_queue[root] = True
+            find_augmenting_path(root, queue, inner)
+            for x in queue:
+                parent[x] = -1
+                base[x] = x
+                in_queue[x] = False
+            for x in inner:
+                parent[x] = -1
+
+    edge_ids = set()
+    for v in range(n):
+        if match[v] > v:
+            eid = g.edge_id(v, match[v])
+            if eid is None:
+                raise CertificateError(f"matched pair ({v}, {match[v]}) is not an edge of the graph")
+            edge_ids.add(eid)
+    return Matching(g, edge_ids)

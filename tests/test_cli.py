@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 from hypothesis import given, settings
 
@@ -273,6 +274,21 @@ def test_gen_gnp_deterministic(tmp_path):
 
 def test_gen_gnp_requires_p_and_seed(capsys):
     assert main(["gen", "gnp", "--n", "5"]) == 2
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["gnp", "--n", str(MAX_VERTICES + 1), "--p", "0", "--seed", "1"], MAX_VERTICES + 1),
+    (["star", "--n", "100000000"], 100000000),
+])
+def test_gen_above_the_vertex_ceiling_exits_2_at_once(argv, count, capsys):
+    tracemalloc.start()
+    try:
+        assert main(["gen", *argv]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert capsys.readouterr().err == f"error: vertex count {count} exceeds MAX_VERTICES={MAX_VERTICES}\n"
 
 
 # sha256 of `gen` stdout for every non-random family, with and without
@@ -544,6 +560,11 @@ GOLDEN_SOLVES = {
         "1567367a73ee7a5f83a6d6abd5f60e3ace1a0e2b1f1e05247a58042a6610287f",
         "90dcb91a50bd67c6beb52357f0246d9eac68b0afc166f17682f224a38798e11e",
     ),
+    # recorded before maximum_matching skipped the trees of failed searches
+    "gnp2000": (
+        "90c8974cd30f9aad1390b3a5491b044708607c9d043198e65a1a6ac3b4ce1ae0",
+        "11ee8c1abe3017639ff1bdd63dc777e46b206acd634e88ea52611d19cdf45efb",
+    ),
 }
 
 
@@ -558,17 +579,18 @@ def test_solve_trace_and_cover_golden(name, tmp_path, capsys):
     assert digests == GOLDEN_SOLVES[name]
 
 
-# sha256 of `verify` stdout over the GOLDEN_SOLVES graphs, each checked
-# against its `solve --output` cover with one element deleted, every
+# sha256 of `verify` stdout over VERIFY_GRAPHS, each checked against its
+# `solve --output` cover with one element deleted, every
 # floor(|cover|/40)-th in turn (179 runs), recorded while covers still held
 # vertex and edge ids apart: a witness must name the same element.
+VERIFY_GRAPHS = ("gnp300", "gnp600", "hard3000", "star8001", "triangles")
 GOLDEN_VERIFY = "0aecfb76958b50ec3adffbf21635e3f64c90ace4f2e1a5212b38d63289390dfa"
 
 
 def test_verify_witness_golden(tmp_path, capsys):
     graph, cover, cut = tmp_path / "g.gr", tmp_path / "out.cover", tmp_path / "cut.cover"
     outputs = []
-    for name in sorted(GOLDEN_SOLVES):
+    for name in VERIFY_GRAPHS:
         graph.write_text(serialize_graph(golden_graph(name)))
         assert main(["solve", str(graph), "--output", str(cover)]) == 0
         capsys.readouterr()

@@ -80,16 +80,29 @@ def test_header_above_the_vertex_ceiling_allocates_nothing():
     assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("pairs, error, message", [
+FIRST_FAULTS = [
     ([(0, 1), (1, 0), (0, 9)], DuplicateEdgeError, "edge (0, 1) appears twice"),
     ([(0, 9), (0, 1), (1, 0)], VertexOutOfRangeError, "edge (0, 9) leaves [0, 5)"),
     ([(0, 1), (2, 2), (1, 0)], SelfLoopError, "edge (2, 2) is a self-loop"),
     ([(3, 4), (0, 1), (4, 3), (2, 2)], DuplicateEdgeError, "edge (3, 4) appears twice"),
     ([(1, 2), (-1, 0)], VertexOutOfRangeError, "edge (-1, 0) leaves [0, 5)"),
-])
+    ([(4, 1), (1, 4), (7, 7)], DuplicateEdgeError, "edge (1, 4) appears twice"),
+    ([(2, 3), (3, 2), (1, 1)], DuplicateEdgeError, "edge (2, 3) appears twice"),
+    ([(2, 3), (9, 9), (3, 2)], VertexOutOfRangeError, "edge (9, 9) leaves [0, 5)"),
+]
+
+
+@pytest.mark.parametrize("pairs, error, message", FIRST_FAULTS)
 def test_build_reports_the_first_fault_in_input_order(pairs, error, message):
     with pytest.raises(GraphError) as err:
         Graph(5, pairs)
+    assert (type(err.value), str(err.value)) == (error, message)
+
+
+@pytest.mark.parametrize("pairs, error, message", FIRST_FAULTS)
+def test_build_reads_a_generator_once_and_reports_its_first_fault(pairs, error, message):
+    with pytest.raises(GraphError) as err:
+        Graph(5, (pair for pair in pairs))
     assert (type(err.value), str(err.value)) == (error, message)
 
 
@@ -261,6 +274,29 @@ def test_parse_syntax_errors_carry_line_numbers():
         parse_graph("p edge 2 2\ne 1 2\n")  # count mismatch
     with pytest.raises(ParseError):
         parse_graph("")  # missing header
+
+
+@pytest.mark.parametrize("text, message", [
+    ("p edge 2 1\n  e 1\tx \n", "line 2: non-integer endpoints in 'e 1\\tx'"),
+    ("p edge 4 1\ne 1  2 3\n", "line 2: malformed edge line 'e 1  2 3'"),
+    ("p edge 4 1\ne 1\n", "line 2: malformed edge line 'e 1'"),
+    ("e 1 2 3\n", "line 1: edge line before 'p edge' header"),
+    ("p edge 2 1\n\tq 1 2\n", "line 2: unrecognized line 'q 1 2'"),
+    ("p edge 2 1\np edge 2 1\n", "line 2: duplicate 'p edge' header"),
+    ("p edge 2\n", "line 1: malformed header 'p edge 2'"),
+    ("p edge two 1\n", "line 1: non-integer header fields in 'p edge two 1'"),
+    ("p edge 2 -1\n", "line 1: negative counts in header"),
+    ("c p edge 2 1\n", "line 2: missing 'p edge' header"),
+    ("p edge 2 2\ne 1 2\n", "line 2: header declared 2 edges, file has 1"),
+])
+def test_parse_error_texts(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_graph(text)
+    assert str(err.value) == message
+
+
+def test_parse_reads_any_line_led_by_c_as_a_comment():
+    assert parse_graph("p edge 2 1\ncat 1 2\ne 1 2\nc\n").edges == ((0, 1),)
 
 
 def test_serialize_empty_graph():

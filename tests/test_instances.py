@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 from hypothesis import given, strategies as st
 import pytest
@@ -8,6 +9,7 @@ from tcover import (
     Graph,
     OddParameterError,
     ParameterOutOfRangeError,
+    VertexOutOfRangeError,
     add_isolated,
     is_total_cover,
     isolated_vertices,
@@ -24,6 +26,27 @@ from tcover.instances import (
     petersen,
     star,
 )
+from tcover.graph import MAX_VERTICES
+
+
+@pytest.mark.parametrize("make, n", [
+    (path, MAX_VERTICES + 1),
+    (cycle, MAX_VERTICES + 1),
+    (star, MAX_VERTICES + 1),
+    (complete, MAX_VERTICES + 1),
+    (lambda n: gnp(n, 0.5, 1), MAX_VERTICES + 1),
+    (hard_instance, MAX_VERTICES // 2),  # 2n + 1 vertices
+])
+def test_generators_reject_more_than_max_vertices_before_allocating(make, n):
+    tracemalloc.start()
+    try:
+        with pytest.raises(VertexOutOfRangeError,
+                           match=f"^vertex count {MAX_VERTICES + 1} exceeds MAX_VERTICES={MAX_VERTICES}$"):
+            make(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_hard_instance_structure():

@@ -4,7 +4,7 @@ import random
 import subprocess
 import sys
 
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 import pytest
 
@@ -29,7 +29,13 @@ from tcover.instances import (
     petersen,
 )
 
-from helpers import golden_graph, small_graphs
+from helpers import (
+    chorded_odd_cycles,
+    golden_graph,
+    reference_maximum_matching,
+    small_graphs,
+    sparse_graphs_with_pendant_triangles,
+)
 
 
 def test_matching_partner_map():
@@ -243,6 +249,20 @@ def test_maximum_matching_golden_small_batch():
         lines.append(" ".join(map(str, sorted(maximum_matching(g).edge_ids))))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "b986c2b3545bf0316a15ee7341ba47f6f63c7ebd06638c8211d05c478a32ec14"
+
+
+# The free-neighbour step and dead vertices must not move a single edge:
+# the search without them is the oracle.
+def test_matching_equals_reference_on_every_small_graph():
+    for n in range(7):
+        for g in enumerate_graphs(n):
+            assert maximum_matching(g).edge_ids == reference_maximum_matching(g).edge_ids, g.edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(sparse_graphs_with_pendant_triangles(), chorded_odd_cycles()))
+def test_matching_equals_reference_on_random_graphs(g):
+    assert maximum_matching(g).edge_ids == reference_maximum_matching(g).edge_ids
 
 
 @pytest.mark.parametrize("n, seed", [(100, 1), (400, 2), (1000, 3), (2000, 4)])
