@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .graph import Graph, check_vertex_count
+from .graph import MAX_VERTICES, Graph, check_vertex_count
 
 
 class ParameterOutOfRangeError(ValueError):
@@ -61,9 +61,15 @@ def star(n: int) -> Graph:
 
 
 def complete(n: int) -> Graph:
+    """K_n.  Refused before any pair is made when its n(n-1)/2 edges exceed
+    MAX_VERTICES: well below the vertex ceiling the pair list alone would
+    take gigabytes."""
     if n < 1:
         raise ParameterOutOfRangeError(f"complete requires n >= 1, got {n}")
     check_vertex_count(n)
+    m = n * (n - 1) // 2
+    if m > MAX_VERTICES:
+        raise ParameterOutOfRangeError(f"complete({n}) has {m} edges, more than MAX_VERTICES={MAX_VERTICES}")
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
@@ -89,12 +95,13 @@ def gnp(n: int, p: float, seed: int) -> Graph:
     (n, p, seed): draw i, counted from 1, is the splitmix64 mix of the
     state ``seed + i * 0x9E3779B97F4A7C15 mod 2**64``.
 
-    The draws are computed a row at a time.  The states of row u's pairs
-    (u, u+1) ... (u, n-1) form an arithmetic progression; they are packed
-    one per 128-bit lane of a Python int, the value in the lane's low 64
-    bits, so that every 64x64-bit product stays inside its lane and each
-    mix step is a few big-int operations per row, not per pair.  Still
-    O(n^2) draws, whatever p is.
+    The n(n-1)/2 draws are computed in chunks of n-1 consecutive ones,
+    which cross row boundaries.  A chunk's states are packed one per
+    128-bit lane of a Python int, the value in the lane's low 64 bits, so
+    that every 64x64-bit product stays inside its lane and each mix step
+    is a few big-int operations per chunk, not per pair; the next chunk's
+    states are these plus (n-1) * gamma in every lane.  Working memory is
+    O(n); still O(n^2) draws, whatever p is.
     """
     if n < 0:
         raise ParameterOutOfRangeError(f"gnp requires n >= 0, got {n}")
@@ -102,32 +109,35 @@ def gnp(n: int, p: float, seed: int) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise ParameterOutOfRangeError(f"gnp requires 0 <= p <= 1, got {p}")
     threshold = int(p * float(1 << 64))
-    lanes = max(n - 1, 0)
+    total = n * (n - 1) // 2
+    lanes = max(n - 1, 1)  # one lane for n < 2, which has no draws, keeps the chunk step positive
     ones = int.from_bytes((b"\x01" + bytes(15)) * lanes, "little")
     low = _MASK64 * ones
     # a lane's bit 64 is set after adding the bias exactly when its draw >= threshold
     bias = ((1 << 64) - threshold) * ones
-    # lane j steps (lanes - j) * gamma from the row's start; shifted right by
-    # u lanes, row u's lane j holds pair (u, n-1-j)
-    ramp = int.from_bytes(b"".join(((lanes - j) * _GAMMA & _MASK64).to_bytes(16, "little")
-                                   for j in range(lanes)), "little")
-    state = seed & _MASK64
+    step = (lanes * _GAMMA & _MASK64) * ones
+    # lane j holds draw lanes - j of the chunk, so big-endian order is draw order
+    states = int.from_bytes(b"".join(((seed + (lanes - j) * _GAMMA) & _MASK64).to_bytes(16, "little")
+                                     for j in range(lanes)), "little")
     pairs = []
-    for u in range(n - 1):
-        count = n - 1 - u
-        shift = 128 * u
-        z = (state * (ones >> shift) + (ramp >> shift)) & low
-        z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
+    u, row_end = 0, lanes  # k counts draws from 0; row u holds draws row_end - (n-1-u) .. row_end - 1
+    for start in range(0, total, lanes):
+        z = ((states ^ (states >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
         z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
         # the next lane's bits shifted in land at bits 97..127, clear of bit 64
-        z = (z ^ (z >> 31)) + (bias >> shift)
-        # big-endian byte 7 of each lane is its bit 64, for pairs (u, u+1) first
-        dropped = z.to_bytes(16 * count, "big")[7::16]
-        i = dropped.find(0)
+        z = (z ^ (z >> 31)) + bias
+        # big-endian byte 7 of each lane is its bit 64
+        dropped = z.to_bytes(16 * lanes, "big")[7::16]
+        end = min(lanes, total - start)  # for odd n the last chunk is half full
+        i = dropped.find(0, 0, end)
         while i != -1:
-            pairs.append((u, u + 1 + i))
-            i = dropped.find(0, i + 1)
-        state = (state + count * _GAMMA) & _MASK64
+            k = start + i
+            while k >= row_end:
+                u += 1
+                row_end += lanes - u
+            pairs.append((u, k - row_end + n))
+            i = dropped.find(0, i + 1, end)
+        states = (states + step) & low
     return Graph(n, pairs)
 
 

@@ -291,6 +291,18 @@ def test_gen_above_the_vertex_ceiling_exits_2_at_once(argv, count, capsys):
     assert capsys.readouterr().err == f"error: vertex count {count} exceeds MAX_VERTICES={MAX_VERTICES}\n"
 
 
+def test_gen_complete_above_the_edge_ceiling_exits_2_at_once(capsys):
+    tracemalloc.start()
+    try:
+        assert main(["gen", "complete", "--n", "100000"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert capsys.readouterr().err == (
+        f"error: complete(100000) has 4999950000 edges, more than MAX_VERTICES={MAX_VERTICES}\n")
+
+
 # sha256 of `gen` stdout for every non-random family, with and without
 # --isolated, then serialize_graph(petersen()), recorded while cycle and
 # petersen still sorted their pairs themselves.

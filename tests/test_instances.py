@@ -49,6 +49,20 @@ def test_generators_reject_more_than_max_vertices_before_allocating(make, n):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("n", [2897, 100000, MAX_VERTICES])
+def test_complete_rejects_more_than_max_vertices_edges_before_allocating(n):
+    assert 2896 * 2895 // 2 <= MAX_VERTICES < 2897 * 2896 // 2
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterOutOfRangeError,
+                           match=fr"^complete\({n}\) has {n * (n - 1) // 2} edges, more than MAX_VERTICES={MAX_VERTICES}$"):
+            complete(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_hard_instance_structure():
     g = hard_instance(4)
     assert g.n == 9
@@ -102,8 +116,21 @@ def test_family_parameter_checks():
 
 
 def test_gnp_extremes():
-    assert len(gnp(10, 0.0, 7).edges) == 0
-    assert gnp(10, 1.0, 7) == complete(10)
+    # draws come in chunks of n - 1; for odd n the last chunk is half full
+    for n in [*range(41), 257]:
+        for seed in (7, 2**64 - 1):
+            assert gnp(n, 1.0, seed) == (complete(n) if n else Graph(0))
+            assert len(gnp(n, 0.0, seed).edges) == 0
+
+
+def test_gnp_working_memory_is_linear_in_n():
+    tracemalloc.start()
+    try:
+        gnp(4000, 0.0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20  # a flag byte per pair would take 8 MB
 
 
 def test_gnp_is_deterministic():
