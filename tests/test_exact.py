@@ -185,6 +185,23 @@ GOLDEN_EXACT = {
 }
 
 
+# sha256 over one "size" line per graph of golden_corpus(), recorded from the
+# lexicographic enumeration: any search must find optima of these sizes.
+GOLDEN_EXACT_SIZES = {
+    "exact_total_cover": "0284ac6e6e64f1b86e99c8beae484caf6eb13656b010d7dc9d7bd28ee291ea02",
+    "exact_dominating_set": "658dea05947462ebfdcebe86e0e7eba4f3febcfcb27742b332d776726cdff881",
+}
+
+
+@pytest.mark.parametrize("oracle", [exact_total_cover, exact_dominating_set],
+                         ids=lambda oracle: oracle.__name__)
+def test_exact_sizes_golden(oracle):
+    lines = [str(oracle(g).size) for g in golden_corpus()]
+    assert len(lines) == 1283
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == GOLDEN_EXACT_SIZES[oracle.__name__]
+
+
 @pytest.mark.parametrize("oracle", [exact_total_cover, exact_dominating_set],
                          ids=lambda oracle: oracle.__name__)
 def test_exact_oracles_golden(oracle):
