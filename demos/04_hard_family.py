@@ -19,7 +19,7 @@ print(f"{'n':>4} {'optimum':>8} {'algorithm':>10} {'baseline':>9} "
 for n in (4, 8, 12, 50, 100, 400):
     g = hard_instance(n)
     optimum = n // 2 + 1
-    if g.n + len(g.edges) <= 40:  # exhaustively confirm the small ones
+    if g.n + len(g.edges) <= 40:  # confirm the small ones with the exact oracle
         assert exact_total_cover(g, SearchLimits(max_elements=40)).size == optimum
     result = approx_total_cover(g)
     alg = len(result.cover)

@@ -1,10 +1,12 @@
-"""Exhaustive oracles, and the identity tying covers to domination.
+"""Exact oracles, and the identity tying covers to domination.
 
-The exact searches enumerate candidate sets by increasing cardinality,
-so their answers are minimum by construction.  Minimum total covers of a
+The exact searches are one branch and bound over closed-neighbourhood
+bitmasks: it keeps the best cover found and stops when no open branch
+can beat it, so its answers are minimum.  Minimum total covers of a
 graph and minimum dominating sets of its total graph must agree in size;
-the two oracles share no covering logic, which makes that agreement a
-real consistency check rather than a tautology.
+the two oracles build their masks separately and share no covering
+logic, which makes that agreement a real consistency check rather than
+a tautology.
 """
 
 from tcover import (
@@ -19,7 +21,7 @@ g = cycle(6)
 result = exact_total_cover(g)
 print("minimum total cover of C6:")
 print(serialize_cover(result.optimum), end="")
-print(f"size {result.size}, {result.candidates_checked} candidates")
+print(f"size {result.size}, {result.candidates_checked} search nodes")
 
 print("\ndominating C6 directly needs", exact_dominating_set(g).size, "vertices")
 

@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--output", metavar="FILE", help="write the cover as a cover file")
     p_solve.set_defaults(func=cmd_solve)
 
-    p_exact = sub.add_parser("exact", help="exhaustive minimum total cover")
+    p_exact = sub.add_parser("exact", help="minimum total cover by branch and bound")
     p_exact.add_argument("graph", help="graph file")
     p_exact.add_argument("--max-elements", type=_limit, default=SearchLimits.max_elements)
     p_exact.add_argument("--max-candidates", type=_limit, default=SearchLimits.max_candidates)

@@ -1,27 +1,20 @@
-"""Exhaustive-search oracles for minimum total covers and dominating sets.
+"""Exact oracles for minimum total covers and dominating sets.
 
-Candidate sets are ranked by increasing cardinality, then in
-lexicographic order, and the first that covers everything is returned.
 Each element has a bitmask of its closed neighbourhood, the elements it
-covers.  The search walks each cardinality depth first over prefixes,
-carrying a prefix's OR, and skips a prefix's whole subtree when no
-completion can cover: the prefix with every later mask still misses a
-bit, or more bits are uncovered than the members still to pick can hold.
-``candidates_checked`` is the optimum's rank in that order, with skipped
-subtrees counted whole, so it and the ``max_candidates`` budget mean what
-they would if every candidate were tested.  The masks are built here
-from adjacency and incidence lists: neither oracle goes through
-``total_graph`` or ``is_total_cover`` to search, which keeps the oracles
-independent of the approximation code and of each other.  The set a
-search returns is confirmed once against the plain definition.  Guards
-keep accidental blowups in check.
+covers, and a minimum cover is a smallest set of elements whose masks OR
+to all ones.  One depth-first branch and bound finds it for both
+oracles; it is the set-cover branching of Fomin, Grandoni & Kratsch
+(J. ACM 2009).  The masks are built here from adjacency and incidence
+lists: neither oracle goes through ``total_graph`` or ``is_total_cover``
+to search, which keeps the oracles independent of the approximation code
+and of each other.  The set a search returns is confirmed once against
+the plain definition.  Guards keep accidental blowups in check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .graph import (
     BudgetExceededError,
@@ -37,10 +30,13 @@ from .matching import CertificateError
 
 @dataclass(frozen=True)
 class SearchLimits:
-    """Guards for the exhaustive searches.
+    """Guards for the exact searches.
 
-    ``start_size`` defaults to 0 so the search is independent of any
-    lower-bound reasoning; callers may raise it (e.g. to a certified
+    ``max_elements`` refuses larger inputs and ``max_candidates`` caps the
+    search nodes visited.  ``start_size`` is a lower bound on the optimum
+    that the caller vouches for: the search stops as soon as it holds a
+    cover that small.  It defaults to 0 so the search is independent of
+    any lower-bound reasoning; callers may raise it (e.g. to a certified
     lower bound) to save time at the cost of that independence.
     """
 
@@ -55,7 +51,7 @@ class SearchLimits:
 
 @dataclass(frozen=True)
 class ExactResult:
-    """A provably minimum set, with search statistics."""
+    """A provably minimum set, with the number of search nodes visited."""
 
     optimum: ElementSet
     size: int
@@ -69,7 +65,10 @@ class TotalGraphCrossCheck:
 
     total_cover_size: int
     total_graph_domination_size: int
-    agree: bool
+
+    @property
+    def agree(self) -> bool:
+        return self.total_cover_size == self.total_graph_domination_size
 
 
 def _bits(ids: Iterable[int], offset: int = 0) -> int:
@@ -98,87 +97,72 @@ def _domination_masks(g: Graph) -> list[int]:
     return [_bits((v, *g.adj[v])) for v in range(g.n)]
 
 
-def _spend(checked: int, step: int, budget: int, size: int) -> int:
-    """``checked + step``; raises BudgetExceededError when that passes the budget."""
-    if checked + step > budget:
-        raise BudgetExceededError(
-            f"exceeded max_candidates={budget} at cardinality {size}",
-            cardinality_reached=size,
-        )
-    return checked + step
+def _members(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _first_covering(masks: list[int], limits: SearchLimits) -> tuple[tuple[int, ...], int]:
-    """The lexicographically first smallest index set, from size
-    ``limits.start_size`` up, whose masks OR to all ones, with its rank
-    among the candidates of the enumeration.  Every mask holds its own
-    bit, so the full index set covers and the search always ends with a
-    result.  Raises ValueError if ``limits.start_size`` exceeds the number
-    of masks, and BudgetExceededError at candidate
-    ``limits.max_candidates + 1``.
+def _smallest_covering(masks: list[int], limits: SearchLimits) -> tuple[tuple[int, ...], int]:
+    """A smallest index set whose masks OR to all ones, with the number of
+    search nodes visited.  The masks are closed neighbourhoods: mask i
+    holds bit i, and bit j exactly when mask j holds bit i.  So the full
+    set covers, and the masks that cover bit b are those ``masks[b]``
+    names.  Raises ValueError if ``limits.start_size`` exceeds the number
+    of masks, and BudgetExceededError at node ``limits.max_candidates + 1``.
 
-    Each size is walked as the module docstring says, with an explicit
-    stack, so a search as deep as ``max_elements`` never meets the
-    recursion limit.
+    Depth first with an explicit stack, so no depth meets the recursion
+    limit.  A node branches on the uncovered bit with the fewest coverers
+    not banned, one child per coverer, widest first, and bans each child
+    from its later siblings' subtrees.  It is pruned when its size plus
+    the uncovered bits over the widest mask, rounded up, or the vouched
+    ``start_size`` if larger, reaches the best cover's size.
     """
-    count = len(masks)
-    if limits.start_size > count:
-        raise ValueError(f"start_size={limits.start_size} exceeds the {count} elements")
+    count, start = len(masks), limits.start_size
+    if start > count:
+        raise ValueError(f"start_size={start} exceeds the {count} elements")
+    widest = max((mask.bit_count() for mask in masks), default=1)
     everything = (1 << count) - 1
-    budget = limits.max_candidates
-    # later[i]: the OR of masks[i:]; widest[i]: the most bits in one of them
-    later = [0] * (count + 1)
-    widest = [0] * (count + 1)
-    for i in reversed(range(count)):
-        later[i] = later[i + 1] | masks[i]
-        widest[i] = max(widest[i + 1], masks[i].bit_count())
-    checked = 0
-    for size in range(limits.start_size, count + 1):
-        if size == 0:  # the empty set covers only an empty graph
-            checked = _spend(checked, 1, budget, size)
-            if everything == 0:
-                return (), checked
+    best = tuple(range(count))
+    nodes = 0
+    stack: list[tuple[tuple[int, ...], int, int]] = [((), 0, 0)]  # (chosen, covered, banned)
+    while stack:
+        chosen, covered, banned = stack.pop()
+        nodes += 1
+        if nodes > limits.max_candidates:
+            raise BudgetExceededError(
+                f"exceeded max_candidates={limits.max_candidates} at cardinality {len(best)}",
+                cardinality_reached=len(best),
+            )
+        uncovered = everything & ~covered
+        if max(start, len(chosen) - (-uncovered.bit_count() // widest)) >= len(best):
             continue
-        combo: list[int] = []
-        ors = [0]  # ors[d]: the OR of the masks of combo[:d]
-        i = 0  # the next index to try at position len(combo)
-        while True:
-            left = size - len(combo)  # members still to pick, this one included
-            if i > count - left:  # too few indices remain: back up
-                if not combo:
-                    break
-                i = combo.pop() + 1
-                ors.pop()
-                continue
-            if left == 1:
-                need = everything & ~ors[-1]
-                for k in range(i, count):
-                    if masks[k] & need == need:
-                        return (*combo, k), _spend(checked, k - i + 1, budget, size)
-                checked = _spend(checked, count - i, budget, size)
-                i = count
-                continue
-            covered = ors[-1] | masks[i]
-            if (covered | later[i + 1] != everything
-                    or (everything & ~covered).bit_count() > (left - 1) * widest[i + 1]):
-                checked = _spend(checked, comb(count - 1 - i, left - 1), budget, size)
-                i += 1
-                continue
-            combo.append(i)
-            ors.append(covered)
-            i += 1
+        if not uncovered:
+            best = chosen
+            if len(best) <= start:
+                break
+            continue
+        allowed = ~banned
+        bit = min(_members(uncovered), key=lambda b: (masks[b] & allowed).bit_count())
+        children = sorted(_members(masks[bit] & allowed),
+                          key=lambda i: -(masks[i] & uncovered).bit_count())
+        siblings = []
+        for i in children:
+            siblings.append(((*chosen, i), covered | masks[i], banned))
+            banned |= 1 << i
+        stack += reversed(siblings)  # the first child is popped first
+    return best, nodes
 
 
 def exact_total_cover(g: Graph, limits: SearchLimits | None = None) -> ExactResult:
-    """Minimum total cover by staged exhaustive search.
+    """Minimum total cover by branch and bound over subsets of V + E.
 
-    Enumerates candidate subsets of V + E (vertices first, then edges) at
-    cardinality start_size, start_size + 1, ... and returns the first one
-    that covers everything, so the returned set is the lexicographically
-    first optimum.  The masks come from ``g.adj`` and ``g.inc``, not
-    through ``total_graph`` or ``is_total_cover``; ``is_total_cover``
-    only confirms the returned set, raising CertificateError if it finds
-    an element the set misses.
+    The masks come from ``g.adj`` and ``g.inc``, not through
+    ``total_graph`` or ``is_total_cover``; ``is_total_cover`` only
+    confirms the returned set, raising CertificateError if it finds an
+    element the set misses.
     """
     limits = limits or SearchLimits()
     total = g.n + len(g.edges)
@@ -186,7 +170,7 @@ def exact_total_cover(g: Graph, limits: SearchLimits | None = None) -> ExactResu
         raise TooLargeError(
             f"{total} elements exceeds max_elements={limits.max_elements}"
         )
-    combo, checked = _first_covering(_total_cover_masks(g), limits)
+    combo, checked = _smallest_covering(_total_cover_masks(g), limits)
     optimum = ElementSet(g, combo)
     ok, witness = is_total_cover(g, optimum)
     if not ok:
@@ -195,7 +179,7 @@ def exact_total_cover(g: Graph, limits: SearchLimits | None = None) -> ExactResu
 
 
 def exact_dominating_set(g: Graph, limits: SearchLimits | None = None) -> ExactResult:
-    """Minimum dominating set by the same staged search over vertex subsets.
+    """Minimum dominating set by the same search over vertex subsets.
 
     A set dominates when every vertex is a member or adjacent to one.  The
     masks come from ``g.adj`` alone, not through ``total_graph`` or
@@ -207,7 +191,7 @@ def exact_dominating_set(g: Graph, limits: SearchLimits | None = None) -> ExactR
     n = g.n
     if n > limits.max_elements:
         raise TooLargeError(f"{n} vertices exceeds max_elements={limits.max_elements}")
-    combo, checked = _first_covering(_domination_masks(g), limits)
+    combo, checked = _smallest_covering(_domination_masks(g), limits)
     members = set(combo)
     for w in range(n):
         if w not in members and members.isdisjoint(g.adj[w]):
@@ -221,4 +205,4 @@ def cross_check_total_graph(g: Graph, limits: SearchLimits | None = None) -> Tot
     cover_size = exact_total_cover(g, limits).size
     tg = total_graph(g)
     domination_size = exact_dominating_set(tg, limits).size
-    return TotalGraphCrossCheck(cover_size, domination_size, cover_size == domination_size)
+    return TotalGraphCrossCheck(cover_size, domination_size)

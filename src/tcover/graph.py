@@ -12,7 +12,7 @@ construction, and the text file formats used by the command line tools.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Optional
 
 
@@ -46,11 +46,12 @@ class ParseError(GraphError):
 
 
 class TooLargeError(ValueError):
-    """An exhaustive search was requested beyond its size guard."""
+    """An exact search was requested beyond its size guard."""
 
 
 class BudgetExceededError(ValueError):
-    """An exhaustive search exceeded its candidate budget."""
+    """An exact search exceeded its search-node budget; ``cardinality_reached``
+    is the size of the best cover it had found."""
 
     def __init__(self, message: str, cardinality_reached: int):
         super().__init__(message)
@@ -109,8 +110,13 @@ class Graph:
         keys.sort()  # linear on already sorted input, such as every generator's
         edges = [divmod(key, n) for key in keys]
         del keys  # freed before the lists are made, which lowers the construction peak
-        adj: list = [[] for _ in range(n)]
-        inc: list = [[] for _ in range(n)]
+        # edgeless vertices share (), so a bare header costs a pointer per vertex;
+        # with pairs at least half as many as vertices, the set costs more than it saves
+        adj: list = [()] * n
+        inc: list = [()] * n
+        for v in range(n) if 2 * len(edges) >= n else set(chain.from_iterable(edges)):
+            adj[v] = []
+            inc[v] = []
         # a vertex meets its smaller neighbours (as v), then its larger (as u), ascending
         for eid, (u, v) in enumerate(edges):
             adj[u].append(v)

@@ -120,11 +120,11 @@ def test_exact_budget_exit(k3):
     assert main(["exact", k3, "--max-candidates", "3"]) == 5
 
 
-# `exact FILE` stdout, recorded from the search that tested each candidate
-# with first_uncovered: the candidate count and the optimum are pinned.
+# `exact FILE` stdout, recorded from the branch and bound: the node count
+# and the optimum are pinned.
 GOLDEN_EXACT_STDOUT = {
-    "hard6": (lambda: hard_instance(6), "size=4 candidates=6608\nv 1\ne 8 9\ne 10 11\ne 12 13\n"),
-    "gnp9": (lambda: gnp(9, 0.3, 7), "size=4 candidates=1965\nv 3\nv 5\nv 9\ne 7 8\n"),
+    "hard6": (lambda: hard_instance(6), "size=4 candidates=47\nv 1\ne 8 9\ne 10 11\ne 12 13\n"),
+    "gnp9": (lambda: gnp(9, 0.3, 7), "size=4 candidates=27\nv 5\nv 8\nv 9\ne 1 3\n"),
 }
 
 

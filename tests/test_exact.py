@@ -20,7 +20,7 @@ from tcover import (
     total_cover_lower_bound,
     total_graph,
 )
-from tcover.exact import _first_covering
+from tcover.exact import _smallest_covering
 from tcover.instances import complete, cycle, enumerate_graphs, gnp, hard_instance, path, star
 
 
@@ -73,9 +73,13 @@ def test_too_large_guards():
 
 
 def test_budget_exceeded_reports_cardinality():
-    with pytest.raises(BudgetExceededError) as err:
-        exact_total_cover(complete(3), SearchLimits(max_candidates=3))
-    assert err.value.cardinality_reached == 1
+    # the size of the best cover found: all 6 elements of K3 until the third
+    # node finds an optimum of 2
+    for budget, reached in ((2, 6), (3, 2)):
+        with pytest.raises(BudgetExceededError,
+                           match=f"^exceeded max_candidates={budget} at cardinality {reached}$") as err:
+            exact_total_cover(complete(3), SearchLimits(max_candidates=budget))
+        assert err.value.cardinality_reached == reached
     with pytest.raises(BudgetExceededError):
         exact_dominating_set(cycle(5), SearchLimits(max_candidates=2))
 
@@ -174,14 +178,13 @@ def golden_corpus():
             yield g
 
 
-# sha256 over one "size candidates [vertex ids] [edge ids]" line per graph of
-# golden_corpus(), recorded from the searches that tested each candidate
-# with first_uncovered and with a per-vertex membership scan: a faster test
-# must return the same optimum after the same number of candidates.  The
-# line splits the optimum's ids into vertices (id < n) and edges (id - n).
+# sha256 over one "size nodes [vertex ids] [edge ids]" line per graph of
+# golden_corpus(), recorded from the branch and bound: the same search must
+# return the same optimum after the same number of nodes.  The line splits
+# the optimum's ids into vertices (id < n) and edges (id - n).
 GOLDEN_EXACT = {
-    "exact_total_cover": "c08e15a82f5cd145991126660667be08168c1d936416498348ea4609ab4c69cf",
-    "exact_dominating_set": "77b712599b0ff68544db42e78ee6f9c86738147baffd80f76f3419009cfc3da8",
+    "exact_total_cover": "b6059958b872ad2cb282e527328f9e23dc0c1529b8e0cbee6a8651abfdb425bd",
+    "exact_dominating_set": "b5c7ba1c38880e60e6e36f74e56fc43701c90c7e2644d6286aed1c3726a2f313",
 }
 
 
@@ -216,22 +219,23 @@ def test_exact_oracles_golden(oracle):
     assert digest == GOLDEN_EXACT[oracle.__name__]
 
 
-# Candidates checked, recorded from the same searches: one fewer must stop
-# the search at the same cardinality, exactly that many must succeed.
-@pytest.mark.parametrize("build, oracle, candidates", [
-    (lambda: hard_instance(6), exact_total_cover, 6608),
-    (lambda: gnp(9, 0.3, 7), exact_total_cover, 1965),
-    (lambda: hard_instance(6), exact_dominating_set, 584),
-    (lambda: gnp(9, 0.3, 7), exact_dominating_set, 179),
+# Nodes visited, recorded from the same searches: one fewer must stop the
+# search holding an optimum it has not yet proved, exactly that many must
+# succeed.
+@pytest.mark.parametrize("build, oracle, nodes", [
+    (lambda: hard_instance(6), exact_total_cover, 47),
+    (lambda: gnp(9, 0.3, 7), exact_total_cover, 27),
+    (lambda: hard_instance(6), exact_dominating_set, 21),
+    (lambda: gnp(9, 0.3, 7), exact_dominating_set, 10),
 ])
-def test_budget_boundary_golden(build, oracle, candidates):
+def test_budget_boundary_golden(build, oracle, nodes):
     g = build()
     with pytest.raises(BudgetExceededError) as err:
-        oracle(g, SearchLimits(max_candidates=candidates - 1))
+        oracle(g, SearchLimits(max_candidates=nodes - 1))
     assert err.value.cardinality_reached == 4
-    assert str(err.value) == f"exceeded max_candidates={candidates - 1} at cardinality 4"
-    result = oracle(g, SearchLimits(max_candidates=candidates))
-    assert (result.size, result.candidates_checked) == (4, candidates)
+    assert str(err.value) == f"exceeded max_candidates={nodes - 1} at cardinality 4"
+    result = oracle(g, SearchLimits(max_candidates=nodes))
+    assert (result.size, result.candidates_checked) == (4, nodes)
 
 
 @pytest.mark.parametrize("oracle, builder, message", [
@@ -262,47 +266,45 @@ def test_exact_optimum_is_confirmed_by_is_total_cover(monkeypatch):
         exact_total_cover(path(3))
 
 
-def plain_first_covering(masks, limits):
-    """Reference for _first_covering: every candidate of every size, in
-    itertools.combinations order, tested with one OR of its masks."""
+def plain_first_covering(masks):
+    """Reference for _smallest_covering's size: the first candidate, by size
+    and then in itertools.combinations order, whose masks OR to all ones."""
     everything = (1 << len(masks)) - 1
-    checked = 0
-    for size in range(limits.start_size, len(masks) + 1):
+    for size in range(len(masks) + 1):
         for combo in combinations(range(len(masks)), size):
-            checked += 1
-            if checked > limits.max_candidates:
-                raise BudgetExceededError(
-                    f"exceeded max_candidates={limits.max_candidates} at cardinality {size}",
-                    cardinality_reached=size,
-                )
             covered = 0
             for i in combo:
                 covered |= masks[i]
             if covered == everything:
-                return combo, checked
+                return combo
 
 
 @st.composite
 def mask_searches(draw):
-    """Up to 14 masks, each holding its own bit and, at random density,
-    others; a start size and a candidate budget, 0 included."""
+    """Up to 14 masks, the closed neighbourhoods of a graph of random
+    density: each holds its own bit, and bit j of mask i is bit i of mask
+    j.  Then a start size and a candidate budget, 0 included."""
     count = draw(st.integers(0, 14))
     thinning = draw(st.integers(0, 3))  # ANDs of random words make sparser masks
-    masks = []
+    masks = [1 << i for i in range(count)]
     for i in range(count):
-        mask = (1 << count) - 1
+        word = (1 << count) - 1
         for _ in range(thinning + 1):
-            mask &= draw(st.integers(0, (1 << count) - 1))
-        masks.append(mask | 1 << i)
+            word &= draw(st.integers(0, (1 << count) - 1))
+        for j in range(i + 1, count):
+            if word >> j & 1:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
     budget = draw(st.one_of(st.just(0), st.integers(1, 1 << count)))
     return masks, SearchLimits(max_candidates=budget, start_size=draw(st.integers(0, count)))
 
 
-def search_outcome(search, masks, limits):
-    try:
-        return search(masks, limits)
-    except BudgetExceededError as err:
-        return str(err), err.cardinality_reached
+def assert_covers(masks, chosen):
+    covered = 0
+    for i in chosen:
+        covered |= masks[i]
+    assert covered == (1 << len(masks)) - 1
+    assert len(set(chosen)) == len(chosen)
 
 
 @settings(max_examples=300, deadline=None)
@@ -310,24 +312,70 @@ def search_outcome(search, masks, limits):
 @example(([], SearchLimits()))
 @example(([], SearchLimits(max_candidates=0)))
 def test_first_covering_matches_the_plain_enumeration(case):
+    # the branch and bound finds a cover of the size of the plain
+    # enumeration's first, unbudgeted, from any vouched start, and a budget
+    # below its node count stops it
     masks, limits = case
-    assert (search_outcome(_first_covering, masks, limits)
-            == search_outcome(plain_first_covering, masks, limits))
-
-
-# Recorded from the plain enumeration, which tested every candidate: the
-# walk skips most of them, and must count each one it skips.
-@pytest.mark.parametrize("build, optimum, candidates", [
-    (lambda: gnp(16, 0.12, 3), [0, 1, 2, 3, 7, 11, 12, 13, 14, 15], 5_711_584),
-    (lambda: path(16), [0, 2, 4, 9, 14, 22, 27], 1_087_328),
-    (lambda: cycle(16), [0, 1, 6, 11, 20, 25, 30], 1_233_367),
-])
-def test_skipped_subtrees_are_counted_whole(build, optimum, candidates):
-    result = exact_total_cover(build())
-    assert (sorted(result.optimum.ids), result.size, result.candidates_checked) == (
-        optimum, len(optimum), candidates)
+    optimum = len(plain_first_covering(masks))
+    chosen, nodes = _smallest_covering(masks, SearchLimits())
+    assert len(chosen) == optimum
+    assert_covers(masks, chosen)
+    # a vouched lower bound, the drawn one capped at the optimum or the optimum itself
+    for start in (min(limits.start_size, optimum), optimum):
+        vouched, vouched_nodes = _smallest_covering(masks, SearchLimits(start_size=start))
+        assert len(vouched) == optimum and vouched_nodes <= nodes
+        assert_covers(masks, vouched)
+    if limits.max_candidates < nodes:
+        with pytest.raises(BudgetExceededError) as err:
+            _smallest_covering(masks, SearchLimits(max_candidates=limits.max_candidates))
+        assert optimum <= err.value.cardinality_reached <= len(masks)
+    else:
+        assert _smallest_covering(masks, SearchLimits(max_candidates=limits.max_candidates)) == (
+            chosen, nodes)
 
 
 def test_search_deeper_than_the_recursion_limit():
-    result = exact_total_cover(Graph(1500), SearchLimits(max_elements=1500, start_size=1499))
-    assert (result.size, result.candidates_checked) == (1500, 1501)
+    # each of the 1100 isolated vertices is a forced branch, one level deeper
+    g = Graph(1104, [(0, 1), (0, 2), (0, 3)])
+    result = exact_total_cover(g, SearchLimits(max_elements=1107))
+    assert (result.size, result.candidates_checked) == (1101, 1104)
+
+
+def ilp_total_cover_size(g):
+    """The minimum total cover size by HiGHS: minimise the chosen elements
+    so that every closed neighbourhood, read off adj and inc, holds one."""
+    pytest.importorskip("scipy")
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    n, count = g.n, g.n + len(g.edges)
+    rows = np.zeros((count, count))
+    for v in range(n):
+        rows[v, [v, *g.adj[v], *(n + e for e in g.inc[v])]] = 1
+    for e, (u, v) in enumerate(g.edges):
+        rows[n + e, [u, v, *(n + f for f in g.inc[u] + g.inc[v])]] = 1
+    result = milp(np.ones(count), constraints=LinearConstraint(rows, lb=1),
+                  integrality=np.ones(count), bounds=Bounds(0, 1))
+    assert result.success, result.message
+    return round(result.fun)
+
+
+# Sparse gnp graphs past the reach of the old lexicographic enumeration
+# (about 50 elements), with their optima measured by HiGHS.
+ILP_GRAPHS = {
+    "gnp(20,3/19,0)": (lambda: gnp(20, 3 / 19, 0), 9),
+    "gnp(22,3/21,1)": (lambda: gnp(22, 3 / 21, 1), 9),
+    "gnp(24,3/23,2)": (lambda: gnp(24, 3 / 23, 2), 10),
+    "gnp(26,3/25,0)": (lambda: gnp(26, 3 / 25, 0), 11),
+    "gnp(28,3/27,1)": (lambda: gnp(28, 3 / 27, 1), 11),
+    "gnp(30,3/29,5)": (lambda: gnp(30, 3 / 29, 5), 13),
+    "gnp(30,0.1,5)": (lambda: gnp(30, 0.1, 5), 13),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ILP_GRAPHS))
+def test_exact_total_cover_equals_the_ilp(name):
+    build, optimum = ILP_GRAPHS[name]
+    g = build()
+    assert exact_total_cover(g, SearchLimits(max_elements=100)).size == optimum
+    assert ilp_total_cover_size(g) == optimum

@@ -80,6 +80,18 @@ def test_header_above_the_vertex_ceiling_allocates_nothing():
     assert peak < 1 << 20
 
 
+def test_edgeless_vertices_cost_a_pointer_each():
+    # 2**18 vertices hold two 2 MB tuples; two empty lists per vertex peaked at 32 MB
+    tracemalloc.start()
+    try:
+        g = parse_graph("p edge 262144 0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 << 20
+    assert g.adj[0] == g.inc[-1] == ()
+
+
 FIRST_FAULTS = [
     ([(0, 1), (1, 0), (0, 9)], DuplicateEdgeError, "edge (0, 1) appears twice"),
     ([(0, 9), (0, 1), (1, 0)], VertexOutOfRangeError, "edge (0, 9) leaves [0, 5)"),
