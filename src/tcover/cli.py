@@ -121,14 +121,7 @@ def cmd_solve(args) -> int:
 
 def cmd_exact(args) -> int:
     g = _read_graph(args.graph)
-    fits = g.n + len(g.edges) <= args.max_elements  # else exact raises TooLargeError
-    start_size = approx_total_cover(g).lower_bound if args.start_at_lower_bound and fits else 0
-    limits = SearchLimits(
-        max_elements=args.max_elements,
-        max_candidates=args.max_candidates,
-        start_size=start_size,
-    )
-    result = exact_total_cover(g, limits)
+    result = exact_total_cover(g, SearchLimits(args.max_elements, args.max_candidates))
     print(f"size={result.size} candidates={result.candidates_checked}")
     sys.stdout.write(serialize_cover(result.optimum))
     return EXIT_OK
@@ -259,10 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exact = sub.add_parser("exact", help="minimum total cover by branch and bound")
     p_exact.add_argument("graph", help="graph file")
-    p_exact.add_argument("--max-elements", type=_limit, default=SearchLimits.max_elements)
-    p_exact.add_argument("--max-candidates", type=_limit, default=SearchLimits.max_candidates)
-    p_exact.add_argument("--start-at-lower-bound", action="store_true",
-                         help="start the search at the certified lower bound")
+    p_exact.add_argument("--max-elements", type=_limit, default=SearchLimits.max_elements,
+                         metavar="N", help="refuse graphs with more than N vertices + edges")
+    p_exact.add_argument("--max-candidates", type=_limit, default=SearchLimits.max_candidates,
+                         metavar="N", help="search-node budget")
     p_exact.set_defaults(func=cmd_exact)
 
     p_base = sub.add_parser("baseline", help="run a baseline cover construction")

