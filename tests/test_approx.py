@@ -140,6 +140,16 @@ def test_approx_with_isolated_vertex():
     assert {step.step for step in result.trace} == {1, 3}
 
 
+def test_step3_rejects_a_matching_edge_with_two_unmatched_sides(monkeypatch):
+    # in path(4) the lone middle edge leaves 0 and 3 unmatched, one beside
+    # each endpoint: an augmenting path, so the matching is not maximum
+    g = path(4)
+    monkeypatch.setattr(tcover.approx, "maximum_matching", lambda graph: Matching(path(4), [1]))
+    with pytest.raises(NotMaximumError) as info:
+        approx_total_cover(g)
+    assert str(info.value) == "both endpoints of matching edge 1 reach unmatched vertices"
+
+
 def test_approx_k5_uses_bad_round():
     result = approx_total_cover(complete(5))
     assert result.bad_vertex_count == 1
