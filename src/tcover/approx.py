@@ -10,8 +10,11 @@ two of the optimum.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from typing import NamedTuple
 
 from .graph import ElementSet, Graph, format_element, is_total_cover
 from .graph import isolated_vertices, total_graph
@@ -41,12 +44,12 @@ class BadVertexAssignment:
         return len(self.pairs)
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One element added to the cover: which algorithm step added it and why.
 
     Reason tags: isolated, bad-vertex, bad-edge, endpoint, matching-edge.
     The element is numbered as in ElementSet: vertex v is v, edge e is n + e.
+    A named tuple, so a step unpacks as (step, reason, element).
     """
 
     step: int
@@ -142,35 +145,35 @@ def approx_total_cover(g: Graph) -> ApproxResult:
     # ones that are unmatched and not bad (isolated ones have no neighbors).
     # Only endpoint additions can cover them (edges added here join two
     # matched vertices, and the step-1/2 elements lost all unmatched
-    # neighbors with their removal), so a covered flag per unmatched
-    # vertex tracks coverage exactly.
+    # neighbors with their removal), so the set of unmatched vertices
+    # covered so far tracks coverage exactly.
     unmatched = [mate == -1 for mate in matching._partner]
     for v, eid in assignment.pairs:
         trace.append(TraceStep(2, "bad-vertex", v))
         trace.append(TraceStep(2, "bad-edge", g.n + eid))
         unmatched[v] = False
     bad_edges = {eid for _, eid in assignment.pairs}
-    covered = [False] * g.n
-
-    def unmatched_neighbors(x: int) -> list[int]:
-        return [z for z in g.adj[x] if unmatched[z]]
-
+    # each vertex's unmatched neighbors, gathered once from the unmatched side
+    near: defaultdict[int, list[int]] = defaultdict(list)
+    for z in compress(range(g.n), unmatched):
+        for x in g.adj[z]:
+            near[x].append(z)
+    covered: set[int] = set()
     for eid in sorted(matching.edge_ids - bad_edges):
         u, v = g.edges[eid]
-        near_u = unmatched_neighbors(u)
-        near_v = unmatched_neighbors(v)
+        near_u = near.get(u, ())
+        near_v = near.get(v, ())
         # With a maximum matching at most one endpoint can see unmatched
         # vertices: two distinct ones give an augmenting path, a shared
         # one would have been a bad vertex.
         if near_u and near_v:
             raise NotMaximumError(f"both endpoints of matching edge {eid} reach unmatched vertices")
-        endpoint, near = (u, near_u) if near_u else (v, near_v)
-        if any(not covered[z] for z in near):
-            trace.append(TraceStep(3, "endpoint", endpoint))
-            for z in near:
-                covered[z] = True
-        else:
+        endpoint, reach = (u, near_u) if near_u else (v, near_v)
+        if covered.issuperset(reach):
             trace.append(TraceStep(3, "matching-edge", g.n + eid))
+        else:
+            trace.append(TraceStep(3, "endpoint", endpoint))
+            covered.update(reach)
 
     # the trace is the cover; the size law below also proves no element
     # was recorded twice, since the trace has exactly m + k + t steps

@@ -178,9 +178,11 @@ def maximum_matching(g: Graph) -> Matching:
     for root in range(n):
         if match[root] != -1:
             continue
-        free = next((w for w in adj[root] if match[w] == -1), -1)
-        if free != -1:
-            match[root], match[free] = free, root
+        for w in adj[root]:
+            if match[w] == -1:
+                match[root], match[w] = w, root
+                break
+        if match[root] != -1:
             continue
         queue, inner = [root], []
         in_queue[root] = True

@@ -6,7 +6,9 @@ import random
 
 from hypothesis import strategies as st
 
-from tcover import ElementSet, Graph
+from tcover import ElementSet, Graph, NotMaximumError, TraceStep, bad_vertex_assignment
+from tcover import maximum_matching
+from tcover.graph import isolated_vertices
 from tcover.instances import gnp
 from tcover.matching import CertificateError, Matching
 
@@ -89,6 +91,22 @@ def sparse_graphs_with_pendant_triangles(draw):
         if core and rng.random() < 0.8:
             pairs.add((rng.randrange(core), a + rng.randrange(3)))
     return relabelled(n, sorted(pairs), rng)
+
+
+@st.composite
+def sparse_graphs_with_a_hub(draw):
+    """A graph of sparse_graphs_with_pendant_triangles() with one vertex
+    joined to a share of the others: a hub whose side of the matching sees
+    many unmatched vertices, beside isolated vertices that stay isolated.
+    At most 300 vertices."""
+    g = draw(sparse_graphs_with_pendant_triangles())
+    if g.n < 2:
+        return g
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    hub = rng.randrange(g.n)
+    share = draw(st.sampled_from([0.05, 0.2, 0.5]))
+    spokes = {(min(hub, w), max(hub, w)) for w in range(g.n) if w != hub and rng.random() < share}
+    return Graph(g.n, sorted(set(g.edges) | spokes))
 
 
 @st.composite
@@ -247,3 +265,49 @@ def reference_maximum_matching(g: Graph) -> Matching:
                 raise CertificateError(f"matched pair ({v}, {match[v]}) is not an edge of the graph")
             edge_ids.add(eid)
     return Matching(g, edge_ids)
+
+
+def reference_trace(g: Graph) -> tuple[TraceStep, ...]:
+    """approx_total_cover's trace as it was built before step 3 gathered
+    unmatched neighbors from the unmatched side, kept verbatim as the
+    oracle for steps 1-3: each remaining matching edge filters both of its
+    endpoints' adjacency lists."""
+    isolates = isolated_vertices(g)
+    trace = [TraceStep(1, "isolated", v) for v in isolates]
+
+    matching = maximum_matching(g)
+    assignment = bad_vertex_assignment(g, matching)
+    # Step 3 works on the surviving graph, whose unmatched vertices are the
+    # ones that are unmatched and not bad (isolated ones have no neighbors).
+    # Only endpoint additions can cover them (edges added here join two
+    # matched vertices, and the step-1/2 elements lost all unmatched
+    # neighbors with their removal), so a covered flag per unmatched
+    # vertex tracks coverage exactly.
+    unmatched = [mate == -1 for mate in matching._partner]
+    for v, eid in assignment.pairs:
+        trace.append(TraceStep(2, "bad-vertex", v))
+        trace.append(TraceStep(2, "bad-edge", g.n + eid))
+        unmatched[v] = False
+    bad_edges = {eid for _, eid in assignment.pairs}
+    covered = [False] * g.n
+
+    def unmatched_neighbors(x: int) -> list[int]:
+        return [z for z in g.adj[x] if unmatched[z]]
+
+    for eid in sorted(matching.edge_ids - bad_edges):
+        u, v = g.edges[eid]
+        near_u = unmatched_neighbors(u)
+        near_v = unmatched_neighbors(v)
+        # With a maximum matching at most one endpoint can see unmatched
+        # vertices: two distinct ones give an augmenting path, a shared
+        # one would have been a bad vertex.
+        if near_u and near_v:
+            raise NotMaximumError(f"both endpoints of matching edge {eid} reach unmatched vertices")
+        endpoint, near = (u, near_u) if near_u else (v, near_v)
+        if any(not covered[z] for z in near):
+            trace.append(TraceStep(3, "endpoint", endpoint))
+            for z in near:
+                covered[z] = True
+        else:
+            trace.append(TraceStep(3, "matching-edge", g.n + eid))
+    return tuple(trace)

@@ -5,7 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import pytest
 
@@ -15,6 +15,7 @@ from tcover import (
     Graph,
     Matching,
     NotMaximumError,
+    TraceStep,
     approx_total_cover,
     bad_vertex_assignment,
     exact_total_cover,
@@ -39,7 +40,13 @@ from tcover.instances import (
     star,
 )
 
-from helpers import golden_graph, shuffled_copies, small_graphs
+from helpers import (
+    golden_graph,
+    reference_trace,
+    shuffled_copies,
+    small_graphs,
+    sparse_graphs_with_a_hub,
+)
 
 
 def test_bad_vertices_of_triangle():
@@ -148,6 +155,22 @@ def test_step3_rejects_a_matching_edge_with_two_unmatched_sides(monkeypatch):
     with pytest.raises(NotMaximumError) as info:
         approx_total_cover(g)
     assert str(info.value) == "both endpoints of matching edge 1 reach unmatched vertices"
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_graphs_with_a_hub())
+def test_step3_trace_matches_the_per_endpoint_scan(g):
+    assert approx_total_cover(g).trace == reference_trace(g)
+
+
+def test_trace_step_is_a_named_tuple():
+    step = TraceStep(step=1, reason="isolated", element=0)
+    assert step == TraceStep(1, "isolated", 0) == (1, "isolated", 0)
+    assert TraceStep._fields == ("step", "reason", "element")
+    assert (step.step, step.reason, step.element) == tuple(step)
+    assert repr(step) == "TraceStep(step=1, reason='isolated', element=0)"
+    with pytest.raises(AttributeError):
+        step.reason = "endpoint"
 
 
 def test_approx_k5_uses_bad_round():
