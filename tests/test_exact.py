@@ -19,8 +19,8 @@ from tcover import (
     is_total_cover,
     total_graph,
 )
-from tcover.exact import _smallest_covering
-from tcover.instances import complete, cycle, enumerate_graphs, gnp, hard_instance, path, star
+from tcover.exact import _smallest_covering, _total_cover_masks
+from tcover.instances import complete, cycle, enumerate_graphs, gnp, hard_instance, path, petersen, star
 
 
 def test_exact_total_cover_k3():
@@ -142,6 +142,19 @@ def test_dominating_oracle_against_cover_oracle_on_total_graphs():
     for g in (star(4), cycle(4), path(5)):
         tg = total_graph(g)
         assert exact_total_cover(g).size == exact_dominating_set(tg).size
+
+
+def test_total_graph_and_exact_masks_are_pinned():
+    # sha256 of the reprs over every graph of at most 5 vertices plus six
+    # larger ones: rewriting either builder must not move a single edge or bit
+    graphs = [g for n in range(6) for g in enumerate_graphs(n)]
+    graphs += [hard_instance(8), petersen(), star(50), complete(7), gnp(30, 0.1, 5), gnp(300, 0.02, 1)]
+    tg = [(t.n, t.edges) for t in map(total_graph, graphs)]
+    masks = [_total_cover_masks(g) for g in graphs]
+    assert hashlib.sha256(repr(tg).encode()).hexdigest() == \
+        "574f92ad4b812f9419d14508e6176d1127f3cc85804bdec93617e510ddff4c67"
+    assert hashlib.sha256(repr(masks).encode()).hexdigest() == \
+        "9259a8131f1ed48386e237dc367bd123ff090d4115f73f512f5fbb10a3a2a7b3"
 
 
 def golden_corpus():
