@@ -4,9 +4,9 @@ Each element has a bitmask of its closed neighbourhood, the elements it
 covers, and a minimum cover is a smallest set of elements whose masks OR
 to all ones.  One depth-first branch and bound finds it for both
 oracles; it is the set-cover branching of Fomin, Grandoni & Kratsch
-(J. ACM 2009).  The masks are built here from adjacency and incidence
-lists: neither oracle goes through ``total_graph`` or ``is_total_cover``
-to search, which keeps the oracles independent of the approximation code
+(J. ACM 2009).  The masks are built here from ``adj`` and ``edges``:
+neither oracle goes through ``total_graph`` or ``is_total_cover`` to
+search, which keeps the oracles independent of the approximation code
 and of each other.  The set a search returns is confirmed once against
 the plain definition.  Guards keep accidental blowups in check.
 """
@@ -69,11 +69,11 @@ class TotalGraphCrossCheck:
         return self.total_cover_size == self.total_graph_domination_size
 
 
-def _bits(ids: Iterable[int], offset: int = 0) -> int:
-    """A mask with bit offset + i set for every i in ids."""
+def _bits(ids: Iterable[int]) -> int:
+    """A mask with bit i set for every i in ids."""
     mask = 0
     for i in ids:
-        mask |= 1 << (offset + i)
+        mask |= 1 << i
     return mask
 
 
@@ -81,11 +81,16 @@ def _total_cover_masks(g: Graph) -> list[int]:
     """Closed-neighbourhood masks over V + E: vertex v is bit v, edge e is
     bit n + e.  A vertex covers itself, its neighbours and its incident
     edges; an edge covers itself, both its endpoints and every edge that
-    shares an endpoint with it (the incidence lists of its endpoints, which
-    both hold the edge itself)."""
+    shares an endpoint with it (the incident edges of its endpoints, which
+    both hold the edge itself).  One pass over ``g.edges`` ORs each edge's
+    bit into its endpoints' incidence masks."""
     n = g.n
-    vertex_masks = [_bits((v, *g.adj[v])) | _bits(g.inc[v], n) for v in range(n)]
-    edge_masks = [_bits((u, v)) | _bits(g.inc[u] + g.inc[v], n) for u, v in g.edges]
+    incident = [0] * n
+    for eid, (u, v) in enumerate(g.edges):
+        incident[u] |= 1 << (n + eid)
+        incident[v] |= 1 << (n + eid)
+    vertex_masks = [_bits((v, *g.adj[v])) | incident[v] for v in range(n)]
+    edge_masks = [_bits((u, v)) | incident[u] | incident[v] for u, v in g.edges]
     return vertex_masks + edge_masks
 
 
@@ -151,7 +156,7 @@ def _smallest_covering(masks: list[int], limits: SearchLimits) -> tuple[tuple[in
 def exact_total_cover(g: Graph, limits: SearchLimits | None = None) -> ExactResult:
     """Minimum total cover by branch and bound over subsets of V + E.
 
-    The masks come from ``g.adj`` and ``g.inc``, not through
+    The masks come from ``g.adj`` and ``g.edges``, not through
     ``total_graph`` or ``is_total_cover``; ``is_total_cover`` only
     confirms the returned set, raising CertificateError if it finds an
     element the set misses.

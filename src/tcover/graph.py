@@ -87,10 +87,10 @@ class Graph:
     the pair ``(u, v)`` with ``u < v``, and ids are the pairs' ranks in
     lexicographic order, whatever the input's order.  Each ``adj[v]`` is
     sorted ascending, which makes every algorithm in this package
-    deterministic, and ``inc[v][i]`` is the id of the edge to ``adj[v][i]``.
+    deterministic.
     """
 
-    __slots__ = ("n", "edges", "adj", "inc")
+    __slots__ = ("n", "edges", "adj")
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]] = ()):
         """Raises SelfLoopError, DuplicateEdgeError, or VertexOutOfRangeError,
@@ -113,29 +113,23 @@ class Graph:
         # edgeless vertices share (), so a bare header costs a pointer per vertex;
         # with pairs at least half as many as vertices, the set costs more than it saves
         adj: list = [()] * n
-        inc: list = [()] * n
         for v in range(n) if 2 * len(edges) >= n else set(chain.from_iterable(edges)):
             adj[v] = []
-            inc[v] = []
         # a vertex meets its smaller neighbours (as v), then its larger (as u), ascending
-        for eid, (u, v) in enumerate(edges):
+        for u, v in edges:
             adj[u].append(v)
             adj[v].append(u)
-            inc[u].append(eid)
-            inc[v].append(eid)
         for v in range(n):  # one list at a time, each freed as its tuple is made
             adj[v] = tuple(adj[v])
-            inc[v] = tuple(inc[v])
         self.n = n
         self.edges: tuple[tuple[int, int], ...] = tuple(edges)
         self.adj: tuple[tuple[int, ...], ...] = tuple(adj)
-        self.inc: tuple[tuple[int, ...], ...] = tuple(inc)
 
     def edge_id(self, u: int, v: int) -> Optional[int]:
-        """The id of edge ``{u, v}``; None for a non-edge or a vertex outside [0, n)."""
-        neighbors = self.adj[u] if 0 <= u < self.n else ()
-        i = bisect_left(neighbors, v)
-        return self.inc[u][i] if i < len(neighbors) and neighbors[i] == v else None
+        """The id of edge ``{u, v}``; None for a pair that is not an edge."""
+        pair = (u, v) if u < v else (v, u)
+        i = bisect_left(self.edges, pair)
+        return i if i < len(self.edges) and self.edges[i] == pair else None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -224,10 +218,13 @@ def total_graph(g: Graph) -> Graph:
     """
     n = g.n
     pairs = list(g.edges)
+    incident: list[list[int]] = [[] for _ in range(n)]
     for eid, (u, v) in enumerate(g.edges):
         pairs.append((u, n + eid))
         pairs.append((v, n + eid))
-    pairs += [(n + a, n + b) for v in range(n) for a, b in combinations(g.inc[v], 2)]
+        incident[u].append(eid)
+        incident[v].append(eid)
+    pairs += [(n + a, n + b) for ids in incident for a, b in combinations(ids, 2)]
     return Graph(n + len(g.edges), pairs)
 
 

@@ -87,7 +87,8 @@ def maximum_matching(g: Graph) -> Matching:
     touches, not to n: the per-vertex arrays are allocated once and each
     search resets only the entries it wrote.
 
-    Two shortcuts return the very matching the plain search would.  A
+    Three shortcuts return the very matching the plain search would.  A
+    root with no neighbor starts no search, as it can never be matched.  A
     root with a free neighbor is matched to the first one unsearched: the
     search scans the root's neighbors first and would augment to it.  A
     failed search (a Hungarian tree, Edmonds 1965) marks its vertices
@@ -176,7 +177,7 @@ def maximum_matching(g: Graph) -> Matching:
         return False
 
     for root in range(n):
-        if match[root] != -1:
+        if match[root] != -1 or not adj[root]:
             continue
         for w in adj[root]:
             if match[w] == -1:
@@ -198,14 +199,11 @@ def maximum_matching(g: Graph) -> Matching:
         for x in inner:
             parent[x] = -1
 
-    edge_ids = set()
-    for v in range(n):
-        if match[v] > v:
-            eid = g.edge_id(v, match[v])
-            if eid is None:
-                raise CertificateError(f"matched pair ({v}, {match[v]}) is not an edge of the graph")
-            edge_ids.add(eid)
-    return Matching(g, edge_ids)
+    matching = Matching(g, [eid for eid, (u, v) in enumerate(g.edges) if match[u] == v])
+    if matching._partner != tuple(match):
+        v = next(v for v in range(n) if matching._partner[v] != match[v])
+        raise CertificateError(f"matched pair ({v}, {match[v]}) is not an edge of the graph")
+    return matching
 
 
 def brute_force_maximum_matching(g: Graph) -> Matching:

@@ -483,7 +483,12 @@ def test_failed_validation_exits_3(k3, capsys, monkeypatch, command, patched, me
 
 
 def test_matched_non_edge_exits_3(k3, capsys, monkeypatch):
-    monkeypatch.setattr(Graph, "edge_id", lambda self, u, v: None)
+    def parse_broken(text):
+        g = Graph(2)
+        g.adj = ((1,), (0,))  # adjacency that names a pair the edge tuple lacks
+        return g
+
+    monkeypatch.setattr(tcover.cli, "parse_graph", parse_broken)
     assert main(["solve", k3]) == 3
     captured = capsys.readouterr()
     assert captured.err == "internal error: matched pair (0, 1) is not an edge of the graph\n"

@@ -327,17 +327,22 @@ def test_search_deeper_than_the_recursion_limit():
 
 def ilp_total_cover_size(g):
     """The minimum total cover size by HiGHS: minimise the chosen elements
-    so that every closed neighbourhood, read off adj and inc, holds one."""
+    so that every closed neighbourhood, read off adj and the incidence
+    lists derived here from g.edges, holds one."""
     pytest.importorskip("scipy")
     import numpy as np
     from scipy.optimize import Bounds, LinearConstraint, milp
 
     n, count = g.n, g.n + len(g.edges)
+    inc = [[] for _ in range(n)]
+    for e, (u, v) in enumerate(g.edges):
+        inc[u].append(e)
+        inc[v].append(e)
     rows = np.zeros((count, count))
     for v in range(n):
-        rows[v, [v, *g.adj[v], *(n + e for e in g.inc[v])]] = 1
+        rows[v, [v, *g.adj[v], *(n + e for e in inc[v])]] = 1
     for e, (u, v) in enumerate(g.edges):
-        rows[n + e, [u, v, *(n + f for f in g.inc[u] + g.inc[v])]] = 1
+        rows[n + e, [u, v, *(n + f for f in inc[u] + inc[v])]] = 1
     result = milp(np.ones(count), constraints=LinearConstraint(rows, lb=1),
                   integrality=np.ones(count), bounds=Bounds(0, 1))
     assert result.success, result.message

@@ -35,7 +35,7 @@ def test_build_k2():
     assert g.n == 2
     assert g.edges == ((0, 1),)
     assert type(g.edges[0]) is tuple
-    assert Graph.__slots__ == ("n", "edges", "adj", "inc")
+    assert Graph.__slots__ == ("n", "edges", "adj")
 
 
 def test_build_k3_adjacency():
@@ -43,7 +43,7 @@ def test_build_k3_adjacency():
     g = Graph(3, [(0, 1), (1, 2), (0, 2)])
     assert g.adj[1] == (0, 2)
     assert g.adj[0] == (1, 2)
-    assert g.inc[1] == (0, 2)
+    assert [g.edge_id(1, w) for w in g.adj[1]] == [0, 2]
 
 
 def test_build_canonicalizes_pairs():
@@ -81,15 +81,15 @@ def test_header_above_the_vertex_ceiling_allocates_nothing():
 
 
 def test_edgeless_vertices_cost_a_pointer_each():
-    # 2**18 vertices hold two 2 MB tuples; two empty lists per vertex peaked at 32 MB
+    # 2**18 vertices hold one 2 MB tuple; two empty lists per vertex peaked at 32 MB
     tracemalloc.start()
     try:
         g = parse_graph("p edge 262144 0\n")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 << 20
-    assert g.adj[0] == g.inc[-1] == ()
+    assert peak < 6 << 20
+    assert g.adj[0] == g.adj[-1] == ()
 
 
 FIRST_FAULTS = [
@@ -119,24 +119,21 @@ def test_build_reads_a_generator_once_and_reports_its_first_fault(pairs, error, 
 
 
 def assert_one_record_per_edge(g):
-    # inc[v][i] is the edge from v to adj[v][i], and edge_id agrees with a
-    # scan of g.edges for every pair, vertices outside [0, n) included
+    # adj[v] is sorted, and edge_id agrees with a scan of g.edges for every
+    # pair, vertices outside [0, n) included
     scanned = {}
     for eid, (u, v) in enumerate(g.edges):
         assert u < v
         scanned[u, v] = scanned[v, u] = eid
     for v in range(g.n):
         assert list(g.adj[v]) == sorted(g.adj[v])
-        assert len(g.inc[v]) == len(g.adj[v])
-        for w, eid in zip(g.adj[v], g.inc[v]):
-            assert g.edges[eid] == (min(v, w), max(v, w))
     for u in range(-1, g.n + 1):
         for v in range(-1, g.n + 1):
             assert g.edge_id(u, v) == scanned.get((u, v))
 
 
 @given(shuffled_copies())
-def test_inc_lines_up_with_adj(case):
+def test_edge_id_agrees_with_a_scan(case):
     for g in case:
         assert_one_record_per_edge(g)
 
@@ -145,12 +142,12 @@ def test_inc_lines_up_with_adj(case):
 def test_a_graph_is_its_edge_set(case):
     g, shuffled = case
     assert shuffled == g
-    assert (shuffled.edges, shuffled.adj, shuffled.inc) == (g.edges, g.adj, g.inc)
+    assert (shuffled.edges, shuffled.adj) == (g.edges, g.adj)
     assert list(g.edges) == sorted(g.edges)
     assert serialize_graph(shuffled) == serialize_graph(g)
 
 
-def test_inc_lines_up_with_adj_on_the_hard_family():
+def test_edge_id_agrees_with_a_scan_on_the_hard_family():
     for n in (2, 4, 12):
         assert_one_record_per_edge(hard_instance(n))
 
