@@ -3,7 +3,7 @@
 A total cover is a set of vertices and edges such that every other
 vertex and edge of the graph is adjacent or incident to a member.  The
 package provides a matching-based approximation that certifies a factor
-of two on every run, exact oracles for desk-scale verification, two
+of two on every run, an exact oracle for desk-scale verification, two
 baseline constructions, deterministic instance generators, and a command
 line front end (``tcover``).
 """
@@ -23,9 +23,6 @@ from .approx import (
 from .exact import (
     ExactResult,
     SearchLimits,
-    TotalGraphCrossCheck,
-    cross_check_total_graph,
-    exact_dominating_set,
     exact_total_cover,
 )
 from .graph import (
@@ -88,7 +85,6 @@ __all__ = [
     "SearchLimits",
     "SelfLoopError",
     "TooLargeError",
-    "TotalGraphCrossCheck",
     "TraceStep",
     "UnknownEdgeError",
     "VertexOutOfRangeError",
@@ -97,11 +93,9 @@ __all__ = [
     "bad_vertex_assignment",
     "brute_force_maximum_matching",
     "complete",
-    "cross_check_total_graph",
     "cycle",
     "element_cover_line",
     "enumerate_graphs",
-    "exact_dominating_set",
     "exact_total_cover",
     "format_element",
     "gnp",

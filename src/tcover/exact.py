@@ -1,14 +1,14 @@
-"""Exact oracles for minimum total covers and dominating sets.
+"""Exact oracle for minimum total covers.
 
 Each element has a bitmask of its closed neighbourhood, the elements it
 covers, and a minimum cover is a smallest set of elements whose masks OR
-to all ones.  One depth-first branch and bound finds it for both
-oracles; it is the set-cover branching of Fomin, Grandoni & Kratsch
-(J. ACM 2009).  The masks are built here from ``adj`` and ``edges``:
-neither oracle goes through ``total_graph`` or ``is_total_cover`` to
-search, which keeps the oracles independent of the approximation code
-and of each other.  The set a search returns is confirmed once against
-the plain definition.  Guards keep accidental blowups in check.
+to all ones.  One depth-first branch and bound finds it; it is the
+set-cover branching of Fomin, Grandoni & Kratsch (J. ACM 2009).  The
+masks are built here from ``adj`` and ``edges``: the oracle does not go
+through ``total_graph`` or ``is_total_cover`` to search, which keeps it
+independent of the approximation code.  The set a search returns is
+confirmed once against the plain definition.  Guards keep accidental
+blowups in check.
 """
 
 from __future__ import annotations
@@ -23,14 +23,13 @@ from .graph import (
     TooLargeError,
     format_element,
     is_total_cover,
-    total_graph,
 )
 from .matching import CertificateError
 
 
 @dataclass(frozen=True)
 class SearchLimits:
-    """Guards for the exact searches.
+    """Guards for the exact search.
 
     ``max_elements`` refuses larger inputs and ``max_candidates`` caps the
     search nodes visited.
@@ -56,19 +55,6 @@ class ExactResult:
         return len(self.optimum)
 
 
-@dataclass(frozen=True)
-class TotalGraphCrossCheck:
-    """Minimum total cover size vs. minimum dominating set size of the
-    total graph, computed through two independent code paths."""
-
-    total_cover_size: int
-    total_graph_domination_size: int
-
-    @property
-    def agree(self) -> bool:
-        return self.total_cover_size == self.total_graph_domination_size
-
-
 def _bits(ids: Iterable[int]) -> int:
     """A mask with bit i set for every i in ids."""
     mask = 0
@@ -92,12 +78,6 @@ def _total_cover_masks(g: Graph) -> list[int]:
     vertex_masks = [_bits((v, *g.adj[v])) | incident[v] for v in range(n)]
     edge_masks = [_bits((u, v)) | incident[u] | incident[v] for u, v in g.edges]
     return vertex_masks + edge_masks
-
-
-def _domination_masks(g: Graph) -> list[int]:
-    """Closed-neighbourhood masks over V: vertex v dominates itself and its
-    neighbours."""
-    return [_bits((v, *g.adj[v])) for v in range(g.n)]
 
 
 def _members(mask: int) -> Iterator[int]:
@@ -156,10 +136,12 @@ def _smallest_covering(masks: list[int], limits: SearchLimits) -> tuple[tuple[in
 def exact_total_cover(g: Graph, limits: SearchLimits | None = None) -> ExactResult:
     """Minimum total cover by branch and bound over subsets of V + E.
 
-    The masks come from ``g.adj`` and ``g.edges``, not through
-    ``total_graph`` or ``is_total_cover``; ``is_total_cover`` only
-    confirms the returned set, raising CertificateError if it finds an
-    element the set misses.
+    A total cover of ``g`` is a dominating set of its total graph: the
+    mask of element x is the closed neighbourhood of vertex x of
+    ``total_graph(g)``.  The masks come from ``g.adj`` and ``g.edges``,
+    not through ``total_graph`` or ``is_total_cover``; ``is_total_cover``
+    only confirms the returned set, raising CertificateError if it finds
+    an element the set misses.
     """
     limits = limits or SearchLimits()
     total = g.n + len(g.edges)
@@ -173,33 +155,3 @@ def exact_total_cover(g: Graph, limits: SearchLimits | None = None) -> ExactResu
     if not ok:
         raise CertificateError(f"exact total cover misses {format_element(g, witness)}")
     return ExactResult(optimum, checked)
-
-
-def exact_dominating_set(g: Graph, limits: SearchLimits | None = None) -> ExactResult:
-    """Minimum dominating set by the same search over vertex subsets.
-
-    A set dominates when every vertex is a member or adjacent to one.  The
-    masks come from ``g.adj`` alone, not through ``total_graph`` or
-    ``is_total_cover``, so cross-checks between the two oracles compare
-    independent constructions.  Raises CertificateError if a direct scan
-    finds a vertex the returned set leaves undominated.
-    """
-    limits = limits or SearchLimits()
-    n = g.n
-    if n > limits.max_elements:
-        raise TooLargeError(f"{n} vertices exceeds max_elements={limits.max_elements}")
-    combo, checked = _smallest_covering(_domination_masks(g), limits)
-    members = set(combo)
-    for w in range(n):
-        if w not in members and members.isdisjoint(g.adj[w]):
-            raise CertificateError(f"exact dominating set misses {format_element(g, w)}")
-    return ExactResult(ElementSet(g, combo), checked)
-
-
-def cross_check_total_graph(g: Graph, limits: SearchLimits | None = None) -> TotalGraphCrossCheck:
-    """Check that the minimum total cover of ``g`` has the same size as a
-    minimum dominating set of the total graph of ``g``."""
-    cover_size = exact_total_cover(g, limits).size
-    tg = total_graph(g)
-    domination_size = exact_dominating_set(tg, limits).size
-    return TotalGraphCrossCheck(cover_size, domination_size)

@@ -247,17 +247,17 @@ def element_cover_line(g: Graph, x: int) -> str:
 def parse_graph(text: str) -> Graph:
     """Parse the line-oriented graph format.
 
-    Lines starting with ``#`` or ``c`` are comments.  Exactly one header
-    ``p edge <n> <m>`` must appear before the ``e <u> <v>`` lines, whose
-    endpoints are 1-indexed.  Syntax problems raise ParseError with the
-    line number; semantic problems (range, loops, duplicates) are
-    reported by graph construction.
+    Only ``"\\n"`` ends a line, and lines starting with ``#`` or ``c`` are
+    comments.  Exactly one header ``p edge <n> <m>`` must appear before
+    the ``e <u> <v>`` lines, whose endpoints are 1-indexed.  Syntax
+    problems raise ParseError with the line number; semantic problems
+    (range, loops, duplicates) are reported by graph construction.
     """
     n = -1
     declared_edges = -1
     pairs: list[tuple[int, int]] = []
     line_no = 0
-    for line_no, raw in enumerate(text.splitlines(), 1):
+    for line_no, raw in enumerate(text.removesuffix("\n").split("\n") if text else (), 1):
         fields = raw.split()
         if len(fields) == 3 and fields[0] == "e" and n >= 0:
             try:
@@ -302,12 +302,12 @@ def serialize_graph(g: Graph) -> str:
 def parse_cover(text: str, g: Graph) -> ElementSet:
     """Parse a cover file against a graph.
 
-    Lines are ``v <id>`` or ``e <u> <v>`` with 1-indexed ids; ``#``
-    comments and blank lines are skipped.  An edge line whose pair is not
-    an edge of ``g`` raises UnknownEdgeError.
+    Lines, ended by ``"\\n"`` only, are ``v <id>`` or ``e <u> <v>`` with
+    1-indexed ids; ``#`` comments and blank lines are skipped.  An edge
+    line whose pair is not an edge of ``g`` raises UnknownEdgeError.
     """
     ids: list[int] = []
-    for line_no, raw in enumerate(text.splitlines(), 1):
+    for line_no, raw in enumerate(text.split("\n"), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -28,6 +28,17 @@ def connected(g: Graph) -> bool:
     return len(seen) == g.n
 
 
+def closed_neighbourhood_masks(g: Graph) -> list[int]:
+    """Bit v and the bits of v's neighbours, for every vertex v of g."""
+    masks = []
+    for v in range(g.n):
+        mask = 1 << v
+        for w in g.adj[v]:
+            mask |= 1 << w
+        masks.append(mask)
+    return masks
+
+
 @st.composite
 def small_graphs(draw, max_n: int = 6):
     n = draw(st.integers(min_value=0, max_value=max_n))

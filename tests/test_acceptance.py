@@ -13,15 +13,16 @@ from tcover import (
     SearchLimits,
     approx_total_cover,
     brute_force_maximum_matching,
-    cross_check_total_graph,
     exact_total_cover,
     is_total_cover,
     matched_vertices_cover,
     maximum_matching,
     serialize_graph,
+    total_graph,
     verify_matching,
 )
 from tcover.cli import main
+from tcover.exact import _total_cover_masks
 from tcover.instances import (
     complete,
     cycle,
@@ -33,7 +34,7 @@ from tcover.instances import (
     star,
 )
 
-from helpers import connected
+from helpers import closed_neighbourhood_masks, connected
 
 
 @contextmanager
@@ -101,8 +102,11 @@ def test_criterion_4_total_graph_identity():
     with criterion(4, "total cover vs total graph domination", 120):
         corpus = [g for n in range(6) for g in enumerate_graphs(n)]
         corpus += [path(4), cycle(5), complete(4), star(5), hard_instance(4)]
+        assert len(corpus) == 1105
         for g in corpus:
-            assert cross_check_total_graph(g).agree
+            # the exact oracle's cover masks are the closed neighbourhoods
+            # of T(g), so its total covers are T(g)'s dominating sets
+            assert _total_cover_masks(g) == closed_neighbourhood_masks(total_graph(g))
 
 
 def test_criterion_5_matching_correctness():

@@ -50,6 +50,16 @@ def test_solve_k2(tmp_path, capsys):
     assert "size=1 m=1 k=0 t=0 lb=1 ratio=1.0000" in capsys.readouterr().out
 
 
+def test_solve_reads_any_line_ending(tmp_path, capsys):
+    # files are read with universal newlines, so "\r\n" and a lone "\r" end
+    # a line as "\n" does
+    for ending in (b"\n", b"\r\n", b"\r"):
+        graph = tmp_path / "k2.gr"
+        graph.write_bytes(ending.join([b"# k2", b"p edge 2 1", b"e 1 2", b""]))
+        assert main(["solve", str(graph)]) == 0
+        assert capsys.readouterr().out.startswith("size=1 m=1 k=0 t=0 lb=1 ratio=1.0000\n")
+
+
 def test_solve_empty_graph(tmp_path, capsys):
     graph = tmp_path / "empty.gr"
     graph.write_text("p edge 0 0\n")
@@ -358,6 +368,19 @@ def test_compare_ratio_column_on_hard_family(tmp_path):
         fields = row.split(",")
         assert fields[11] == "2.0000"  # ratio_vs_lb
         assert fields[8] == ""  # exact disabled
+
+
+def test_compare_exact_limit_above_the_default(tmp_path):
+    # hard_instance(8) has 37 elements: over the default limit of 32 its
+    # exact columns stay empty, and --exact-limit 40 must reach the search
+    graph = tmp_path / "hard8.gr"
+    graph.write_text(serialize_graph(hard_instance(8)))
+    for extra, exact, ratio in (([], "", ""), (["--exact-limit", "40"], "5", "1.6000")):
+        out = tmp_path / "report.csv"
+        assert main(["compare", str(graph), "--csv", str(out), *extra]) == 0
+        [row] = csv.DictReader(out.read_text().splitlines())
+        assert (row["alg_size"], row["exact_size"], row["ratio_vs_exact"], row["error"]) == \
+            ("8", exact, ratio, "")
 
 
 def test_compare_records_errors_and_continues(k3, tmp_path):

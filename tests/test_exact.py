@@ -13,14 +13,14 @@ from tcover import (
     SearchLimits,
     TooLargeError,
     approx_total_cover,
-    cross_check_total_graph,
-    exact_dominating_set,
     exact_total_cover,
     is_total_cover,
     total_graph,
 )
 from tcover.exact import _smallest_covering, _total_cover_masks
 from tcover.instances import complete, cycle, enumerate_graphs, gnp, hard_instance, path, petersen, star
+
+from helpers import closed_neighbourhood_masks, connected
 
 
 def test_exact_total_cover_k3():
@@ -53,22 +53,9 @@ def test_exact_total_cover_empty_graph():
         exact_total_cover(Graph(0, []), SearchLimits(max_candidates=0))
 
 
-def test_exact_dominating_set_examples():
-    assert exact_dominating_set(complete(3)).size == 1
-    assert exact_dominating_set(cycle(5)).size == 2
-    assert exact_dominating_set(Graph(2, [])).size == 2
-
-
-def test_exact_dominating_set_optimum_is_lexicographic():
-    result = exact_dominating_set(complete(3))
-    assert result.optimum == ElementSet(complete(3), [0])
-
-
 def test_too_large_guards():
     with pytest.raises(TooLargeError):
         exact_total_cover(complete(20))  # 210 elements
-    with pytest.raises(TooLargeError):
-        exact_dominating_set(complete(3), SearchLimits(max_elements=2))
 
 
 def test_budget_exceeded_reports_cardinality():
@@ -79,8 +66,6 @@ def test_budget_exceeded_reports_cardinality():
                            match=f"^exceeded max_candidates={budget} at cardinality {reached}$") as err:
             exact_total_cover(complete(3), SearchLimits(max_candidates=budget))
         assert err.value.cardinality_reached == reached
-    with pytest.raises(BudgetExceededError):
-        exact_dominating_set(cycle(5), SearchLimits(max_candidates=2))
 
 
 def test_limits_validation():
@@ -104,44 +89,23 @@ def test_no_smaller_cover_exists():
             assert not is_total_cover(g, ElementSet(g, combo))[0]
 
 
-def test_cross_check_examples():
-    assert cross_check_total_graph(complete(3)).agree
-    report = cross_check_total_graph(path(4))
-    assert (report.total_cover_size, report.total_graph_domination_size) == (2, 2)
-    single = cross_check_total_graph(Graph(1, []))
-    assert (single.total_cover_size, single.total_graph_domination_size, single.agree) == (1, 1, True)
-
-
-def test_cross_check_small_corpus():
-    for g in enumerate_graphs(3):
-        assert cross_check_total_graph(g).agree
-
-
-def test_cross_check_connected_six_vertex_sample():
-    # deterministic stride through the 6-vertex corpus; the full sweep of
-    # the exact oracles against each other lives in the acceptance suite
-    from helpers import connected
-
-    checked = 0
-    for i, g in enumerate(enumerate_graphs(6)):
-        if i % 31 == 0 and connected(g):
-            assert cross_check_total_graph(g).agree
-            checked += 1
-    assert checked > 800
-
-
 def test_lower_bound_below_exact():
     for g in enumerate_graphs(4):
         r = approx_total_cover(g)
         assert r.lower_bound <= exact_total_cover(g).size
 
 
-def test_dominating_oracle_against_cover_oracle_on_total_graphs():
-    # the two oracles implement different predicates; they must still
-    # agree through the element bijection
-    for g in (star(4), cycle(4), path(5)):
-        tg = total_graph(g)
-        assert exact_total_cover(g).size == exact_dominating_set(tg).size
+def test_cover_masks_are_the_total_graph_neighbourhoods():
+    # a total cover of g is a dominating set of T(g), element by element:
+    # mask x of the exact oracle is the closed neighbourhood of vertex x of
+    # total_graph(g), read off its adjacency lists
+    graphs = [g for n in range(6) for g in enumerate_graphs(n)]
+    graphs += [g for i, g in enumerate(enumerate_graphs(6)) if i % 31 == 0 and connected(g)]
+    graphs += [hard_instance(64), petersen(), star(50), complete(7),
+               gnp(30, 0.1, 5), gnp(300, 0.02, 1), gnp(2000, 0.001, 1)]
+    assert len(graphs) == 1100 + 854 + 7
+    for g in graphs:
+        assert _total_cover_masks(g) == closed_neighbourhood_masks(total_graph(g))
 
 
 def test_total_graph_and_exact_masks_are_pinned():
@@ -172,31 +136,23 @@ def golden_corpus():
 # golden_corpus(), recorded from the branch and bound: the same search must
 # return the same optimum after the same number of nodes.  The line splits
 # the optimum's ids into vertices (id < n) and edges (id - n).
-GOLDEN_EXACT = {
-    "exact_total_cover": "b6059958b872ad2cb282e527328f9e23dc0c1529b8e0cbee6a8651abfdb425bd",
-    "exact_dominating_set": "b5c7ba1c38880e60e6e36f74e56fc43701c90c7e2644d6286aed1c3726a2f313",
-}
+GOLDEN_EXACT = "b6059958b872ad2cb282e527328f9e23dc0c1529b8e0cbee6a8651abfdb425bd"
 
 
 # sha256 over one "size" line per graph of golden_corpus(), recorded from the
 # lexicographic enumeration: any search must find optima of these sizes.
-GOLDEN_EXACT_SIZES = {
-    "exact_total_cover": "0284ac6e6e64f1b86e99c8beae484caf6eb13656b010d7dc9d7bd28ee291ea02",
-    "exact_dominating_set": "658dea05947462ebfdcebe86e0e7eba4f3febcfcb27742b332d776726cdff881",
-}
+GOLDEN_EXACT_SIZES = "0284ac6e6e64f1b86e99c8beae484caf6eb13656b010d7dc9d7bd28ee291ea02"
 
 
-@pytest.mark.parametrize("oracle", [exact_total_cover, exact_dominating_set],
-                         ids=lambda oracle: oracle.__name__)
+@pytest.mark.parametrize("oracle", [exact_total_cover], ids=lambda oracle: oracle.__name__)
 def test_exact_sizes_golden(oracle):
     lines = [str(oracle(g).size) for g in golden_corpus()]
     assert len(lines) == 1283
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == GOLDEN_EXACT_SIZES[oracle.__name__]
+    assert digest == GOLDEN_EXACT_SIZES
 
 
-@pytest.mark.parametrize("oracle", [exact_total_cover, exact_dominating_set],
-                         ids=lambda oracle: oracle.__name__)
+@pytest.mark.parametrize("oracle", [exact_total_cover], ids=lambda oracle: oracle.__name__)
 def test_exact_oracles_golden(oracle):
     lines = []
     for g in golden_corpus():
@@ -206,7 +162,7 @@ def test_exact_oracles_golden(oracle):
                      f"{[x for x in ids if x < g.n]} {[x - g.n for x in ids if x >= g.n]}")
     assert len(lines) == 1283
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == GOLDEN_EXACT[oracle.__name__]
+    assert digest == GOLDEN_EXACT
 
 
 # Nodes visited, recorded from the same searches: one fewer must stop the
@@ -215,8 +171,6 @@ def test_exact_oracles_golden(oracle):
 @pytest.mark.parametrize("build, oracle, nodes", [
     (lambda: hard_instance(6), exact_total_cover, 47),
     (lambda: gnp(9, 0.3, 7), exact_total_cover, 27),
-    (lambda: hard_instance(6), exact_dominating_set, 21),
-    (lambda: gnp(9, 0.3, 7), exact_dominating_set, 10),
 ])
 def test_budget_boundary_golden(build, oracle, nodes):
     g = build()
@@ -230,7 +184,6 @@ def test_budget_boundary_golden(build, oracle, nodes):
 
 @pytest.mark.parametrize("oracle, builder, message", [
     (exact_total_cover, "_total_cover_masks", "exact total cover misses vertex 3"),
-    (exact_dominating_set, "_domination_masks", "exact dominating set misses vertex 3"),
 ])
 def test_wrong_masks_raise_certificate_error(monkeypatch, oracle, builder, message):
     # masks claiming that every element covers everything make {vertex 1}

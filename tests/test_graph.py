@@ -308,6 +308,30 @@ def test_parse_reads_any_line_led_by_c_as_a_comment():
     assert parse_graph("p edge 2 1\ncat 1 2\ne 1 2\nc\n").edges == ((0, 1),)
 
 
+# str.splitlines() also ends a line at each of these
+@pytest.mark.parametrize("brk", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+                         ids=lambda brk: f"U+{ord(brk):04X}")
+def test_only_a_newline_ends_a_line(brk):
+    # so a comment line cannot add an edge, and line numbers count newlines
+    with pytest.raises(ParseError) as err:
+        parse_graph(f"p edge 3 2\n# a comment{brk}e 1 2\ne 2 3\n")
+    assert str(err.value) == "line 3: header declared 2 edges, file has 1"
+    with pytest.raises(ParseError) as err:
+        parse_graph(f"p edge 3 1\n# note{brk}\nx\n")
+    assert str(err.value) == "line 3: unrecognized line 'x'"
+    g = path(3)
+    assert parse_cover(f"v 1\n# note{brk}v 2\n", g) == ElementSet(g, [0])
+    with pytest.raises(ParseError) as err:
+        parse_cover(f"# note{brk}\nw 1\n", g)
+    assert str(err.value) == "line 2: unrecognized line 'w 1'"
+
+
+def test_a_carriage_return_before_the_newline_is_whitespace():
+    assert parse_graph("p edge 2 1\r\ne 1 2\r\n").edges == ((0, 1),)
+    g = path(3)
+    assert parse_cover("v 1\r\ne 2 3\r\n", g) == ElementSet(g, [0, g.n + 1])
+
+
 def test_serialize_empty_graph():
     assert serialize_graph(Graph(0, [])) == "p edge 0 0\n"
     assert parse_graph("p edge 0 0\n").n == 0
