@@ -95,17 +95,47 @@ def test_lower_bound_below_exact():
         assert r.lower_bound <= exact_total_cover(g).size
 
 
-def test_cover_masks_are_the_total_graph_neighbourhoods():
+def assert_masks_are_the_total_graph_neighbourhoods(g: Graph) -> None:
     # a total cover of g is a dominating set of T(g), element by element:
     # mask x of the exact oracle is the closed neighbourhood of vertex x of
     # total_graph(g), read off its adjacency lists
+    assert _total_cover_masks(g) == closed_neighbourhood_masks(total_graph(g))
+
+
+def smallest_dominating_set_size(g: Graph) -> int:
+    return len(_smallest_covering(closed_neighbourhood_masks(g), SearchLimits())[0])
+
+
+def test_cross_check_examples():
+    for g in (complete(3), path(4), Graph(1, []), hard_instance(64), petersen(), star(50),
+              complete(7), gnp(30, 0.1, 5), gnp(300, 0.02, 1), gnp(2000, 0.001, 1)):
+        assert_masks_are_the_total_graph_neighbourhoods(g)
+    assert smallest_dominating_set_size(total_graph(path(4))) == exact_total_cover(path(4)).size == 2
+    assert smallest_dominating_set_size(total_graph(Graph(1, []))) == 1
+
+
+def test_cross_check_small_corpus():
     graphs = [g for n in range(6) for g in enumerate_graphs(n)]
-    graphs += [g for i, g in enumerate(enumerate_graphs(6)) if i % 31 == 0 and connected(g)]
-    graphs += [hard_instance(64), petersen(), star(50), complete(7),
-               gnp(30, 0.1, 5), gnp(300, 0.02, 1), gnp(2000, 0.001, 1)]
-    assert len(graphs) == 1100 + 854 + 7
+    assert len(graphs) == 1100
     for g in graphs:
-        assert _total_cover_masks(g) == closed_neighbourhood_masks(total_graph(g))
+        assert_masks_are_the_total_graph_neighbourhoods(g)
+
+
+def test_cross_check_connected_six_vertex_sample():
+    # deterministic stride through the 6-vertex corpus
+    checked = 0
+    for i, g in enumerate(enumerate_graphs(6)):
+        if i % 31 == 0 and connected(g):
+            assert_masks_are_the_total_graph_neighbourhoods(g)
+            checked += 1
+    assert checked == 854
+
+
+def test_dominating_oracle_against_cover_oracle_on_total_graphs():
+    # a smallest dominating set of T(g), searched on masks built from
+    # total_graph(g)'s adjacency, has the size of a smallest total cover of g
+    for g in (star(4), cycle(4), path(5)):
+        assert smallest_dominating_set_size(total_graph(g)) == exact_total_cover(g).size
 
 
 def test_total_graph_and_exact_masks_are_pinned():
