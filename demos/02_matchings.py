@@ -30,7 +30,7 @@ for n in (5, 7, 9, 11):
 # Two triangles joined by a bridge force a blossom contraction.
 g = Graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)])
 print("\ntwo bridged triangles:")
-print("  blossom search:", sorted(maximum_matching(g).edge_ids))
+print("  blossom search:", list(maximum_matching(g).edge_ids))
 print("  brute force   :", brute_force_maximum_matching(g).size, "edges")
 
 # The Petersen graph has a perfect matching; both searches agree.

@@ -35,10 +35,10 @@ for name, g in [
 ]:
     result = exact_total_cover(g)
     tg = total_graph(g)
-    mark = "yes" if dominates(tg, result.optimum.ids) else "NO"
+    mark = "yes" if dominates(tg, set(result.optimum)) else "NO"
     print(f"{name:<18} {tg.n:>14} {result.size:>16} {mark:>15}")
 
 # The identity holds on every labeled 4-vertex graph, checked live:
-agreements = sum(dominates(total_graph(g), exact_total_cover(g).optimum.ids)
+agreements = sum(dominates(total_graph(g), set(exact_total_cover(g).optimum))
                  for g in enumerate_graphs(4))
 print(f"\noptimum dominates T(G) on all 64 labeled 4-vertex graphs: {agreements}/64")

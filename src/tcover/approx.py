@@ -14,7 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .graph import ElementSet, Graph, format_element, is_total_cover
 from .graph import isolated_vertices, total_graph
@@ -65,6 +65,7 @@ class ApproxResult:
     isolated_count elements, where matching is the maximum matching the
     cover was built from; lower_bound is a valid lower bound on every
     total cover; certified_ratio = size / lower_bound never exceeds 2.
+    ``order`` is the cover in step order; ``trace`` derives each step from it.
     """
 
     cover: ElementSet
@@ -73,7 +74,20 @@ class ApproxResult:
     isolated_count: int
     lower_bound: int
     certified_ratio: Fraction
-    trace: tuple[TraceStep, ...]
+    order: tuple[int, ...]
+
+    @property
+    def trace(self) -> Iterator[TraceStep]:
+        """The isolated vertices, then each bad vertex and its edge, then
+        the step-3 endpoints and matching edges, in ``order``."""
+        n, t = self.cover.graph.n, self.isolated_count
+        for i, x in enumerate(self.order):
+            if i < t:
+                yield TraceStep(1, "isolated", x)
+            elif i < t + 2 * self.bad_vertex_count:
+                yield TraceStep(2, "bad-vertex" if x < n else "bad-edge", x)
+            else:
+                yield TraceStep(3, "endpoint" if x < n else "matching-edge", x)
 
 
 def bad_vertex_assignment(g: Graph, matching: Matching) -> BadVertexAssignment:
@@ -88,7 +102,7 @@ def bad_vertex_assignment(g: Graph, matching: Matching) -> BadVertexAssignment:
         raise ValueError("the matching belongs to another graph")
     pairs: list[tuple[int, int]] = []
     claimed: dict[int, int] = {}
-    partner = matching._partner  # -1 for an unmatched vertex, never a neighbor
+    partner = matching.mate  # -1 for an unmatched vertex, never a neighbor
     for v, near in enumerate(g.adj):
         if partner[v] != -1 or len(near) < 2:
             continue
@@ -133,11 +147,11 @@ def approx_total_cover(g: Graph) -> ApproxResult:
     the remaining matching edges in ascending id order, which is their
     pairs' lexicographic order; when an endpoint still has an uncovered
     unmatched neighbor, add that endpoint (one addition covers all its
-    unmatched neighbors), otherwise add the edge itself.  Each step
-    record lands in the trace.
+    unmatched neighbors), otherwise add the edge itself.  The result
+    keeps the elements in the order the steps added them.
     """
-    isolates = isolated_vertices(g)
-    trace = [TraceStep(1, "isolated", v) for v in isolates]
+    order = isolated_vertices(g)
+    t = len(order)
 
     matching = maximum_matching(g)
     assignment = bad_vertex_assignment(g, matching)
@@ -147,10 +161,9 @@ def approx_total_cover(g: Graph) -> ApproxResult:
     # matched vertices, and the step-1/2 elements lost all unmatched
     # neighbors with their removal), so the set of unmatched vertices
     # covered so far tracks coverage exactly.
-    unmatched = [mate == -1 for mate in matching._partner]
+    unmatched = [mate == -1 for mate in matching.mate]
     for v, eid in assignment.pairs:
-        trace.append(TraceStep(2, "bad-vertex", v))
-        trace.append(TraceStep(2, "bad-edge", g.n + eid))
+        order += (v, g.n + eid)
         unmatched[v] = False
     bad_edges = {eid for _, eid in assignment.pairs}
     # each vertex's unmatched neighbors, gathered once from the unmatched side
@@ -159,7 +172,9 @@ def approx_total_cover(g: Graph) -> ApproxResult:
         for x in g.adj[z]:
             near[x].append(z)
     covered: set[int] = set()
-    for eid in sorted(matching.edge_ids - bad_edges):
+    for eid in matching.edge_ids:
+        if eid in bad_edges:
+            continue
         u, v = g.edges[eid]
         near_u = near.get(u, ())
         near_v = near.get(v, ())
@@ -169,19 +184,16 @@ def approx_total_cover(g: Graph) -> ApproxResult:
         if near_u and near_v:
             raise NotMaximumError(f"both endpoints of matching edge {eid} reach unmatched vertices")
         endpoint, reach = (u, near_u) if near_u else (v, near_v)
-        if covered.issuperset(reach):
-            trace.append(TraceStep(3, "matching-edge", g.n + eid))
-        else:
-            trace.append(TraceStep(3, "endpoint", endpoint))
-            covered.update(reach)
+        order.append(g.n + eid if covered.issuperset(reach) else endpoint)
+        covered.update(reach)
 
-    # the trace is the cover; the size law below also proves no element
-    # was recorded twice, since the trace has exactly m + k + t steps
-    cover = ElementSet(g, [s.element for s in trace])
+    # the size law below also proves no element was added twice, since
+    # order always has exactly m + k + t entries
+    cover = ElementSet(g, order)
     size = len(cover)
-    if size != matching.size + assignment.count + len(isolates):
+    if size != matching.size + assignment.count + t:
         raise CertificateError(f"cover has {size} elements, not m + k + t")
-    lower_bound = total_cover_lower_bound(matching.size, assignment.count, len(isolates))
+    lower_bound = total_cover_lower_bound(matching.size, assignment.count, t)
     ratio = Fraction(size, lower_bound) if lower_bound > 0 else Fraction(1)
     if ratio > 2:
         raise CertificateError(f"certified ratio {ratio} exceeds 2")
@@ -192,10 +204,10 @@ def approx_total_cover(g: Graph) -> ApproxResult:
         cover=cover,
         matching=matching,
         bad_vertex_count=assignment.count,
-        isolated_count=len(isolates),
+        isolated_count=t,
         lower_bound=lower_bound,
         certified_ratio=ratio,
-        trace=tuple(trace),
+        order=tuple(order),
     )
 
 

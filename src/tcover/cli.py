@@ -111,8 +111,8 @@ def cmd_solve(args) -> int:
         f"ratio={format_ratio(result.certified_ratio)}"
     )
     if args.trace:
-        sys.stdout.write("".join(f"{step} {reason} {element_cover_line(g, element)}\n"
-                                 for step, reason, element in result.trace))
+        sys.stdout.writelines(f"{step} {reason} {element_cover_line(g, element)}\n"
+                              for step, reason, element in result.trace)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(serialize_cover(result.cover))

@@ -12,7 +12,7 @@ construction, and the text file formats used by the command line tools.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain, combinations
+from itertools import chain, combinations, compress
 from typing import Iterable, Iterator, Optional
 
 
@@ -146,39 +146,41 @@ def isolated_vertices(g: Graph) -> list[int]:
 
 
 class ElementSet:
-    """A set of vertices and edges of one graph, held as vertex ids of its
-    total graph: vertex ``v`` is ``v`` and edge ``e`` is ``n + e``.
+    """A set of vertices and edges of one graph, held as one flag byte per
+    vertex of its total graph: vertex ``v`` is ``v`` and edge ``e`` is
+    ``n + e``, and ``flags[x]`` is 1 when ``x`` is in the set.
 
     Every id is validated against the graph at construction.  Iteration
     yields ids ascending: vertices ascending, then edges ascending.
     """
 
-    __slots__ = ("graph", "ids")
+    __slots__ = ("graph", "flags")
 
     def __init__(self, graph: Graph, ids: Iterable[int] = ()):
         """Raises VertexOutOfRangeError naming the first id outside
-        [0, n + |E|), in the order given."""
-        ids = tuple(ids)
+        [0, n + |E|), in the order given; TypeError for a non-integer."""
         total = graph.n + len(graph.edges)
+        flags = bytearray(total)
         for x in ids:
             if not 0 <= x < total:
                 raise VertexOutOfRangeError(f"total-graph vertex {x} leaves [0, {total})")
+            flags[x] = 1
         self.graph = graph
-        self.ids = frozenset(ids)
+        self.flags = bytes(flags)
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return self.flags.count(1)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(sorted(self.ids))
+        return compress(range(len(self.flags)), self.flags)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ElementSet):
             return NotImplemented
-        return self.graph == other.graph and self.ids == other.ids
+        return self.graph == other.graph and self.flags == other.flags
 
     def __repr__(self) -> str:
-        return f"ElementSet(ids={sorted(self.ids)})"
+        return f"ElementSet(ids={list(self)})"
 
 
 def is_total_cover(g: Graph, d: ElementSet) -> tuple[bool, Optional[int]]:
@@ -194,16 +196,15 @@ def is_total_cover(g: Graph, d: ElementSet) -> tuple[bool, Optional[int]]:
     """
     if d.graph != g:
         raise ValueError("the cover belongs to another graph")
-    n, ids = g.n, d.ids
-    hubs = {x for x in ids if x < n}
-    for x in ids:
-        if x >= n:
-            hubs.update(g.edges[x - n])
+    n, flags = g.n, d.flags
+    hubs = bytearray(flags[:n])
+    for u, v in compress(g.edges, flags[n:]):
+        hubs[u] = hubs[v] = 1
     for v in range(n):
-        if v not in hubs and ids.isdisjoint(g.adj[v]):
+        if not hubs[v] and not any(map(flags.__getitem__, g.adj[v])):
             return False, v
     for eid, (u, v) in enumerate(g.edges):
-        if n + eid not in ids and u not in hubs and v not in hubs:
+        if not flags[n + eid] and not hubs[u] and not hubs[v]:
             return False, n + eid
     return True, None
 
@@ -336,5 +337,4 @@ def parse_cover(text: str, g: Graph) -> ElementSet:
 
 def serialize_cover(d: ElementSet) -> str:
     """Cover file text: vertices ascending, then edges ascending."""
-    lines = [element_cover_line(d.graph, x) for x in d]
-    return "\n".join(lines) + "\n" if lines else ""
+    return "".join([f"{element_cover_line(d.graph, x)}\n" for x in d])

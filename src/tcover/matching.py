@@ -8,7 +8,7 @@ matching itself (not just its size) reproducible.
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from typing import Iterable
 
 from .graph import Graph, GraphError, TooLargeError
 
@@ -22,35 +22,32 @@ class CertificateError(RuntimeError):
 
 
 class Matching:
-    """A set of pairwise vertex-disjoint edges of one graph."""
+    """A set of pairwise vertex-disjoint edges of one graph: ``edge_ids``
+    ascending, and ``mate[v]`` the vertex matched to ``v``, -1 if none."""
 
-    __slots__ = ("graph", "edge_ids", "_partner")
+    __slots__ = ("graph", "edge_ids", "mate")
 
     def __init__(self, graph: Graph, edge_ids: Iterable[int] = ()):
-        partner = [-1] * graph.n
+        mate = [-1] * graph.n
         ids = sorted(set(edge_ids))
         for eid in ids:
             if not 0 <= eid < len(graph.edges):
                 raise GraphError(f"edge id {eid} leaves [0, {len(graph.edges)})")
             u, v = graph.edges[eid]
-            if partner[u] != -1 or partner[v] != -1:
+            if mate[u] != -1 or mate[v] != -1:
                 raise GraphError(f"matching edges share endpoint at edge {eid}")
-            partner[u] = v
-            partner[v] = u
+            mate[u] = v
+            mate[v] = u
         self.graph = graph
-        self.edge_ids = frozenset(ids)
-        self._partner = tuple(partner)
+        self.edge_ids = tuple(ids)
+        self.mate = tuple(mate)
 
     @property
     def size(self) -> int:
         return len(self.edge_ids)
 
-    def partner(self, v: int) -> Union[int, None]:
-        mate = self._partner[v]
-        return None if mate == -1 else mate
-
     def is_matched(self, v: int) -> bool:
-        return self._partner[v] != -1
+        return self.mate[v] != -1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matching):
@@ -58,7 +55,7 @@ class Matching:
         return self.graph == other.graph and self.edge_ids == other.edge_ids
 
     def __repr__(self) -> str:
-        return f"Matching(size={self.size}, edge_ids={sorted(self.edge_ids)})"
+        return f"Matching(size={self.size}, edge_ids={list(self.edge_ids)})"
 
 
 def greedy_maximal_matching(g: Graph) -> Matching:
@@ -200,8 +197,8 @@ def maximum_matching(g: Graph) -> Matching:
             parent[x] = -1
 
     matching = Matching(g, [eid for eid, (u, v) in enumerate(g.edges) if match[u] == v])
-    if matching._partner != tuple(match):
-        v = next(v for v in range(n) if matching._partner[v] != match[v])
+    if matching.mate != tuple(match):
+        v = next(v for v in range(n) if matching.mate[v] != match[v])
         raise CertificateError(f"matched pair ({v}, {match[v]}) is not an edge of the graph")
     return matching
 
@@ -276,29 +273,19 @@ def _augmenting_path_exists(g: Graph, partner: tuple[int, ...]) -> bool:
     return False
 
 
-def verify_matching(g: Graph, matching, mode: str = "valid") -> bool:
-    """Check a matching (a Matching or a collection of edge ids).
+def verify_matching(g: Graph, matching: Matching, mode: str) -> bool:
+    """Check a Matching of g, which is valid by construction.
 
-    mode "valid": the ids make a Matching of g (edges exist and are
-    pairwise vertex-disjoint).
-    mode "maximal": additionally no edge of g could still be added.
-    mode "maximum": additionally no augmenting path exists, established
-    by an independent exhaustive alternating-path search.
-    Raises ValueError if a Matching belongs to another graph.
+    mode "maximal": no edge of g could still be added.
+    mode "maximum": no augmenting path exists, established by an
+    independent exhaustive alternating-path search.
+    Raises ValueError for another mode or a matching of another graph.
     """
-    if mode not in ("valid", "maximal", "maximum"):
+    if mode not in ("maximal", "maximum"):
         raise ValueError(f"unknown mode {mode!r}")
-    if isinstance(matching, Matching):
-        if matching.graph != g:
-            raise ValueError("the matching belongs to another graph")
-        matching = matching.edge_ids
-    try:
-        checked = Matching(g, matching)
-    except GraphError:
-        return False
-    partner = checked._partner
-    if mode == "valid":
-        return True
+    if matching.graph != g:
+        raise ValueError("the matching belongs to another graph")
+    mate = matching.mate
     if mode == "maximal":
-        return all(partner[u] != -1 or partner[v] != -1 for u, v in g.edges)
-    return not _augmenting_path_exists(g, partner)
+        return all(mate[u] != -1 or mate[v] != -1 for u, v in g.edges)
+    return not _augmenting_path_exists(g, mate)

@@ -294,7 +294,7 @@ def reference_trace(g: Graph) -> tuple[TraceStep, ...]:
     # matched vertices, and the step-1/2 elements lost all unmatched
     # neighbors with their removal), so a covered flag per unmatched
     # vertex tracks coverage exactly.
-    unmatched = [mate == -1 for mate in matching._partner]
+    unmatched = [mate == -1 for mate in matching.mate]
     for v, eid in assignment.pairs:
         trace.append(TraceStep(2, "bad-vertex", v))
         trace.append(TraceStep(2, "bad-edge", g.n + eid))
@@ -305,7 +305,7 @@ def reference_trace(g: Graph) -> tuple[TraceStep, ...]:
     def unmatched_neighbors(x: int) -> list[int]:
         return [z for z in g.adj[x] if unmatched[z]]
 
-    for eid in sorted(matching.edge_ids - bad_edges):
+    for eid in sorted(set(matching.edge_ids) - bad_edges):
         u, v = g.edges[eid]
         near_u = unmatched_neighbors(u)
         near_v = unmatched_neighbors(v)

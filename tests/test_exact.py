@@ -187,7 +187,7 @@ def test_exact_oracles_golden(oracle):
     lines = []
     for g in golden_corpus():
         r = oracle(g)
-        ids = sorted(r.optimum.ids)
+        ids = list(r.optimum)
         lines.append(f"{r.size} {r.candidates_checked} "
                      f"{[x for x in ids if x < g.n]} {[x - g.n for x in ids if x >= g.n]}")
     assert len(lines) == 1283

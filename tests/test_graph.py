@@ -221,9 +221,10 @@ def test_cover_agrees_with_total_graph_domination(case):
     # and the witness pinned to the lowest undominated total-graph vertex
     g, d = case
     tg = total_graph(g)
+    ids = set(d)
     undominated = [
         v for v in range(tg.n)
-        if v not in d.ids and not any(u in d.ids for u in tg.adj[v])
+        if v not in ids and not any(u in ids for u in tg.adj[v])
     ]
     assert is_total_cover(g, d) == (
         (False, undominated[0]) if undominated else (True, None)
@@ -237,6 +238,12 @@ def test_element_set_validates():
     for bad in (3, -1):
         with pytest.raises(VertexOutOfRangeError, match=rf"^total-graph vertex {bad} "):
             ElementSet(g, [bad])
+
+
+def test_element_set_rejects_a_non_integer_id():
+    # a float id would be written as "v 2.0", which parse_cover rejects
+    with pytest.raises(TypeError):
+        ElementSet(path(3), [1.0])
 
 
 def test_element_set_names_the_first_bad_id_given():

@@ -42,8 +42,8 @@ def test_matching_partner_map():
     g = path(4)
     m = Matching(g, [0, 2])
     assert m.size == 2
-    assert m.partner(0) == 1 and m.partner(1) == 0
-    assert m.partner(2) == 3 and m.partner(3) == 2
+    assert m.mate == (1, 0, 3, 2)
+    assert m.edge_ids == (0, 2)
     assert [v for v in range(g.n) if not m.is_matched(v)] == []
 
 
@@ -87,7 +87,7 @@ def test_matching_serializes_as_cover_file():
     ids = {g.n + eid for eid in m.edge_ids}
     text = serialize_cover(ElementSet(g, ids))
     assert all(line.startswith("e ") for line in text.splitlines())
-    assert parse_cover(text, g).ids == ids
+    assert set(parse_cover(text, g)) == ids
 
 
 def test_maximum_odd_cycle():
@@ -113,7 +113,7 @@ def test_verify_modes():
     k2 = Graph(2, [(0, 1)])
     assert verify_matching(k2, Matching(k2, [0]), "maximum")
     p3 = path(3)
-    assert verify_matching(p3, Matching(p3, []), "valid")
+    assert Matching(p3, []).mate == (-1, -1, -1)  # valid: the constructor accepts it
     assert not verify_matching(p3, Matching(p3, []), "maximal")
     c5 = cycle(5)
     assert verify_matching(c5, greedy_maximal_matching(c5), "maximum")
@@ -121,38 +121,50 @@ def test_verify_modes():
 
 def test_verify_rejects_bad_edge_sets():
     p3 = path(3)
-    assert not verify_matching(p3, [0, 1], "valid")  # share vertex 1
-    assert not verify_matching(p3, [7], "valid")  # no such edge
+    with pytest.raises(GraphError, match="share endpoint"):
+        Matching(p3, [0, 1])  # share vertex 1
+    with pytest.raises(GraphError, match="leaves"):
+        Matching(p3, [7])  # no such edge
 
 
+# expected GraphError: the ids make no Matching; mode None: only construct one
 @pytest.mark.parametrize("g, ids, mode, expected", [
-    (path(3), [-1], "valid", False),
-    (path(3), [2], "valid", False),  # id == len(g.edges)
-    (path(3), [0, 0], "valid", True),
+    (path(3), [-1], None, GraphError),
+    (path(3), [2], None, GraphError),  # id == len(g.edges)
+    (path(3), [0, 0], None, True),  # a repeated id is one edge
     (path(3), [0, 0], "maximum", True),
-    (path(3), [0, 1], "valid", False),  # share vertex 1
-    (path(3), [0, 1], "maximal", False),
-    (path(4), Matching(path(4), [1]), "maximal", True),  # built on an equal graph
-    (path(4), Matching(path(4), [1]), "maximum", False),
+    (path(3), [0, 1], None, GraphError),  # share vertex 1
+    (path(3), [0, 1], "maximal", GraphError),
+    (path(4), [1], "maximal", True),
+    (path(4), [1], "maximum", False),
     (Graph(3, []), [], "maximum", True),
     (Graph(0, []), [], "maximum", True),
 ], ids=["negative", "one-past-last", "duplicate", "duplicate-maximum", "shared-endpoint",
         "shared-endpoint-maximal", "equal-graph-maximal", "equal-graph-maximum",
         "edgeless", "empty"])
 def test_verify_matching_validity_edges(g, ids, mode, expected):
-    assert verify_matching(g, ids, mode) is expected
+    equal = Graph(g.n, g.edges)  # each matching is built on a graph equal to g, not g itself
+    if expected is GraphError:
+        with pytest.raises(GraphError):
+            Matching(equal, ids)
+        return
+    matching = Matching(equal, ids)
+    assert matching.edge_ids == tuple(sorted(set(ids)))
+    assert mode is None or verify_matching(g, matching, mode) is expected
 
 
 def test_verify_detects_non_maximum():
     # matching {middle edge} of P4 is maximal but not maximum
     p4 = path(4)
-    assert verify_matching(p4, [1], "maximal")
-    assert not verify_matching(p4, [1], "maximum")
+    assert verify_matching(p4, Matching(p4, [1]), "maximal")
+    assert not verify_matching(p4, Matching(p4, [1]), "maximum")
 
 
 def test_verify_mode_validation():
     with pytest.raises(ValueError):
-        verify_matching(path(3), [], "biggest")
+        verify_matching(path(3), Matching(path(3)), "biggest")
+    with pytest.raises(ValueError, match="unknown mode 'valid'"):
+        verify_matching(path(3), Matching(path(3)), "valid")
 
 
 def test_verify_rejects_a_matching_of_another_graph():
@@ -175,7 +187,7 @@ def test_verify_finds_a_long_augmenting_path():
     # the inner edges of P3000 leave both ends free: one augmenting path
     # through all 3000 vertices
     g = path(3000)
-    assert not verify_matching(g, range(1, 2998, 2), "maximum")
+    assert not verify_matching(g, Matching(g, range(1, 2998, 2)), "maximum")
 
 
 def test_blossom_handles_odd_components():
@@ -206,7 +218,7 @@ def test_cycles_and_paths():
 @given(small_graphs())
 def test_matching_invariants_random(g):
     blossom = maximum_matching(g)
-    assert verify_matching(g, blossom, "valid")
+    assert verify_matching(g, blossom, "maximal")
     greedy = greedy_maximal_matching(g)
     assert 2 * greedy.size >= blossom.size
     unmatched = [v for v in range(g.n) if not blossom.is_matched(v)]
