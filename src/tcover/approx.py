@@ -10,6 +10,7 @@ two of the optimum.
 
 from __future__ import annotations
 
+import heapq
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -235,14 +236,22 @@ def greedy_domination_cover(g: Graph) -> ElementSet:
     not-yet-dominated vertices (ties to the lowest id) until everything
     is dominated; the picks are the elements of ``g`` by their ids.
     Standard greedy, so the size is within a logarithmic factor of the
-    optimum.
+    optimum.  The candidates wait in a lazy heap of (-gain, id): gains
+    only fall, so a popped entry whose gain is stale goes back with its
+    current gain, and the first fresh top is the lowest-id best pick.
     """
     tg = total_graph(g)
     gain = [1 + len(neighbors) for neighbors in tg.adj]  # undominated members of N[x]
+    heap = [(-d, x) for x, d in enumerate(gain)]
+    heapq.heapify(heap)
     dominated = [False] * tg.n
     picks: list[int] = []
-    while (best_gain := max(gain, default=0)) > 0:
-        best = gain.index(best_gain)
+    while heap:
+        negated, best = heapq.heappop(heap)
+        if gain[best] != -negated:
+            if gain[best]:
+                heapq.heappush(heap, (-gain[best], best))
+            continue
         picks.append(best)
         for y in (best, *tg.adj[best]):
             if not dominated[y]:

@@ -81,8 +81,9 @@ def maximum_matching(g: Graph) -> Matching:
     unmatched vertex, the alternating path is flipped to gain one edge.
     Neighbors are scanned in ascending order, so the output is
     deterministic.  A search costs in proportion to the vertices it
-    touches, not to n: the per-vertex arrays are allocated once and each
-    search resets only the entries it wrote.
+    touches, not to n: it keeps its tree parents and its outer vertices'
+    blossom bases in two dicts of its own, which go when it returns.  Only
+    the mates and the dead flags are kept per vertex.
 
     Three shortcuts return the very matching the plain search would.  A
     root with no neighbor starts no search, as it can never be matched.  A
@@ -99,12 +100,11 @@ def maximum_matching(g: Graph) -> Matching:
     """
     n, adj = g.n, g.adj
     match = [-1] * n
-    parent = [-1] * n
-    base = list(range(n))
-    in_queue = [False] * n
     dead = [False] * n
 
-    def lowest_common_base(a: int, b: int) -> int:
+    # A search's labels: parent holds the tree parents, and base the
+    # blossom base of every outer vertex, so its keys are the outer ones.
+    def lowest_common_base(a: int, b: int, parent: dict[int, int], base: dict[int, int]) -> int:
         on_path = set()
         x = a
         while True:
@@ -120,44 +120,45 @@ def maximum_matching(g: Graph) -> Matching:
                 return y
             y = parent[match[y]]
 
-    def mark_cycle(x: int, anchor: int, child: int, in_blossom: set[int]) -> None:
+    def mark_cycle(
+        x: int, anchor: int, child: int, in_blossom: set[int], parent: dict[int, int], base: dict[int, int]
+    ) -> None:
         while base[x] != anchor:
             in_blossom.add(base[x])
-            in_blossom.add(base[match[x]])
+            in_blossom.add(base.get(match[x], match[x]))
             parent[x] = child
             child = match[x]
             x = parent[match[x]]
 
-    def find_augmenting_path(root: int, queue: list[int], inner: list[int]) -> bool:
-        # queue starts as [root] and keeps every vertex ever enqueued (head
-        # walks it); inner records every vertex given a tree parent.
-        # Together they are all the entries of parent/base/in_queue written.
+    def find_augmenting_path(root: int) -> list[int]:
+        # Augments and returns [], or returns the failed tree's vertices.
+        queue = [root]  # every outer vertex, in the order it was labelled
+        parent: dict[int, int] = {}
+        base = {root: root}
         members: dict[int, list[int]] = {}  # blossom base -> its vertices, once grown
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
+        for v in queue:
             for w in adj[v]:
-                if dead[w] or base[v] == base[w] or match[v] == w:
+                if dead[w] or match[v] == w:
                     continue
-                if w == root or (match[w] != -1 and parent[match[w]] != -1):
+                if w in base:
+                    if base[v] == base[w]:
+                        continue
                     # second endpoint is an outer vertex: contract the odd cycle
-                    anchor = lowest_common_base(v, w)
+                    anchor = lowest_common_base(v, w, parent, base)
                     in_blossom: set[int] = set()
-                    mark_cycle(v, anchor, w, in_blossom)
-                    mark_cycle(w, anchor, v, in_blossom)
+                    mark_cycle(v, anchor, w, in_blossom, parent, base)
+                    mark_cycle(w, anchor, v, in_blossom, parent, base)
                     # ascending, the order in which a scan of all vertices meets them
                     absorbed = sorted([x for b in in_blossom for x in members.pop(b, (b,))])
                     for x in absorbed:
-                        base[x] = anchor
-                        if not in_queue[x]:
-                            in_queue[x] = True
+                        if x not in base:
                             queue.append(x)
+                        base[x] = anchor
                     members.setdefault(anchor, [anchor]).extend(absorbed)
-                elif parent[w] == -1:
+                elif w not in parent:
                     parent[w] = v
-                    inner.append(w)
-                    if match[w] == -1:
+                    mate = match[w]
+                    if mate == -1:
                         # augment along root .. v - w
                         x = w
                         while x != -1:
@@ -166,12 +167,12 @@ def maximum_matching(g: Graph) -> Matching:
                             match[x] = prev
                             match[prev] = x
                             x = nxt
-                        return True
-                    mate = match[w]
-                    if not in_queue[mate]:
-                        in_queue[mate] = True
-                        queue.append(mate)
-        return False
+                        return []
+                    # an unlabelled vertex's mate is unlabelled too
+                    base[mate] = mate
+                    queue.append(mate)
+        # the failed tree: its outer vertices and every vertex with a parent
+        return queue + list(parent)
 
     for root in range(n):
         if match[root] != -1 or not adj[root]:
@@ -180,21 +181,9 @@ def maximum_matching(g: Graph) -> Matching:
             if match[w] == -1:
                 match[root], match[w] = w, root
                 break
-        if match[root] != -1:
-            continue
-        queue, inner = [root], []
-        in_queue[root] = True
-        if not find_augmenting_path(root, queue, inner):
-            # no later search reads a dead vertex's entries, so they stay as they are
-            for x in queue + inner:
+        else:  # no free neighbour
+            for x in find_augmenting_path(root):
                 dead[x] = True
-            continue
-        for x in queue:
-            parent[x] = -1
-            base[x] = x
-            in_queue[x] = False
-        for x in inner:
-            parent[x] = -1
 
     matching = Matching(g, [eid for eid, (u, v) in enumerate(g.edges) if match[u] == v])
     if matching.mate != tuple(match):

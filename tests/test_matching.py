@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 
@@ -34,6 +35,7 @@ from helpers import (
     golden_graph,
     reference_maximum_matching,
     small_graphs,
+    sparse_graphs_with_a_hub,
     sparse_graphs_with_pendant_triangles,
 )
 
@@ -272,9 +274,24 @@ def test_matching_equals_reference_on_every_small_graph():
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(sparse_graphs_with_pendant_triangles(), chorded_odd_cycles()))
+@given(st.one_of(sparse_graphs_with_pendant_triangles(), chorded_odd_cycles(),
+                 sparse_graphs_with_a_hub()))
 def test_matching_equals_reference_on_random_graphs(g):
     assert maximum_matching(g).edge_ids == reference_maximum_matching(g).edge_ids
+
+
+def test_matching_of_an_edgeless_graph_peaks_under_48_mib():
+    # the mates and the dead flags are the only per-vertex lists, 8 MiB each
+    # at 2**20 vertices, and the Matching builds its mates as a list, then a
+    # tuple: 32 MiB.  Search labels shared by all searches took 88 MiB.
+    g = Graph(1 << 20)
+    tracemalloc.start()
+    try:
+        maximum_matching(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 << 20
 
 
 @pytest.mark.parametrize("n, seed", [(100, 1), (400, 2), (1000, 3), (2000, 4)])
