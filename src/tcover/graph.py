@@ -11,6 +11,7 @@ construction, and the text file formats used by the command line tools.
 
 from __future__ import annotations
 
+import io
 from bisect import bisect_left
 from itertools import chain, combinations, compress
 from typing import Iterable, Iterator, Optional
@@ -71,15 +72,6 @@ def check_vertex_count(n: int) -> None:
         raise VertexOutOfRangeError(f"vertex count {n} exceeds MAX_VERTICES={MAX_VERTICES}")
 
 
-def _raise_first_duplicate(n: int, keys: list[int]) -> None:
-    """Raises DuplicateEdgeError for the first key equal to an earlier one."""
-    seen: set[int] = set()
-    for key in keys:
-        if key in seen:
-            raise DuplicateEdgeError(f"edge ({key // n}, {key % n}) appears twice")
-        seen.add(key)
-
-
 class Graph:
     """An immutable simple undirected graph with dense vertex and edge ids.
 
@@ -94,21 +86,22 @@ class Graph:
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]] = ()):
         """Raises SelfLoopError, DuplicateEdgeError, or VertexOutOfRangeError,
-        each naming the first offending pair in input order."""
+        each naming the first offending pair in input order.  ``pairs`` may be
+        any iterable; it is read once, and only after ``n`` is checked, so the
+        generators hand over lazy pairs and leave the vertex count to Graph."""
         check_vertex_count(n)
-        keys: list[int] = []  # pair (u, v), u < v, as u * n + v
+        keys: dict[int, None] = {}  # pair (u, v), u < v, as u * n + v, in input order
         for u, v in pairs:
             if not (0 <= u < n) or not (0 <= v < n):
-                _raise_first_duplicate(n, keys)
                 raise VertexOutOfRangeError(f"edge ({u}, {v}) leaves [0, {n})")
             if u == v:
-                _raise_first_duplicate(n, keys)
                 raise SelfLoopError(f"edge ({u}, {v}) is a self-loop")
-            keys.append(u * n + v if u < v else v * n + u)
-        if len(set(keys)) != len(keys):
-            _raise_first_duplicate(n, keys)
-        keys.sort()  # linear on already sorted input, such as every generator's
-        edges = [divmod(key, n) for key in keys]
+            key = u * n + v if u < v else v * n + u
+            if key in keys:
+                raise DuplicateEdgeError(f"edge ({key // n}, {key % n}) appears twice")
+            keys[key] = None
+        # sorted is linear on already sorted input, such as every generator's
+        edges = [divmod(key, n) for key in sorted(keys)]
         del keys  # freed before the lists are made, which lowers the construction peak
         # edgeless vertices share (), so a bare header costs a pointer per vertex;
         # with pairs at least half as many as vertices, the set costs more than it saves
@@ -337,4 +330,6 @@ def parse_cover(text: str, g: Graph) -> ElementSet:
 
 def serialize_cover(d: ElementSet) -> str:
     """Cover file text: vertices ascending, then edges ascending."""
-    return "".join([f"{element_cover_line(d.graph, x)}\n" for x in d])
+    out = io.StringIO()
+    out.writelines(f"{element_cover_line(d.graph, x)}\n" for x in d)
+    return out.getvalue()

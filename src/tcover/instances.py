@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator
 
 from .graph import MAX_VERTICES, Graph, check_vertex_count
@@ -31,38 +32,34 @@ def hard_instance(n: int) -> Graph:
         raise OddParameterError(f"family requires even n, got {n}")
     if n < 2:
         raise ParameterOutOfRangeError(f"family requires n >= 2, got {n}")
-    check_vertex_count(2 * n + 1)
-    pairs = [(0, i) for i in range(1, n + 1)]
-    pairs += [(i, n + i) for i in range(1, n + 1)]
-    pairs += [(n + 2 * j - 1, n + 2 * j) for j in range(1, n // 2 + 1)]
-    return Graph(2 * n + 1, pairs)
+    spokes = ((0, i) for i in range(1, n + 1))
+    rails = ((i, n + i) for i in range(1, n + 1))
+    rungs = ((n + 2 * j - 1, n + 2 * j) for j in range(1, n // 2 + 1))
+    return Graph(2 * n + 1, chain(spokes, rails, rungs))
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise ParameterOutOfRangeError(f"path requires n >= 1, got {n}")
-    check_vertex_count(n)
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ParameterOutOfRangeError(f"cycle requires n >= 3, got {n}")
-    check_vertex_count(n)
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def star(n: int) -> Graph:
     """Star on n vertices: center 0 joined to each of the n-1 leaves."""
     if n < 1:
         raise ParameterOutOfRangeError(f"star requires n >= 1, got {n}")
-    check_vertex_count(n)
-    return Graph(n, [(0, i) for i in range(1, n)])
+    return Graph(n, ((0, i) for i in range(1, n)))
 
 
 def complete(n: int) -> Graph:
     """K_n.  Refused before any pair is made when its n(n-1)/2 edges exceed
-    MAX_VERTICES: well below the vertex ceiling the pair list alone would
+    MAX_VERTICES: well below the vertex ceiling its edges alone would
     take gigabytes."""
     if n < 1:
         raise ParameterOutOfRangeError(f"complete requires n >= 1, got {n}")
@@ -70,7 +67,7 @@ def complete(n: int) -> Graph:
     m = n * (n - 1) // 2
     if m > MAX_VERTICES:
         raise ParameterOutOfRangeError(f"complete({n}) has {m} edges, more than MAX_VERTICES={MAX_VERTICES}")
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return Graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
 def petersen() -> Graph:

@@ -322,3 +322,21 @@ def reference_trace(g: Graph) -> tuple[TraceStep, ...]:
         else:
             trace.append(TraceStep(3, "matching-edge", g.n + eid))
     return tuple(trace)
+
+
+def reference_first_fault(n: int, pairs) -> tuple[str, str] | None:
+    """The class name and message of the first fault Graph(n, pairs) must
+    raise, or None for valid input.  Walks the pairs in order and tests
+    each for its range, then for a self-loop, then for a repeat of an
+    earlier unordered pair, reading nothing from tcover.graph."""
+    seen = set()
+    for u, v in pairs:
+        if not (0 <= u < n and 0 <= v < n):
+            return "VertexOutOfRangeError", f"edge ({u}, {v}) leaves [0, {n})"
+        if u == v:
+            return "SelfLoopError", f"edge ({u}, {v}) is a self-loop"
+        pair = (min(u, v), max(u, v))
+        if pair in seen:
+            return "DuplicateEdgeError", f"edge ({pair[0]}, {pair[1]}) appears twice"
+        seen.add(pair)
+    return None

@@ -27,7 +27,7 @@ from tcover import (
 from tcover.graph import MAX_VERTICES
 from tcover.instances import complete, cycle, enumerate_graphs, hard_instance, path
 
-from helpers import graphs_with_element_sets, shuffled_copies, small_graphs
+from helpers import graphs_with_element_sets, reference_first_fault, shuffled_copies, small_graphs
 
 
 def test_build_k2():
@@ -116,6 +116,30 @@ def test_build_reads_a_generator_once_and_reports_its_first_fault(pairs, error, 
     with pytest.raises(GraphError) as err:
         Graph(5, (pair for pair in pairs))
     assert (type(err.value), str(err.value)) == (error, message)
+
+
+@st.composite
+def pair_lists(draw):
+    """n in 0..6 and pairs with endpoints in -1..n+1, some of them repeated
+    reversed, in random order."""
+    n = draw(st.integers(0, 6))
+    ends = st.integers(-1, n + 1)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=12))
+    repeats = draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []
+    return n, draw(st.permutations(pairs + [(v, u) for u, v in repeats]))
+
+
+@given(pair_lists())
+def test_build_agrees_with_the_reference_first_fault(case):
+    n, pairs = case
+    fault = reference_first_fault(n, pairs)
+    for given_pairs in (pairs, iter(pairs)):
+        if fault is None:
+            assert Graph(n, given_pairs).edges == tuple(sorted({(min(p), max(p)) for p in pairs}))
+        else:
+            with pytest.raises(GraphError) as err:
+                Graph(n, given_pairs)
+            assert (type(err.value).__name__, str(err.value)) == fault
 
 
 def assert_one_record_per_edge(g):
@@ -377,6 +401,19 @@ def test_parse_cover_bad_line():
     g = Graph(2, [(0, 1)])
     with pytest.raises(ParseError):
         parse_cover("w 1\n", g)
+
+
+def test_serialize_cover_keeps_no_list_of_its_lines():
+    # the text alone is 2.1 MiB; with a list of its 2**18 line strings the peak is 18.7 MiB
+    d = ElementSet(Graph(1 << 18), range(1 << 18))
+    tracemalloc.start()
+    try:
+        text = serialize_cover(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 << 20
+    assert text.count("\n") == 1 << 18 and text.endswith("v 262144\n")
 
 
 @given(graphs_with_element_sets())

@@ -133,6 +133,18 @@ def test_gnp_working_memory_is_linear_in_n():
     assert peak < 2 << 20  # a flag byte per pair would take 8 MB
 
 
+@pytest.mark.parametrize("make, n, limit", [(path, 1 << 16, 18), (hard_instance, 1 << 15, 20)])
+def test_generators_hand_graph_their_pairs_lazily(make, n, limit):
+    # Graph's keys and edges take about 14 MiB here; a list of the pairs beside them adds 8 more
+    tracemalloc.start()
+    try:
+        make(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit << 20
+
+
 def test_gnp_is_deterministic():
     a = gnp(10, 0.3, 42)
     b = gnp(10, 0.3, 42)
