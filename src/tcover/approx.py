@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from typing import Iterator, NamedTuple
@@ -27,8 +26,7 @@ class NotMaximumError(ValueError):
     holds for maximum matchings was violated)."""
 
 
-@dataclass(frozen=True)
-class BadVertexAssignment:
+class BadVertexAssignment(NamedTuple):
     """Unmatched vertices adjacent to both endpoints of a matching edge,
     each paired with its chosen matching edge id.
 
@@ -41,7 +39,7 @@ class BadVertexAssignment:
     pairs: tuple[tuple[int, int], ...]
 
     @property
-    def count(self) -> int:
+    def count(self) -> int:  # shadows tuple.count: the number of bad vertices
         return len(self.pairs)
 
 
@@ -58,8 +56,7 @@ class TraceStep(NamedTuple):
     element: int
 
 
-@dataclass(frozen=True)
-class ApproxResult:
+class ApproxResult(NamedTuple):
     """A total cover plus the quantities certifying its size.
 
     The cover has exactly matching.size + bad_vertex_count +

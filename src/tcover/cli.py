@@ -50,7 +50,7 @@ EXIT_TOO_LARGE = 4
 EXIT_BUDGET = 5
 
 # main() turns exceptions of these classes into exit codes; anything else,
-# such as the plain ValueError of SearchLimits, propagates.
+# such as the plain ValueError of negative search limits, propagates.
 # UnicodeDecodeError is an input file that is not UTF-8 text.
 EXIT_CODES: dict[type[BaseException], int] = {
     OSError: EXIT_PARSE,
@@ -252,9 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exact = sub.add_parser("exact", help="minimum total cover by branch and bound")
     p_exact.add_argument("graph", help="graph file")
-    p_exact.add_argument("--max-elements", type=_limit, default=SearchLimits.max_elements,
+    p_exact.add_argument("--max-elements", type=_limit, default=SearchLimits().max_elements,
                          metavar="N", help="refuse graphs with more than N vertices + edges")
-    p_exact.add_argument("--max-candidates", type=_limit, default=SearchLimits.max_candidates,
+    p_exact.add_argument("--max-candidates", type=_limit, default=SearchLimits().max_candidates,
                          metavar="N", help="search-node budget")
     p_exact.set_defaults(func=cmd_exact)
 
@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("graphs", nargs="*", help="graph files")
     p_cmp.add_argument("--dir", help="directory of graph files (sorted by name)")
     p_cmp.add_argument("--csv", metavar="FILE", help="write CSV here instead of stdout")
-    p_cmp.add_argument("--exact-limit", type=_limit, default=SearchLimits.max_elements,
+    p_cmp.add_argument("--exact-limit", type=_limit, default=SearchLimits().max_elements,
                        help="run the exact oracle when n + |E| fits this many elements")
     p_cmp.set_defaults(func=cmd_compare)
 

@@ -13,8 +13,7 @@ blowups in check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .graph import (
     BudgetExceededError,
@@ -27,9 +26,8 @@ from .graph import (
 from .matching import CertificateError
 
 
-@dataclass(frozen=True)
-class SearchLimits:
-    """Guards for the exact search.
+class SearchLimits(NamedTuple):
+    """Guards for the exact search, checked by ``exact_total_cover``.
 
     ``max_elements`` refuses larger inputs and ``max_candidates`` caps the
     search nodes visited.
@@ -38,13 +36,8 @@ class SearchLimits:
     max_elements: int = 32
     max_candidates: int = 100_000_000
 
-    def __post_init__(self):
-        if self.max_elements < 0 or self.max_candidates < 0:
-            raise ValueError("search limits must be non-negative")
 
-
-@dataclass(frozen=True)
-class ExactResult:
+class ExactResult(NamedTuple):
     """A provably minimum set, with the number of search nodes visited."""
 
     optimum: ElementSet
@@ -141,9 +134,11 @@ def exact_total_cover(g: Graph, limits: SearchLimits | None = None) -> ExactResu
     ``total_graph(g)``.  The masks come from ``g.adj`` and ``g.edges``,
     not through ``total_graph`` or ``is_total_cover``; ``is_total_cover``
     only confirms the returned set, raising CertificateError if it finds
-    an element the set misses.
+    an element the set misses.  A negative limit raises ValueError.
     """
     limits = limits or SearchLimits()
+    if limits.max_elements < 0 or limits.max_candidates < 0:
+        raise ValueError("search limits must be non-negative")
     total = g.n + len(g.edges)
     if total > limits.max_elements:
         raise TooLargeError(

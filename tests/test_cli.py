@@ -15,7 +15,14 @@ import pytest
 import tcover.approx
 import tcover.cli
 import tcover.exact
-from tcover import CertificateError, Graph, parse_graph, serialize_graph
+from tcover import (
+    BadVertexAssignment,
+    CertificateError,
+    Graph,
+    bad_vertex_assignment,
+    parse_graph,
+    serialize_graph,
+)
 from tcover.cli import main
 from tcover.graph import MAX_VERTICES
 from tcover.instances import add_isolated, complete, cycle, gnp, hard_instance, petersen, star
@@ -491,14 +498,32 @@ def test_compare_tags_internal_errors_and_exits_3(hard4, k3, tmp_path, monkeypat
     assert out.read_text().splitlines()[2] == clean.read_text().splitlines()[1]
 
 
-@pytest.mark.parametrize("command, patched, message", [
-    ("solve", tcover.approx, "constructed cover misses vertex 1"),
-    ("baseline", tcover.cli, "baseline cover misses vertex 1"),
-    ("exact", tcover.exact, "exact total cover misses vertex 1"),
-])
-def test_failed_validation_exits_3(k3, capsys, monkeypatch, command, patched, message):
-    monkeypatch.setattr(patched, "is_total_cover", lambda g, d: (False, 0))
-    argv = [command, k3] + (["--method", "matched-vertices"] if command == "baseline" else [])
+def doubled_bad_pairs(g, matching):
+    # each bad vertex claims its edge twice, so the cover falls short of m + k + t
+    return BadVertexAssignment(bad_vertex_assignment(g, matching).pairs * 2)
+
+
+FAILED_VALIDATIONS = [
+    ("solve", "k3", tcover.approx, "is_total_cover", lambda g, d: (False, 0),
+     "constructed cover misses vertex 1"),
+    ("baseline", "k3", tcover.cli, "is_total_cover", lambda g, d: (False, 0),
+     "baseline cover misses vertex 1"),
+    ("exact", "k3", tcover.exact, "is_total_cover", lambda g, d: (False, 0),
+     "exact total cover misses vertex 1"),
+    ("solve", "k3", tcover.approx, "bad_vertex_assignment", doubled_bad_pairs,
+     "cover has 2 elements, not m + k + t"),
+    ("solve", "hard4", tcover.approx, "total_cover_lower_bound", lambda m, k, t: 1,
+     "certified ratio 4 exceeds 2"),
+]
+
+
+@pytest.mark.parametrize("command, graph, patched, name, replacement, message", FAILED_VALIDATIONS,
+                         ids=[f"{case[0]}-{case[2].__name__}-{case[5]}" for case in FAILED_VALIDATIONS])
+def test_failed_validation_exits_3(request, capsys, monkeypatch, command, graph, patched, name,
+                                   replacement, message):
+    monkeypatch.setattr(patched, name, replacement)
+    argv = [command, request.getfixturevalue(graph)]
+    argv += ["--method", "matched-vertices"] if command == "baseline" else []
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.err == f"internal error: {message}\n"
@@ -545,7 +570,7 @@ def test_unwritable_output_exits_2(k3, tmp_path, capsys, argv):
 
 
 def test_negative_search_limit_is_a_usage_error(k3, capsys):
-    # argparse rejects a negative guard before SearchLimits sees it; a
+    # argparse rejects a negative guard before exact_total_cover sees it; a
     # malformed one reads as it did with type=int
     for command, extra, message in [
         ("exact", ["--max-candidates", "-1"],

@@ -69,8 +69,11 @@ def test_budget_exceeded_reports_cardinality():
 
 
 def test_limits_validation():
-    with pytest.raises(ValueError):
-        SearchLimits(max_elements=-1)
+    # checked ahead of the size guard, which would call the empty graph's
+    # 0 elements too many for max_elements=-1
+    for limits in (SearchLimits(max_elements=-1), SearchLimits(max_candidates=-1)):
+        with pytest.raises(ValueError, match="^search limits must be non-negative$"):
+            exact_total_cover(Graph(0), limits)
 
 
 def test_results_are_deterministic():

@@ -66,6 +66,8 @@ def test_build_rejects_duplicate_edge():
 def test_build_rejects_out_of_range():
     with pytest.raises(VertexOutOfRangeError):
         Graph(2, [(0, 2)])
+    with pytest.raises(VertexOutOfRangeError, match="^vertex count -1 is negative$"):
+        Graph(-1)
 
 
 def test_header_above_the_vertex_ceiling_allocates_nothing():

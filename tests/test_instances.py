@@ -206,6 +206,8 @@ def test_add_isolated():
     assert isolated_vertices(g) == [2, 3]
     unchanged = add_isolated(cycle(4), 0)
     assert unchanged == cycle(4)
+    with pytest.raises(ParameterOutOfRangeError, match="^isolated vertex count must be >= 0, got -1$"):
+        add_isolated(path(2), -1)
 
 
 def test_enumerate_counts():

@@ -61,6 +61,17 @@ def run_python(args):
     proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # the result records are named tuples, so a start need not load
+    # dataclasses, which pulls in inspect; only the modules the import adds
+    # count, which leaves out whatever site hooks loaded before it
+    added = run_python(["-c", "import sys; before = set(sys.modules); import tcover.cli; "
+                              "print(*sorted(set(sys.modules) - before))"]).split()
+    assert "tcover.cli" in added
+    assert {"dataclasses", "inspect"}.isdisjoint(added), added
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
