@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import io
 from bisect import bisect_left
-from itertools import chain, combinations, compress
+from itertools import chain, compress, repeat
 from typing import Iterable, Iterator, Optional
 
 
@@ -208,18 +208,28 @@ def total_graph(g: Graph) -> Graph:
     The total graph has one vertex per element of ``g``: original
     vertices keep their ids, edge ``e`` becomes vertex ``n + e``.  Two
     total-graph vertices are adjacent exactly when the corresponding
-    elements are adjacent or incident in ``g``.
+    elements are adjacent or incident in ``g``.  ``g`` is checked, so
+    the rows, ascending by construction, skip ``Graph.__init__``.
     """
-    n = g.n
-    pairs = list(g.edges)
-    incident: list[list[int]] = [[] for _ in range(n)]
-    for eid, (u, v) in enumerate(g.edges):
-        pairs.append((u, n + eid))
-        pairs.append((v, n + eid))
-        incident[u].append(eid)
-        incident[v].append(eid)
-    pairs += [(n + a, n + b) for ids in incident for a, b in combinations(ids, 2)]
-    return Graph(n + len(g.edges), pairs)
+    n, edges = g.n, g.edges
+    check_vertex_count(n + len(edges))
+    incident: list[list[int]] = [[] for _ in range(n)]  # ascending, as edges are sorted
+    for x, (u, v) in enumerate(edges, n):
+        incident[u].append(x)
+        incident[v].append(x)
+    rows = [near + tuple(ids) for near, ids in zip(g.adj, incident)]
+    for x, (u, v) in enumerate(edges, n):
+        ids = incident[u] + incident[v]
+        ids.sort()  # x twice, every other edge at u or v once
+        i = bisect_left(ids, x)
+        del ids[i:i + 2]
+        rows.append((u, v, *ids))
+    pairs: list[tuple[int, int]] = []  # (x, y) with y > x, in the order Graph sorts them
+    for x, row in enumerate(rows):
+        pairs += zip(repeat(x), row[bisect_left(row, x):])
+    tg = object.__new__(Graph)
+    tg.n, tg.edges, tg.adj = n + len(edges), tuple(pairs), tuple(rows)
+    return tg
 
 
 def format_element(g: Graph, x: int) -> str:

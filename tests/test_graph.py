@@ -25,9 +25,15 @@ from tcover import (
     total_graph,
 )
 from tcover.graph import MAX_VERTICES
-from tcover.instances import complete, cycle, enumerate_graphs, hard_instance, path
+from tcover.instances import complete, cycle, enumerate_graphs, hard_instance, path, petersen, star
 
-from helpers import graphs_with_element_sets, reference_first_fault, shuffled_copies, small_graphs
+from helpers import (
+    graphs_with_element_sets,
+    reference_first_fault,
+    scrambled_edge_lists,
+    shuffled_copies,
+    small_graphs,
+)
 
 
 def test_build_k2():
@@ -213,6 +219,54 @@ def test_total_graph_counts():
         shared = sum(len(a) * (len(a) - 1) // 2 for a in g.adj)
         assert tg.n == g.n + m
         assert len(tg.edges) == 3 * m + shared
+
+
+def assert_total_graph_is_the_checked_graph(g: Graph) -> None:
+    # total_graph skips Graph.__init__; rebuilding from its edge tuple
+    # must give the same graph, row for row
+    tg = total_graph(g)
+    assert tg.n == g.n + len(g.edges)
+    checked = Graph(tg.n, tg.edges)
+    assert checked == tg
+    assert checked.adj == tg.adj
+
+
+@pytest.mark.parametrize("g", [hard_instance(8), star(50), petersen(), complete(6), Graph(0), Graph(5)],
+                         ids=["hard8", "star50", "petersen", "k6", "empty", "isolated5"])
+def test_total_graph_equals_the_checked_constructor(g):
+    assert_total_graph_is_the_checked_graph(g)
+
+
+@given(st.one_of(small_graphs(), scrambled_edge_lists().map(lambda case: case[0])))
+def test_total_graph_equals_the_checked_constructor_on_drawn_graphs(g):
+    assert_total_graph_is_the_checked_graph(g)
+
+
+def test_total_graph_of_a_star_builds_no_pair_list():
+    # 502,500 pairs; the pair list handed to Graph() peaked at 161.8 MiB
+    g = star(1001)
+    tracemalloc.start()
+    try:
+        tg = total_graph(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+    assert len(tg.edges) == 3 * 1000 + 1000 * 999 // 2
+
+
+def test_total_graph_checks_its_vertex_count_first():
+    # the per-vertex incidence lists alone would take 257 MiB
+    g = Graph(MAX_VERTICES, [(0, 1)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(VertexOutOfRangeError,
+                           match=f"^vertex count {MAX_VERTICES + 1} exceeds MAX_VERTICES={MAX_VERTICES}$"):
+            total_graph(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_is_total_cover_k2_edge():
