@@ -41,10 +41,10 @@ print("{vertex 1, edge (2,3)} is a total cover:", is_total_cover(p4, candidate)[
 # The total graph makes the adjacency-or-incidence relation ordinary
 # vertex adjacency: one vertex per element of the original graph, with
 # the ids ElementSet uses.  Vertex v keeps its id and edge e becomes
-# vertex n + e.
-tg = total_graph(p4)
-print("\ntotal graph of P4:", tg)
-print("its vertex 5 stands for", format_element(p4, 5))
+# vertex n + e; total_graph returns its adjacency rows, row x for id x.
+rows = total_graph(p4)
+print("\ntotal graph of P4 has", len(rows), "vertices")
+print("its vertex 5 stands for", format_element(p4, 5), "and touches", rows[5])
 print("the cover above as ids:", list(candidate))
 
 # Everything serializes to a small line-oriented text format.

@@ -237,11 +237,11 @@ def greedy_domination_cover(g: Graph) -> ElementSet:
     only fall, so a popped entry whose gain is stale goes back with its
     current gain, and the first fresh top is the lowest-id best pick.
     """
-    tg = total_graph(g)
-    gain = [1 + len(neighbors) for neighbors in tg.adj]  # undominated members of N[x]
+    rows = total_graph(g)
+    gain = [1 + len(row) for row in rows]  # undominated members of N[x]
     heap = [(-d, x) for x, d in enumerate(gain)]
     heapq.heapify(heap)
-    dominated = [False] * tg.n
+    dominated = [False] * len(rows)
     picks: list[int] = []
     while heap:
         negated, best = heapq.heappop(heap)
@@ -250,10 +250,10 @@ def greedy_domination_cover(g: Graph) -> ElementSet:
                 heapq.heappush(heap, (-gain[best], best))
             continue
         picks.append(best)
-        for y in (best, *tg.adj[best]):
+        for y in (best, *rows[best]):
             if not dominated[y]:
                 dominated[y] = True
                 gain[y] -= 1
-                for x in tg.adj[y]:
+                for x in rows[y]:
                     gain[x] -= 1
     return ElementSet(g, picks)

@@ -1,14 +1,14 @@
 """Exact oracle for minimum total covers.
 
-Each element has a bitmask of its closed neighbourhood, the elements it
-covers, and a minimum cover is a smallest set of elements whose masks OR
-to all ones.  One depth-first branch and bound finds it; it is the
-set-cover branching of Fomin, Grandoni & Kratsch (J. ACM 2009).  The
-masks are built here from ``adj`` and ``edges``: the oracle does not go
-through ``total_graph`` or ``is_total_cover`` to search, which keeps it
-independent of the approximation code.  The set a search returns is
-confirmed once against the plain definition.  Guards keep accidental
-blowups in check.
+Each element x has a bitmask of its closed neighbourhood, the elements
+it covers: x and row x of ``total_graph(g)``.  A minimum cover is a
+smallest set of elements whose masks OR to all ones.  One depth-first
+branch and bound finds it; it is the set-cover branching of Fomin,
+Grandoni & Kratsch (J. ACM 2009).  The masks are built here from
+``adj`` and ``edges``: the oracle does not go through ``total_graph``
+or ``is_total_cover`` to search, which keeps it independent of the
+approximation code.  The set a search returns is confirmed once
+against the plain definition.  Guards keep accidental blowups in check.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ def exact_total_cover(g: Graph, limits: SearchLimits | None = None) -> ExactResu
     """Minimum total cover by branch and bound over subsets of V + E.
 
     A total cover of ``g`` is a dominating set of its total graph: the
-    mask of element x is the closed neighbourhood of vertex x of
+    mask of element x is bit x plus the bits of row x of
     ``total_graph(g)``.  The masks come from ``g.adj`` and ``g.edges``,
     not through ``total_graph`` or ``is_total_cover``; ``is_total_cover``
     only confirms the returned set, raising CertificateError if it finds

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import io
 from bisect import bisect_left
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from typing import Iterable, Iterator, Optional
 
 
@@ -202,18 +202,18 @@ def is_total_cover(g: Graph, d: ElementSet) -> tuple[bool, Optional[int]]:
     return True, None
 
 
-def total_graph(g: Graph) -> Graph:
-    """Build the total graph of ``g``.
+def total_graph(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """The total graph of ``g`` as its adjacency rows.
 
     The total graph has one vertex per element of ``g``: original
     vertices keep their ids, edge ``e`` becomes vertex ``n + e``.  Two
     total-graph vertices are adjacent exactly when the corresponding
-    elements are adjacent or incident in ``g``.  ``g`` is checked, so
-    the rows, ascending by construction, skip ``Graph.__init__``.
+    elements are adjacent or incident in ``g``.  Row ``x`` holds the
+    neighbours of ``x``, ascending by construction from the checked ``g``.
     """
     n, edges = g.n, g.edges
     check_vertex_count(n + len(edges))
-    incident: list[list[int]] = [[] for _ in range(n)]  # ascending, as edges are sorted
+    incident: list = [[] if near else () for near in g.adj]  # ascending; edgeless ones share ()
     for x, (u, v) in enumerate(edges, n):
         incident[u].append(x)
         incident[v].append(x)
@@ -224,12 +224,7 @@ def total_graph(g: Graph) -> Graph:
         i = bisect_left(ids, x)
         del ids[i:i + 2]
         rows.append((u, v, *ids))
-    pairs: list[tuple[int, int]] = []  # (x, y) with y > x, in the order Graph sorts them
-    for x, row in enumerate(rows):
-        pairs += zip(repeat(x), row[bisect_left(row, x):])
-    tg = object.__new__(Graph)
-    tg.n, tg.edges, tg.adj = n + len(edges), tuple(pairs), tuple(rows)
-    return tg
+    return tuple(rows)
 
 
 def format_element(g: Graph, x: int) -> str:

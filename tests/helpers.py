@@ -28,12 +28,12 @@ def connected(g: Graph) -> bool:
     return len(seen) == g.n
 
 
-def closed_neighbourhood_masks(g: Graph) -> list[int]:
-    """Bit v and the bits of v's neighbours, for every vertex v of g."""
+def closed_neighbourhood_masks(rows: tuple[tuple[int, ...], ...]) -> list[int]:
+    """Bit v and the bits of v's neighbours, for every adjacency row v."""
     masks = []
-    for v in range(g.n):
+    for v, row in enumerate(rows):
         mask = 1 << v
-        for w in g.adj[v]:
+        for w in row:
             mask |= 1 << w
         masks.append(mask)
     return masks

@@ -255,6 +255,20 @@ def test_greedy_domination_edgeless_is_not_quadratic():
     assert elapsed < 10, f"took {elapsed:.1f}s, budget 10s"
 
 
+def test_greedy_domination_of_a_star_holds_only_the_rows():
+    # gains, heap and T(G)'s rows; T(G) as a Graph, with its 502,500-pair
+    # edge tuple, made this peak at 42.6 MiB
+    g = star(1001)
+    tracemalloc.start()
+    try:
+        cover = greedy_domination_cover(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    assert list(cover) == [0]
+
+
 # sha256 of the cover file, recorded from the greedy that recomputed every
 # gain on each pick: keeping the gains must return the very same cover.
 GOLDEN_GREEDY = {

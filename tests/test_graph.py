@@ -191,44 +191,38 @@ def test_isolated_vertices():
 
 
 def test_total_graph_of_k2_is_triangle():
-    tg = total_graph(Graph(2, [(0, 1)]))
-    assert tg.n == 3
-    assert len(tg.edges) == 3
     # vertices keep their ids, edge 0 becomes vertex n + 0 = 2
-    assert list(tg.edges) == [(0, 1), (0, 2), (1, 2)]
+    assert total_graph(Graph(2, [(0, 1)])) == ((1, 2), (0, 2), (0, 1))
 
 
 def test_total_graph_of_isolated_vertex():
-    tg = total_graph(Graph(1, []))
-    assert tg.n == 1
-    assert len(tg.edges) == 0
-    assert tg.adj == ((),)
+    assert total_graph(Graph(1, [])) == ((),)
 
 
 def test_total_graph_of_p3_center_degree():
-    tg = total_graph(path(3))
-    assert tg.n == 5
+    rows = total_graph(path(3))
+    assert len(rows) == 5
     # middle vertex sees both neighbors and both incident edges
-    assert len(tg.adj[1]) == 4
+    assert len(rows[1]) == 4
 
 
 def test_total_graph_counts():
     for g in enumerate_graphs(4):
-        tg = total_graph(g)
+        rows = total_graph(g)
         m = len(g.edges)
         shared = sum(len(a) * (len(a) - 1) // 2 for a in g.adj)
-        assert tg.n == g.n + m
-        assert len(tg.edges) == 3 * m + shared
+        assert len(rows) == g.n + m
+        assert sum(map(len, rows)) == 2 * (3 * m + shared)
 
 
 def assert_total_graph_is_the_checked_graph(g: Graph) -> None:
-    # total_graph skips Graph.__init__; rebuilding from its edge tuple
-    # must give the same graph, row for row
-    tg = total_graph(g)
-    assert tg.n == g.n + len(g.edges)
-    checked = Graph(tg.n, tg.edges)
-    assert checked == tg
-    assert checked.adj == tg.adj
+    # Graph() rebuilt from the pairs (x, y), y > x, of the rows has the
+    # rows as its adjacency only if they are symmetric, ascending, and
+    # free of loops and repeats
+    rows = total_graph(g)
+    assert len(rows) == g.n + len(g.edges)
+    checked = Graph(len(rows), [(x, y) for x, row in enumerate(rows) for y in row if y > x])
+    assert checked.adj == rows
 
 
 @pytest.mark.parametrize("g", [hard_instance(8), star(50), petersen(), complete(6), Graph(0), Graph(5)],
@@ -242,21 +236,37 @@ def test_total_graph_equals_the_checked_constructor_on_drawn_graphs(g):
     assert_total_graph_is_the_checked_graph(g)
 
 
-def test_total_graph_of_a_star_builds_no_pair_list():
-    # 502,500 pairs; the pair list handed to Graph() peaked at 161.8 MiB
+def test_total_graph_of_a_star_is_its_rows():
+    # 1,005,000 row entries; a Graph with its 502,500-pair edge tuple
+    # peaked at 42.6 MiB, a pair list handed to Graph() at 161.8 MiB
     g = star(1001)
     tracemalloc.start()
     try:
-        tg = total_graph(g)
+        rows = total_graph(g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 << 20
-    assert len(tg.edges) == 3 * 1000 + 1000 * 999 // 2
+    assert peak < 16 << 20
+    assert sum(map(len, rows)) == 2 * (3 * 1000 + 1000 * 999 // 2)
+
+
+def test_total_graph_shares_one_empty_row_for_edgeless_vertices():
+    # an empty incidence list per vertex peaked at 322.2 MiB; the three
+    # lists of 2**22 pointers (incidence, rows, result) take 96 MiB
+    g = Graph(MAX_VERTICES - 1, [(0, 1)])
+    tracemalloc.start()
+    try:
+        rows = total_graph(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 160 << 20
+    assert rows[:3] == ((1, MAX_VERTICES - 1), (0, MAX_VERTICES - 1), ())
+    assert rows[-1] == (0, 1)
 
 
 def test_total_graph_checks_its_vertex_count_first():
-    # the per-vertex incidence lists alone would take 257 MiB
+    # the per-vertex incidence list alone would take 32 MiB
     g = Graph(MAX_VERTICES, [(0, 1)])
     tracemalloc.start()
     try:
@@ -300,11 +310,11 @@ def test_cover_agrees_with_total_graph_domination(case):
     # with the domination side coded here from scratch
     # and the witness pinned to the lowest undominated total-graph vertex
     g, d = case
-    tg = total_graph(g)
+    rows = total_graph(g)
     ids = set(d)
     undominated = [
-        v for v in range(tg.n)
-        if v not in ids and not any(u in ids for u in tg.adj[v])
+        v for v in range(len(rows))
+        if v not in ids and not any(u in ids for u in rows[v])
     ]
     assert is_total_cover(g, d) == (
         (False, undominated[0]) if undominated else (True, None)
