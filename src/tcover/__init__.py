@@ -52,19 +52,15 @@ from .instances import (
     add_isolated,
     complete,
     cycle,
-    enumerate_graphs,
     gnp,
     hard_instance,
     path,
-    petersen,
     star,
 )
 from .matching import (
     Matching,
-    brute_force_maximum_matching,
     greedy_maximal_matching,
     maximum_matching,
-    verify_matching,
 )
 
 __all__ = [
@@ -91,11 +87,9 @@ __all__ = [
     "add_isolated",
     "approx_total_cover",
     "bad_vertex_assignment",
-    "brute_force_maximum_matching",
     "complete",
     "cycle",
     "element_cover_line",
-    "enumerate_graphs",
     "exact_total_cover",
     "format_element",
     "gnp",
@@ -109,11 +103,9 @@ __all__ = [
     "parse_cover",
     "parse_graph",
     "path",
-    "petersen",
     "serialize_cover",
     "serialize_graph",
     "star",
     "total_cover_lower_bound",
     "total_graph",
-    "verify_matching",
 ]

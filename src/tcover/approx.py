@@ -233,26 +233,30 @@ def greedy_domination_cover(g: Graph) -> ElementSet:
     not-yet-dominated vertices (ties to the lowest id) until everything
     is dominated; the picks are the elements of ``g`` by their ids.
     Standard greedy, so the size is within a logarithmic factor of the
-    optimum.  The candidates wait in a lazy heap of (-gain, id): gains
-    only fall, so a popped entry whose gain is stale goes back with its
-    current gain, and the first fresh top is the lowest-id best pick.
+    optimum.  The candidates wait in a lazy heap, one int per entry:
+    ``id - gain * total`` over the ``total`` total-graph vertices, which
+    orders as the pair (-gain, id) since 0 <= id < total, and ``divmod``
+    by ``total`` gives the pair back.  Gains only fall, so a popped entry
+    whose gain is stale goes back with its current gain, and the first
+    fresh top is the lowest-id best pick.
     """
     rows = total_graph(g)
+    total = len(rows)
     gain = [1 + len(row) for row in rows]  # undominated members of N[x]
-    heap = [(-d, x) for x, d in enumerate(gain)]
+    heap = [x - d * total for x, d in enumerate(gain)]
     heapq.heapify(heap)
-    dominated = [False] * len(rows)
+    dominated = bytearray(total)
     picks: list[int] = []
     while heap:
-        negated, best = heapq.heappop(heap)
+        negated, best = divmod(heapq.heappop(heap), total)
         if gain[best] != -negated:
             if gain[best]:
-                heapq.heappush(heap, (-gain[best], best))
+                heapq.heappush(heap, best - gain[best] * total)
             continue
         picks.append(best)
         for y in (best, *rows[best]):
             if not dominated[y]:
-                dominated[y] = True
+                dominated[y] = 1
                 gain[y] -= 1
                 for x in rows[y]:
                     gain[x] -= 1

@@ -1,7 +1,8 @@
 """Command line front end: tcover solve | exact | baseline | verify | gen | compare.
 
 Exit codes: 0 ok, 1 invalid cover, 2 parse/parameter/file error, 3 internal
-validation failure, 4 search guard exceeded, 5 candidate budget exceeded.
+validation failure, 4 search guard exceeded, 5 candidate budget exceeded,
+6 out of memory.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ EXIT_PARSE = 2
 EXIT_INTERNAL = 3
 EXIT_TOO_LARGE = 4
 EXIT_BUDGET = 5
+EXIT_MEMORY = 6
 
 # main() turns exceptions of these classes into exit codes; anything else,
 # such as the plain ValueError of negative search limits, propagates.
@@ -60,6 +62,7 @@ EXIT_CODES: dict[type[BaseException], int] = {
     ParameterOutOfRangeError: EXIT_PARSE,
     TooLargeError: EXIT_TOO_LARGE,
     BudgetExceededError: EXIT_BUDGET,
+    MemoryError: EXIT_MEMORY,
     # a solver bug, not bad input
     CertificateError: EXIT_INTERNAL,
     NotMaximumError: EXIT_INTERNAL,
@@ -73,9 +76,12 @@ CSV_HEADER = [
 
 
 def exit_status(exc: BaseException) -> tuple[int, str]:
-    """Exit code and stderr prefix of an exception listed in EXIT_CODES."""
+    """Exit code and message of an exception listed in EXIT_CODES.  A
+    solver bug's message starts with "internal error: "; a MemoryError,
+    whose own text is usually empty, says "out of memory"."""
     code = next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
-    return code, "internal error" if code == EXIT_INTERNAL else "error"
+    text = (str(exc) or "out of memory") if code == EXIT_MEMORY else str(exc)
+    return code, f"internal error: {text}" if code == EXIT_INTERNAL else text
 
 
 def format_ratio(value: Fraction) -> str:
@@ -205,11 +211,9 @@ def _compare_row(name: str, path_arg: str, exact_limit: int) -> tuple[dict[str, 
             ratio = Fraction(alg_size, exact.size) if exact.size else Fraction(1)
             row["ratio_vs_exact"] = format_ratio(ratio)
     except tuple(EXIT_CODES) as exc:  # keep the batch going
-        code, prefix = exit_status(exc)
-        if code == EXIT_INTERNAL:  # tag the solver bug
-            row["error"] = f"{prefix}: {exc}"
+        code, row["error"] = exit_status(exc)
+        if code == EXIT_INTERNAL:  # a solver bug fails the batch at its end
             return row, code
-        row["error"] = str(exc)
     return row, EXIT_OK
 
 
@@ -296,8 +300,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except tuple(EXIT_CODES) as exc:
-        code, prefix = exit_status(exc)
-        print(f"{prefix}: {exc}", file=sys.stderr)
+        code, message = exit_status(exc)
+        print(message if code == EXIT_INTERNAL else f"error: {message}", file=sys.stderr)
         return code
 
 

@@ -1,9 +1,8 @@
-"""Deterministic graph generators and the small-graph test corpus."""
+"""Deterministic graph generators."""
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterator
 
 from .graph import MAX_VERTICES, Graph, check_vertex_count
 
@@ -68,14 +67,6 @@ def complete(n: int) -> Graph:
     if m > MAX_VERTICES:
         raise ParameterOutOfRangeError(f"complete({n}) has {m} edges, more than MAX_VERTICES={MAX_VERTICES}")
     return Graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
-
-
-def petersen() -> Graph:
-    """The Petersen graph: outer 5-cycle, inner pentagram, five spokes."""
-    pairs = [(i, (i + 1) % 5) for i in range(5)]
-    pairs += [(i, i + 5) for i in range(5)]
-    pairs += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return Graph(10, pairs)
 
 
 _MASK64 = (1 << 64) - 1
@@ -143,12 +134,3 @@ def add_isolated(g: Graph, t: int) -> Graph:
     if t < 0:
         raise ParameterOutOfRangeError(f"isolated vertex count must be >= 0, got {t}")
     return Graph(g.n + t, g.edges)
-
-
-def enumerate_graphs(n: int) -> Iterator[Graph]:
-    """All 2^C(n,2) labeled graphs on n vertices, in edge-mask order."""
-    if not 0 <= n <= 6:
-        raise ParameterOutOfRangeError(f"enumeration is limited to 0 <= n <= 6, got {n}")
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for mask in range(1 << len(pairs)):
-        yield Graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])

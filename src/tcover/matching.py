@@ -1,4 +1,4 @@
-"""Maximal and maximum matchings, with a brute-force oracle.
+"""Maximal and maximum matchings.
 
 The maximum matching routine is an augmenting-path search with odd-cycle
 (blossom) contraction, so it is correct on general graphs.  Everything
@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .graph import Graph, GraphError, TooLargeError
-
-BRUTE_FORCE_EDGE_LIMIT = 24
+from .graph import Graph, GraphError
 
 
 class CertificateError(RuntimeError):
@@ -190,91 +188,3 @@ def maximum_matching(g: Graph) -> Matching:
         v = next(v for v in range(n) if matching.mate[v] != match[v])
         raise CertificateError(f"matched pair ({v}, {match[v]}) is not an edge of the graph")
     return matching
-
-
-def brute_force_maximum_matching(g: Graph) -> Matching:
-    """Exhaustive maximum matching, for cross-checking on small graphs.
-
-    Depth-first over edge subsets in ascending id order (take before
-    skip), pruning branches that cannot beat the best found and stopping
-    at the floor(n/2) ceiling.  Guarded at BRUTE_FORCE_EDGE_LIMIT edges.
-    """
-    m = len(g.edges)
-    if m > BRUTE_FORCE_EDGE_LIMIT:
-        raise TooLargeError(f"{m} edges exceeds the brute-force guard of {BRUTE_FORCE_EDGE_LIMIT}")
-    best: list[int] = []
-    chosen: list[int] = []
-    used = [False] * g.n
-    ceiling = g.n // 2
-    done = False
-
-    def search(i: int) -> None:
-        nonlocal best, done
-        if done:
-            return
-        if len(chosen) > len(best):
-            best = chosen.copy()
-            if len(best) == ceiling:
-                done = True
-                return
-        if i == m or len(chosen) + (m - i) <= len(best):
-            return
-        u, v = g.edges[i]
-        if not used[u] and not used[v]:
-            used[u] = used[v] = True
-            chosen.append(i)
-            search(i + 1)
-            chosen.pop()
-            used[u] = used[v] = False
-        search(i + 1)
-
-    search(0)
-    return Matching(g, best)
-
-
-def _augmenting_path_exists(g: Graph, partner: tuple[int, ...]) -> bool:
-    # Exhaustive depth-first search over simple alternating paths; after
-    # each non-matching edge the matched continuation is forced, so the
-    # tree only branches at outer vertices.  Slow but independent of the
-    # blossom machinery above.  The explicit stack keeps long paths clear
-    # of the recursion limit.
-    for root in range(g.n):
-        if partner[root] != -1:
-            continue
-        visited = {root}
-        stack = [(root, iter(g.adj[root]))]  # outer vertices of the current path
-        while stack:
-            v, neighbors = stack[-1]
-            for w in neighbors:
-                if w == partner[v] or w in visited:
-                    continue
-                if partner[w] == -1:
-                    return True
-                mate = partner[w]
-                if mate in visited:
-                    continue
-                visited.update((w, mate))
-                stack.append((mate, iter(g.adj[mate])))
-                break
-            else:
-                stack.pop()
-                visited.difference_update((v, partner[v]))
-    return False
-
-
-def verify_matching(g: Graph, matching: Matching, mode: str) -> bool:
-    """Check a Matching of g, which is valid by construction.
-
-    mode "maximal": no edge of g could still be added.
-    mode "maximum": no augmenting path exists, established by an
-    independent exhaustive alternating-path search.
-    Raises ValueError for another mode or a matching of another graph.
-    """
-    if mode not in ("maximal", "maximum"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if matching.graph != g:
-        raise ValueError("the matching belongs to another graph")
-    mate = matching.mate
-    if mode == "maximal":
-        return all(mate[u] != -1 or mate[v] != -1 for u, v in g.edges)
-    return not _augmenting_path_exists(g, mate)

@@ -1,15 +1,17 @@
-"""Shared test utilities: corpus iteration and hypothesis strategies."""
+"""Shared test utilities: independent oracles, the small-graph corpus and
+hypothesis strategies."""
 
 from __future__ import annotations
 
 import random
+from typing import Iterator
 
 from hypothesis import strategies as st
 
-from tcover import ElementSet, Graph, NotMaximumError, TraceStep, bad_vertex_assignment
+from tcover import ElementSet, Graph, NotMaximumError, TooLargeError, TraceStep, bad_vertex_assignment
 from tcover import maximum_matching
 from tcover.graph import isolated_vertices
-from tcover.instances import gnp
+from tcover.instances import ParameterOutOfRangeError, gnp
 from tcover.matching import CertificateError, Matching
 
 
@@ -340,3 +342,111 @@ def reference_first_fault(n: int, pairs) -> tuple[str, str] | None:
             return "DuplicateEdgeError", f"edge ({pair[0]}, {pair[1]}) appears twice"
         seen.add(pair)
     return None
+
+
+def petersen() -> Graph:
+    """The Petersen graph: outer 5-cycle, inner pentagram, five spokes."""
+    pairs = [(i, (i + 1) % 5) for i in range(5)]
+    pairs += [(i, i + 5) for i in range(5)]
+    pairs += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph(10, pairs)
+
+
+def enumerate_graphs(n: int) -> Iterator[Graph]:
+    """All 2^C(n,2) labeled graphs on n vertices, in edge-mask order."""
+    if not 0 <= n <= 6:
+        raise ParameterOutOfRangeError(f"enumeration is limited to 0 <= n <= 6, got {n}")
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for mask in range(1 << len(pairs)):
+        yield Graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+
+
+BRUTE_FORCE_EDGE_LIMIT = 24
+
+
+def brute_force_maximum_matching(g: Graph) -> Matching:
+    """Exhaustive maximum matching, for cross-checking on small graphs.
+
+    Depth-first over edge subsets in ascending id order (take before
+    skip), pruning branches that cannot beat the best found and stopping
+    at the floor(n/2) ceiling.  Guarded at BRUTE_FORCE_EDGE_LIMIT edges.
+    """
+    m = len(g.edges)
+    if m > BRUTE_FORCE_EDGE_LIMIT:
+        raise TooLargeError(f"{m} edges exceeds the brute-force guard of {BRUTE_FORCE_EDGE_LIMIT}")
+    best: list[int] = []
+    chosen: list[int] = []
+    used = [False] * g.n
+    ceiling = g.n // 2
+    done = False
+
+    def search(i: int) -> None:
+        nonlocal best, done
+        if done:
+            return
+        if len(chosen) > len(best):
+            best = chosen.copy()
+            if len(best) == ceiling:
+                done = True
+                return
+        if i == m or len(chosen) + (m - i) <= len(best):
+            return
+        u, v = g.edges[i]
+        if not used[u] and not used[v]:
+            used[u] = used[v] = True
+            chosen.append(i)
+            search(i + 1)
+            chosen.pop()
+            used[u] = used[v] = False
+        search(i + 1)
+
+    search(0)
+    return Matching(g, best)
+
+
+def _augmenting_path_exists(g: Graph, partner: tuple[int, ...]) -> bool:
+    # Exhaustive depth-first search over simple alternating paths; after
+    # each non-matching edge the matched continuation is forced, so the
+    # tree only branches at outer vertices.  Slow but independent of
+    # maximum_matching's blossom machinery.  The explicit stack keeps long
+    # paths clear of the recursion limit.
+    for root in range(g.n):
+        if partner[root] != -1:
+            continue
+        visited = {root}
+        stack = [(root, iter(g.adj[root]))]  # outer vertices of the current path
+        while stack:
+            v, neighbors = stack[-1]
+            for w in neighbors:
+                if w == partner[v] or w in visited:
+                    continue
+                if partner[w] == -1:
+                    return True
+                mate = partner[w]
+                if mate in visited:
+                    continue
+                visited.update((w, mate))
+                stack.append((mate, iter(g.adj[mate])))
+                break
+            else:
+                stack.pop()
+                visited.difference_update((v, partner[v]))
+    return False
+
+
+def verify_matching(g: Graph, matching: Matching, mode: str) -> bool:
+    """Check a Matching of g, which is valid by construction.
+
+    mode "maximal": no edge of g could still be added.
+    mode "maximum": no augmenting path exists, established by an
+    independent exhaustive alternating-path search.
+    Raises ValueError for another mode or a matching of another graph.
+    """
+    if mode not in ("maximal", "maximum"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if matching.graph != g:
+        raise ValueError("the matching belongs to another graph")
+    mate = matching.mate
+    if mode == "maximal":
+        return all(mate[u] != -1 or mate[v] != -1 for u, v in g.edges)
+    return not _augmenting_path_exists(g, mate)

@@ -12,29 +12,19 @@ from tcover import (
     ElementSet,
     SearchLimits,
     approx_total_cover,
-    brute_force_maximum_matching,
     exact_total_cover,
     is_total_cover,
     matched_vertices_cover,
     maximum_matching,
     serialize_graph,
     total_graph,
-    verify_matching,
 )
 from tcover.cli import main
 from tcover.exact import _total_cover_masks
-from tcover.instances import (
-    complete,
-    cycle,
-    enumerate_graphs,
-    gnp,
-    hard_instance,
-    path,
-    petersen,
-    star,
-)
+from tcover.instances import complete, cycle, gnp, hard_instance, path, star
 
-from helpers import closed_neighbourhood_masks, connected
+from helpers import (brute_force_maximum_matching, closed_neighbourhood_masks, connected,
+                     enumerate_graphs, petersen, verify_matching)
 
 
 @contextmanager

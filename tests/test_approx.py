@@ -28,27 +28,11 @@ from tcover import (
     maximum_matching,
     serialize_cover,
     total_cover_lower_bound,
-    verify_matching,
 )
-from tcover.instances import (
-    add_isolated,
-    complete,
-    cycle,
-    enumerate_graphs,
-    gnp,
-    hard_instance,
-    path,
-    petersen,
-    star,
-)
+from tcover.instances import add_isolated, complete, cycle, gnp, hard_instance, path, star
 
-from helpers import (
-    golden_graph,
-    reference_trace,
-    shuffled_copies,
-    small_graphs,
-    sparse_graphs_with_a_hub,
-)
+from helpers import (enumerate_graphs, golden_graph, petersen, reference_trace, shuffled_copies,
+                     small_graphs, sparse_graphs_with_a_hub, verify_matching)
 
 
 def test_bad_vertices_of_triangle():
@@ -267,6 +251,20 @@ def test_greedy_domination_of_a_star_holds_only_the_rows():
         tracemalloc.stop()
     assert peak < 16 << 20
     assert list(cover) == [0]
+
+
+def test_greedy_domination_heap_holds_one_int_per_entry():
+    # a (-gain, id) tuple per heap entry and a list of dominated flags made
+    # this peak at 29.4 MiB; one int per entry and a bytearray, 15.6 MiB
+    g = Graph(1 << 18)
+    tracemalloc.start()
+    try:
+        cover = greedy_domination_cover(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 22 << 20, f"peak {peak / 2**20:.1f} MiB"
+    assert len(cover) == 1 << 18
 
 
 # sha256 of the cover file, recorded from the greedy that recomputed every

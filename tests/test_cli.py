@@ -25,9 +25,9 @@ from tcover import (
 )
 from tcover.cli import main
 from tcover.graph import MAX_VERTICES
-from tcover.instances import add_isolated, complete, cycle, gnp, hard_instance, petersen, star
+from tcover.instances import add_isolated, complete, cycle, gnp, hard_instance, star
 
-from helpers import golden_graph, scrambled_edge_lists
+from helpers import golden_graph, petersen, scrambled_edge_lists
 
 
 @pytest.fixture
@@ -541,6 +541,40 @@ def test_matched_non_edge_exits_3(k3, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.err == "internal error: matched pair (0, 1) is not an edge of the graph\n"
     assert captured.out == ""
+
+
+def out_of_memory(text):
+    raise MemoryError  # as the interpreter raises it: with no text
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_running_out_of_memory_exits_6(k3, tmp_path, capsys, monkeypatch, command):
+    # exit 1 means an invalid cover, so a MemoryError must not end in a
+    # traceback and the interpreter's exit 1
+    cover = tmp_path / "c.cover"
+    cover.write_text("v 1\n")
+    monkeypatch.setattr(tcover.cli, "parse_graph", out_of_memory)
+    argv = [command, k3] + (["--cover", str(cover)] if command == "verify" else [])
+    assert main(argv) == 6
+    captured = capsys.readouterr()
+    assert captured.err == "error: out of memory\n"
+    assert captured.out == ""
+
+
+def test_compare_records_running_out_of_memory_and_continues(hard4, k3, tmp_path, monkeypatch):
+    parse = tcover.cli.parse_graph
+
+    def out_of_memory_on_k3(text):
+        return out_of_memory(text) if text.startswith("p edge 3 ") else parse(text)
+
+    clean = tmp_path / "clean.csv"
+    assert main(["compare", hard4, "--csv", str(clean)]) == 0
+    monkeypatch.setattr(tcover.cli, "parse_graph", out_of_memory_on_k3)
+    out = tmp_path / "report.csv"
+    assert main(["compare", k3, hard4, "--csv", str(out)]) == 0
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert rows[1] == ["k3.gr"] + [""] * 12 + ["out of memory"]
+    assert out.read_text().splitlines()[2] == clean.read_text().splitlines()[1]
 
 
 def test_solve_validates_the_cover_once(k3, monkeypatch):

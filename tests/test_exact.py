@@ -18,9 +18,9 @@ from tcover import (
     total_graph,
 )
 from tcover.exact import _smallest_covering, _total_cover_masks
-from tcover.instances import complete, cycle, enumerate_graphs, gnp, hard_instance, path, petersen, star
+from tcover.instances import complete, cycle, gnp, hard_instance, path, star
 
-from helpers import closed_neighbourhood_masks, connected
+from helpers import closed_neighbourhood_masks, connected, enumerate_graphs, petersen
 
 
 def test_exact_total_cover_k3():

@@ -25,15 +25,10 @@ from tcover import (
     total_graph,
 )
 from tcover.graph import MAX_VERTICES
-from tcover.instances import complete, cycle, enumerate_graphs, hard_instance, path, petersen, star
+from tcover.instances import complete, cycle, hard_instance, path, star
 
-from helpers import (
-    graphs_with_element_sets,
-    reference_first_fault,
-    scrambled_edge_lists,
-    shuffled_copies,
-    small_graphs,
-)
+from helpers import (enumerate_graphs, graphs_with_element_sets, petersen, reference_first_fault,
+                     scrambled_edge_lists, shuffled_copies, small_graphs)
 
 
 def test_build_k2():

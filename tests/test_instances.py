@@ -16,17 +16,10 @@ from tcover import (
     maximum_matching,
     serialize_graph,
 )
-from tcover.instances import (
-    complete,
-    cycle,
-    enumerate_graphs,
-    gnp,
-    hard_instance,
-    path,
-    petersen,
-    star,
-)
+from tcover.instances import complete, cycle, gnp, hard_instance, path, star
 from tcover.graph import MAX_VERTICES
+
+from helpers import enumerate_graphs, petersen
 
 
 @pytest.mark.parametrize("make, n", [

@@ -15,29 +15,15 @@ from tcover import (
     GraphError,
     Matching,
     TooLargeError,
-    brute_force_maximum_matching,
     greedy_maximal_matching,
     maximum_matching,
-    verify_matching,
 )
-from tcover.instances import (
-    complete,
-    cycle,
-    enumerate_graphs,
-    gnp,
-    hard_instance,
-    path,
-    petersen,
-)
+from tcover.instances import complete, cycle, gnp, hard_instance, path
 
-from helpers import (
-    chorded_odd_cycles,
-    golden_graph,
-    reference_maximum_matching,
-    small_graphs,
-    sparse_graphs_with_a_hub,
-    sparse_graphs_with_pendant_triangles,
-)
+from helpers import (brute_force_maximum_matching, chorded_odd_cycles, enumerate_graphs,
+                     golden_graph, petersen, reference_maximum_matching, small_graphs,
+                     sparse_graphs_with_a_hub, sparse_graphs_with_pendant_triangles,
+                     verify_matching)
 
 
 def test_matching_partner_map():
