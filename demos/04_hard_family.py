@@ -11,7 +11,6 @@ matched-vertices baseline widens toward 4x as n grows.
 from fractions import Fraction
 
 from tcover import approx_total_cover, exact_total_cover, matched_vertices_cover
-from tcover import SearchLimits
 from tcover.instances import hard_instance
 
 print(f"{'n':>4} {'optimum':>8} {'algorithm':>10} {'baseline':>9} "
@@ -20,7 +19,7 @@ for n in (4, 8, 12, 50, 100, 400):
     g = hard_instance(n)
     optimum = n // 2 + 1
     if g.n + len(g.edges) <= 40:  # confirm the small ones with the exact oracle
-        assert exact_total_cover(g, SearchLimits(max_elements=40)).size == optimum
+        assert exact_total_cover(g, max_elements=40).size == optimum
     result = approx_total_cover(g)
     alg = len(result.cover)
     base = len(matched_vertices_cover(g, result.matching))

@@ -21,20 +21,18 @@ from .approx import (
     total_cover_lower_bound,
 )
 from .exact import (
+    BudgetExceededError,
     ExactResult,
-    SearchLimits,
+    TooLargeError,
     exact_total_cover,
 )
 from .graph import (
-    BudgetExceededError,
     DuplicateEdgeError,
     ElementSet,
     Graph,
     GraphError,
     ParseError,
     SelfLoopError,
-    TooLargeError,
-    UnknownEdgeError,
     VertexOutOfRangeError,
     element_cover_line,
     format_element,
@@ -47,7 +45,6 @@ from .graph import (
     total_graph,
 )
 from .instances import (
-    OddParameterError,
     ParameterOutOfRangeError,
     add_isolated,
     complete,
@@ -75,14 +72,11 @@ __all__ = [
     "GraphError",
     "Matching",
     "NotMaximumError",
-    "OddParameterError",
     "ParameterOutOfRangeError",
     "ParseError",
-    "SearchLimits",
     "SelfLoopError",
     "TooLargeError",
     "TraceStep",
-    "UnknownEdgeError",
     "VertexOutOfRangeError",
     "add_isolated",
     "approx_total_cover",

@@ -16,12 +16,11 @@ from fractions import Fraction
 
 from .approx import CertificateError, NotMaximumError
 from .approx import approx_total_cover, greedy_domination_cover, matched_vertices_cover
-from .exact import SearchLimits, exact_total_cover
+from .exact import MAX_CANDIDATES, MAX_ELEMENTS, BudgetExceededError, TooLargeError
+from .exact import exact_total_cover
 from .graph import (
-    BudgetExceededError,
     Graph,
     GraphError,
-    TooLargeError,
     element_cover_line,
     format_element,
     is_total_cover,
@@ -32,7 +31,6 @@ from .graph import (
 )
 from .matching import greedy_maximal_matching, maximum_matching
 from .instances import (
-    OddParameterError,
     ParameterOutOfRangeError,
     add_isolated,
     complete,
@@ -58,7 +56,6 @@ EXIT_CODES: dict[type[BaseException], int] = {
     OSError: EXIT_PARSE,
     UnicodeDecodeError: EXIT_PARSE,
     GraphError: EXIT_PARSE,
-    OddParameterError: EXIT_PARSE,
     ParameterOutOfRangeError: EXIT_PARSE,
     TooLargeError: EXIT_TOO_LARGE,
     BudgetExceededError: EXIT_BUDGET,
@@ -127,7 +124,8 @@ def cmd_solve(args) -> int:
 
 def cmd_exact(args) -> int:
     g = _read_graph(args.graph)
-    result = exact_total_cover(g, SearchLimits(args.max_elements, args.max_candidates))
+    result = exact_total_cover(g, max_elements=args.max_elements,
+                               max_candidates=args.max_candidates)
     print(f"size={result.size} candidates={result.candidates_checked}")
     sys.stdout.write(serialize_cover(result.optimum))
     return EXIT_OK
@@ -187,34 +185,29 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _compare_row(name: str, path_arg: str, exact_limit: int) -> tuple[dict[str, str], int]:
-    """One CSV row, and EXIT_INTERNAL if a solver bug hit it (else EXIT_OK)."""
-    row = {field: "" for field in CSV_HEADER}
-    row["instance"] = name
+def _compare_row(name: str, path_arg: str, exact_limit: int) -> tuple[list, int]:
+    """One CSV row, and EXIT_INTERNAL if a solver bug hit it (else EXIT_OK).
+    The row holds results only when every one of them was found; an
+    instance that fails part-way gets its name and its error alone."""
     try:
         g = _read_graph(path_arg)
         result = approx_total_cover(g)
         alg_size = len(result.cover)
-        row["n"] = str(g.n)
-        row["edges"] = str(len(g.edges))
-        row["m"] = str(result.matching.size)
-        row["k"] = str(result.bad_vertex_count)
-        row["t"] = str(result.isolated_count)
-        row["alg_size"] = str(alg_size)
-        row["lower_bound"] = str(result.lower_bound)
-        row["baseline_size"] = str(len(matched_vertices_cover(g, result.matching)))
-        row["greedy_size"] = str(len(greedy_domination_cover(g)))
-        row["ratio_vs_lb"] = format_ratio(result.certified_ratio)
+        baseline_size = len(matched_vertices_cover(g, result.matching))
+        greedy_size = len(greedy_domination_cover(g))
+        exact_size = ratio_vs_exact = ""
         if g.n + len(g.edges) <= exact_limit:
-            exact = exact_total_cover(g, SearchLimits(max_elements=exact_limit))
-            row["exact_size"] = str(exact.size)
-            ratio = Fraction(alg_size, exact.size) if exact.size else Fraction(1)
-            row["ratio_vs_exact"] = format_ratio(ratio)
+            exact_size = exact_total_cover(g, max_elements=exact_limit).size
+            ratio = Fraction(alg_size, exact_size) if exact_size else Fraction(1)
+            ratio_vs_exact = format_ratio(ratio)
     except tuple(EXIT_CODES) as exc:  # keep the batch going
-        code, row["error"] = exit_status(exc)
-        if code == EXIT_INTERNAL:  # a solver bug fails the batch at its end
-            return row, code
-    return row, EXIT_OK
+        code, message = exit_status(exc)
+        row = [name] + [""] * (len(CSV_HEADER) - 2) + [message]
+        # a solver bug fails the batch at its end
+        return row, code if code == EXIT_INTERNAL else EXIT_OK
+    return [name, g.n, len(g.edges), result.matching.size, result.bad_vertex_count,
+            result.isolated_count, alg_size, result.lower_bound, exact_size, baseline_size,
+            greedy_size, format_ratio(result.certified_ratio), ratio_vs_exact, ""], EXIT_OK
 
 
 def cmd_compare(args) -> int:
@@ -231,7 +224,7 @@ def cmd_compare(args) -> int:
     status = EXIT_OK
     for path_arg in paths:
         row, code = _compare_row(os.path.basename(path_arg), path_arg, args.exact_limit)
-        writer.writerow([row[field] for field in CSV_HEADER])
+        writer.writerow(row)
         status = max(status, code)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as handle:
@@ -256,9 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exact = sub.add_parser("exact", help="minimum total cover by branch and bound")
     p_exact.add_argument("graph", help="graph file")
-    p_exact.add_argument("--max-elements", type=_limit, default=SearchLimits().max_elements,
+    p_exact.add_argument("--max-elements", type=_limit, default=MAX_ELEMENTS,
                          metavar="N", help="refuse graphs with more than N vertices + edges")
-    p_exact.add_argument("--max-candidates", type=_limit, default=SearchLimits().max_candidates,
+    p_exact.add_argument("--max-candidates", type=_limit, default=MAX_CANDIDATES,
                          metavar="N", help="search-node budget")
     p_exact.set_defaults(func=cmd_exact)
 
@@ -288,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("graphs", nargs="*", help="graph files")
     p_cmp.add_argument("--dir", help="directory of graph files (sorted by name)")
     p_cmp.add_argument("--csv", metavar="FILE", help="write CSV here instead of stdout")
-    p_cmp.add_argument("--exact-limit", type=_limit, default=SearchLimits().max_elements,
+    p_cmp.add_argument("--exact-limit", type=_limit, default=MAX_ELEMENTS,
                        help="run the exact oracle when n + |E| fits this many elements")
     p_cmp.set_defaults(func=cmd_compare)
 

@@ -8,33 +8,34 @@ Grandoni & Kratsch (J. ACM 2009).  The masks are built here from
 ``adj`` and ``edges``: the oracle does not go through ``total_graph``
 or ``is_total_cover`` to search, which keeps it independent of the
 approximation code.  The set a search returns is confirmed once
-against the plain definition.  Guards keep accidental blowups in check.
+against the plain definition.  Two keyword guards keep accidental
+blowups in check: ``max_elements`` refuses larger inputs with
+TooLargeError, and ``max_candidates`` caps the search nodes visited with
+BudgetExceededError.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple
 
-from .graph import (
-    BudgetExceededError,
-    ElementSet,
-    Graph,
-    TooLargeError,
-    format_element,
-    is_total_cover,
-)
+from .graph import ElementSet, Graph, format_element, is_total_cover
 from .matching import CertificateError
 
+MAX_ELEMENTS = 32
+MAX_CANDIDATES = 100_000_000
 
-class SearchLimits(NamedTuple):
-    """Guards for the exact search, checked by ``exact_total_cover``.
 
-    ``max_elements`` refuses larger inputs and ``max_candidates`` caps the
-    search nodes visited.
-    """
+class TooLargeError(ValueError):
+    """An exact search was requested beyond its size guard."""
 
-    max_elements: int = 32
-    max_candidates: int = 100_000_000
+
+class BudgetExceededError(ValueError):
+    """An exact search exceeded its search-node budget; ``cardinality_reached``
+    is the size of the best cover it had found."""
+
+    def __init__(self, message: str, cardinality_reached: int):
+        super().__init__(message)
+        self.cardinality_reached = cardinality_reached
 
 
 class ExactResult(NamedTuple):
@@ -81,12 +82,12 @@ def _members(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _smallest_covering(masks: list[int], limits: SearchLimits) -> tuple[tuple[int, ...], int]:
+def _smallest_covering(masks: list[int], max_candidates: int) -> tuple[tuple[int, ...], int]:
     """A smallest index set whose masks OR to all ones, with the number of
     search nodes visited.  The masks are closed neighbourhoods: mask i
     holds bit i, and bit j exactly when mask j holds bit i.  So the full
     set covers, and the masks that cover bit b are those ``masks[b]``
-    names.  Raises BudgetExceededError at node ``limits.max_candidates + 1``.
+    names.  Raises BudgetExceededError at node ``max_candidates + 1``.
 
     Depth first with an explicit stack, so no depth meets the recursion
     limit.  A node branches on the uncovered bit with the fewest coverers
@@ -103,9 +104,9 @@ def _smallest_covering(masks: list[int], limits: SearchLimits) -> tuple[tuple[in
     while stack:
         chosen, covered, banned = stack.pop()
         nodes += 1
-        if nodes > limits.max_candidates:
+        if nodes > max_candidates:
             raise BudgetExceededError(
-                f"exceeded max_candidates={limits.max_candidates} at cardinality {len(best)}",
+                f"exceeded max_candidates={max_candidates} at cardinality {len(best)}",
                 cardinality_reached=len(best),
             )
         uncovered = everything & ~covered
@@ -126,7 +127,8 @@ def _smallest_covering(masks: list[int], limits: SearchLimits) -> tuple[tuple[in
     return best, nodes
 
 
-def exact_total_cover(g: Graph, limits: SearchLimits | None = None) -> ExactResult:
+def exact_total_cover(g: Graph, *, max_elements: int = MAX_ELEMENTS,
+                      max_candidates: int = MAX_CANDIDATES) -> ExactResult:
     """Minimum total cover by branch and bound over subsets of V + E.
 
     A total cover of ``g`` is a dominating set of its total graph: the
@@ -134,17 +136,14 @@ def exact_total_cover(g: Graph, limits: SearchLimits | None = None) -> ExactResu
     ``total_graph(g)``.  The masks come from ``g.adj`` and ``g.edges``,
     not through ``total_graph`` or ``is_total_cover``; ``is_total_cover``
     only confirms the returned set, raising CertificateError if it finds
-    an element the set misses.  A negative limit raises ValueError.
+    an element the set misses.  A negative guard raises ValueError.
     """
-    limits = limits or SearchLimits()
-    if limits.max_elements < 0 or limits.max_candidates < 0:
+    if max_elements < 0 or max_candidates < 0:
         raise ValueError("search limits must be non-negative")
     total = g.n + len(g.edges)
-    if total > limits.max_elements:
-        raise TooLargeError(
-            f"{total} elements exceeds max_elements={limits.max_elements}"
-        )
-    combo, checked = _smallest_covering(_total_cover_masks(g), limits)
+    if total > max_elements:
+        raise TooLargeError(f"{total} elements exceeds max_elements={max_elements}")
+    combo, checked = _smallest_covering(_total_cover_masks(g), max_candidates)
     optimum = ElementSet(g, combo)
     ok, witness = is_total_cover(g, optimum)
     if not ok:

@@ -34,29 +34,12 @@ class VertexOutOfRangeError(GraphError):
     or a vertex count outside [0, MAX_VERTICES]."""
 
 
-class UnknownEdgeError(GraphError):
-    """A vertex pair does not name an edge of the graph."""
-
-
 class ParseError(GraphError):
     """A graph or cover file line could not be parsed."""
 
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
-
-
-class TooLargeError(ValueError):
-    """An exact search was requested beyond its size guard."""
-
-
-class BudgetExceededError(ValueError):
-    """An exact search exceeded its search-node budget; ``cardinality_reached``
-    is the size of the best cover it had found."""
-
-    def __init__(self, message: str, cardinality_reached: int):
-        super().__init__(message)
-        self.cardinality_reached = cardinality_reached
 
 
 # Graph allocates per vertex before it reads an edge, so a header may not
@@ -302,8 +285,9 @@ def parse_cover(text: str, g: Graph) -> ElementSet:
     """Parse a cover file against a graph.
 
     Lines, ended by ``"\\n"`` only, are ``v <id>`` or ``e <u> <v>`` with
-    1-indexed ids; ``#`` comments and blank lines are skipped.  An edge
-    line whose pair is not an edge of ``g`` raises UnknownEdgeError.
+    1-indexed ids; ``#`` comments and blank lines are skipped.  Every
+    fault raises ParseError with its line number, a vertex outside
+    ``g`` and a pair that is not an edge of ``g`` included.
     """
     ids: list[int] = []
     for line_no, raw in enumerate(text.split("\n"), 1):
@@ -317,7 +301,7 @@ def parse_cover(text: str, g: Graph) -> ElementSet:
             except ValueError:
                 raise ParseError(line_no, f"non-integer vertex in {line!r}") from None
             if not 0 <= idx < g.n:
-                raise VertexOutOfRangeError(f"line {line_no}: vertex {idx + 1} leaves [1, {g.n}]")
+                raise ParseError(line_no, f"vertex {idx + 1} leaves [1, {g.n}]")
             ids.append(idx)
         elif fields[0] == "e" and len(fields) == 3:
             try:
@@ -326,7 +310,7 @@ def parse_cover(text: str, g: Graph) -> ElementSet:
                 raise ParseError(line_no, f"non-integer endpoints in {line!r}") from None
             eid = g.edge_id(u, v)
             if eid is None:
-                raise UnknownEdgeError(f"line {line_no}: ({u + 1},{v + 1}) is not an edge of the graph")
+                raise ParseError(line_no, f"({u + 1},{v + 1}) is not an edge of the graph")
             ids.append(g.n + eid)
         else:
             raise ParseError(line_no, f"unrecognized line {line!r}")

@@ -11,10 +11,6 @@ class ParameterOutOfRangeError(ValueError):
     """A generator parameter violates its precondition."""
 
 
-class OddParameterError(ValueError):
-    """The hard-instance family is only defined for even sizes."""
-
-
 def hard_instance(n: int) -> Graph:
     """The hard family for matching-based covering heuristics.
 
@@ -28,7 +24,7 @@ def hard_instance(n: int) -> Graph:
     a factor of two.
     """
     if n % 2 != 0:
-        raise OddParameterError(f"family requires even n, got {n}")
+        raise ParameterOutOfRangeError(f"family requires even n, got {n}")
     if n < 2:
         raise ParameterOutOfRangeError(f"family requires n >= 2, got {n}")
     spokes = ((0, i) for i in range(1, n + 1))

@@ -10,7 +10,6 @@ from fractions import Fraction
 
 from tcover import (
     ElementSet,
-    SearchLimits,
     approx_total_cover,
     exact_total_cover,
     is_total_cover,
@@ -42,7 +41,6 @@ def criterion(number: int, name: str, budget_seconds: float):
 
 def test_criterion_1_hard_family_reproduction():
     with criterion(1, "hard-family reproduction", 60):
-        limits = SearchLimits(max_elements=64)
         for n in (4, 6, 8):
             g = hard_instance(n)
             assert maximum_matching(g).size == n
@@ -50,7 +48,7 @@ def test_criterion_1_hard_family_reproduction():
             known = ElementSet(g, [0, *rungs])
             assert is_total_cover(g, known)[0]
             assert len(known) == n // 2 + 1
-            assert exact_total_cover(g, limits).size == n // 2 + 1
+            assert exact_total_cover(g, max_elements=64).size == n // 2 + 1
             result = approx_total_cover(g)
             assert len(result.cover) == (
                 result.matching.size + result.bad_vertex_count + result.isolated_count

@@ -263,10 +263,13 @@ def test_verify_valid_pair(k3, tmp_path, capsys):
     assert "VALID size=2" in capsys.readouterr().out
 
 
-def test_verify_cover_parse_error(k3, tmp_path):
+def test_verify_cover_parse_error(k3, tmp_path, capsys):
     cover = tmp_path / "cover.txt"
-    cover.write_text("e 1 9\n")
-    assert main(["verify", k3, "--cover", str(cover)]) == 2
+    for line, message in [("e 1 9", "(1,9) is not an edge of the graph"),
+                          ("v 4", "vertex 4 leaves [1, 3]")]:
+        cover.write_text(f"{line}\n")
+        assert main(["verify", k3, "--cover", str(cover)]) == 2
+        assert capsys.readouterr().err == f"error: line 1: {message}\n"
 
 
 def test_gen_writes_header(tmp_path, capsys):
@@ -283,7 +286,7 @@ def test_gen_stdout(capsys):
 
 def test_gen_odd_parameter_exit(capsys):
     assert main(["gen", "figure1", "--n", "3"]) == 2
-    assert "even" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: family requires even n, got 3\n"
 
 
 def test_gen_gnp_deterministic(tmp_path):
@@ -575,6 +578,36 @@ def test_compare_records_running_out_of_memory_and_continues(hard4, k3, tmp_path
     rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[1] == ["k3.gr"] + [""] * 12 + ["out of memory"]
     assert out.read_text().splitlines()[2] == clean.read_text().splitlines()[1]
+
+
+def test_compare_row_that_fails_part_way_holds_only_its_error(hard4, k3, tmp_path, monkeypatch):
+    # the greedy baseline runs after the approximation and the other
+    # baseline have finished: their results must not stand beside the error
+    greedy = tcover.cli.greedy_domination_cover
+
+    def out_of_memory_on_k3(g):
+        if g.n == 3:
+            raise MemoryError
+        return greedy(g)
+
+    clean = tmp_path / "clean.csv"
+    assert main(["compare", hard4, "--csv", str(clean)]) == 0
+    monkeypatch.setattr(tcover.cli, "greedy_domination_cover", out_of_memory_on_k3)
+    out = tmp_path / "report.csv"
+    assert main(["compare", k3, hard4, "--csv", str(out)]) == 0
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert rows[1] == ["k3.gr"] + [""] * 12 + ["out of memory"]
+    assert out.read_text().splitlines()[2] == clean.read_text().splitlines()[1]
+
+
+def test_every_exported_error_has_an_exit_code():
+    # main looks an exception up by its MRO, so a public error class with
+    # no listed base would end in a traceback
+    errors = [getattr(tcover, name) for name in tcover.__all__]
+    errors = [cls for cls in errors if isinstance(cls, type) and issubclass(cls, BaseException)]
+    assert len(errors) == 10
+    for cls in errors:
+        assert any(base in tcover.cli.EXIT_CODES for base in cls.__mro__), cls.__name__
 
 
 def test_solve_validates_the_cover_once(k3, monkeypatch):

@@ -10,14 +10,13 @@ from tcover import (
     CertificateError,
     ElementSet,
     Graph,
-    SearchLimits,
     TooLargeError,
     approx_total_cover,
     exact_total_cover,
     is_total_cover,
     total_graph,
 )
-from tcover.exact import _smallest_covering, _total_cover_masks
+from tcover.exact import MAX_CANDIDATES, _smallest_covering, _total_cover_masks
 from tcover.instances import complete, cycle, gnp, hard_instance, path, star
 
 from helpers import closed_neighbourhood_masks, connected, enumerate_graphs, petersen
@@ -35,7 +34,7 @@ def test_exact_total_cover_p3_picks_middle_vertex():
 
 def test_exact_total_cover_hard_instance():
     g = hard_instance(4)
-    result = exact_total_cover(g, SearchLimits(max_elements=64))
+    result = exact_total_cover(g, max_elements=64)
     assert result.size == 3
     # lexicographically first optimum: the apex plus the two rungs
     assert result.optimum == ElementSet(g, [0, g.n + 8, g.n + 9])
@@ -50,7 +49,7 @@ def test_exact_total_cover_empty_graph():
     assert (result.size, result.candidates_checked) == (0, 1)
     assert len(result.optimum) == 0
     with pytest.raises(BudgetExceededError, match="^exceeded max_candidates=0 at cardinality 0$"):
-        exact_total_cover(Graph(0, []), SearchLimits(max_candidates=0))
+        exact_total_cover(Graph(0, []), max_candidates=0)
 
 
 def test_too_large_guards():
@@ -64,16 +63,22 @@ def test_budget_exceeded_reports_cardinality():
     for budget, reached in ((2, 6), (3, 2)):
         with pytest.raises(BudgetExceededError,
                            match=f"^exceeded max_candidates={budget} at cardinality {reached}$") as err:
-            exact_total_cover(complete(3), SearchLimits(max_candidates=budget))
+            exact_total_cover(complete(3), max_candidates=budget)
         assert err.value.cardinality_reached == reached
 
 
 def test_limits_validation():
     # checked ahead of the size guard, which would call the empty graph's
     # 0 elements too many for max_elements=-1
-    for limits in (SearchLimits(max_elements=-1), SearchLimits(max_candidates=-1)):
+    for limits in ({"max_elements": -1}, {"max_candidates": -1}):
         with pytest.raises(ValueError, match="^search limits must be non-negative$"):
-            exact_total_cover(Graph(0), limits)
+            exact_total_cover(Graph(0), **limits)
+
+
+def test_guards_are_keyword_only():
+    # a bare number could be either guard
+    with pytest.raises(TypeError):
+        exact_total_cover(hard_instance(8), 40)
 
 
 def test_results_are_deterministic():
@@ -86,7 +91,7 @@ def test_results_are_deterministic():
 def test_no_smaller_cover_exists():
     # independent re-verification at size - 1 for a few graphs
     for g in (complete(3), path(5), hard_instance(4)):
-        best = exact_total_cover(g, SearchLimits(max_elements=64)).size
+        best = exact_total_cover(g, max_elements=64).size
         assert best > 0
         for combo in combinations(range(g.n + len(g.edges)), best - 1):
             assert not is_total_cover(g, ElementSet(g, combo))[0]
@@ -106,7 +111,7 @@ def assert_masks_are_the_total_graph_neighbourhoods(g: Graph) -> None:
 
 
 def smallest_dominating_set_size(rows: tuple[tuple[int, ...], ...]) -> int:
-    return len(_smallest_covering(closed_neighbourhood_masks(rows), SearchLimits())[0])
+    return len(_smallest_covering(closed_neighbourhood_masks(rows), MAX_CANDIDATES)[0])
 
 
 def test_cross_check_examples():
@@ -210,10 +215,10 @@ def test_exact_oracles_golden(oracle):
 def test_budget_boundary_golden(build, oracle, nodes):
     g = build()
     with pytest.raises(BudgetExceededError) as err:
-        oracle(g, SearchLimits(max_candidates=nodes - 1))
+        oracle(g, max_candidates=nodes - 1)
     assert err.value.cardinality_reached == 4
     assert str(err.value) == f"exceeded max_candidates={nodes - 1} at cardinality 4"
-    result = oracle(g, SearchLimits(max_candidates=nodes))
+    result = oracle(g, max_candidates=nodes)
     assert (result.size, result.candidates_checked) == (4, nodes)
 
 
@@ -274,7 +279,7 @@ def mask_searches(draw):
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
     budget = draw(st.one_of(st.just(0), st.integers(1, 1 << count)))
-    return masks, SearchLimits(max_candidates=budget)
+    return masks, budget
 
 
 def assert_covers(masks, chosen):
@@ -287,29 +292,29 @@ def assert_covers(masks, chosen):
 
 @settings(max_examples=300, deadline=None)
 @given(mask_searches())
-@example(([], SearchLimits()))
-@example(([], SearchLimits(max_candidates=0)))
+@example(([], MAX_CANDIDATES))
+@example(([], 0))
 def test_first_covering_matches_the_plain_enumeration(case):
     # the branch and bound finds a cover of the size of the plain
     # enumeration's first, unbudgeted, and a budget below its node count
     # stops it
-    masks, limits = case
+    masks, budget = case
     optimum = len(plain_first_covering(masks))
-    chosen, nodes = _smallest_covering(masks, SearchLimits())
+    chosen, nodes = _smallest_covering(masks, MAX_CANDIDATES)
     assert len(chosen) == optimum
     assert_covers(masks, chosen)
-    if limits.max_candidates < nodes:
+    if budget < nodes:
         with pytest.raises(BudgetExceededError) as err:
-            _smallest_covering(masks, limits)
+            _smallest_covering(masks, budget)
         assert optimum <= err.value.cardinality_reached <= len(masks)
     else:
-        assert _smallest_covering(masks, limits) == (chosen, nodes)
+        assert _smallest_covering(masks, budget) == (chosen, nodes)
 
 
 def test_search_deeper_than_the_recursion_limit():
     # each of the 1100 isolated vertices is a forced branch, one level deeper
     g = Graph(1104, [(0, 1), (0, 2), (0, 3)])
-    result = exact_total_cover(g, SearchLimits(max_elements=1107))
+    result = exact_total_cover(g, max_elements=1107)
     assert (result.size, result.candidates_checked) == (1101, 1104)
 
 
@@ -354,5 +359,5 @@ ILP_GRAPHS = {
 def test_exact_total_cover_equals_the_ilp(name):
     build, optimum = ILP_GRAPHS[name]
     g = build()
-    assert exact_total_cover(g, SearchLimits(max_elements=100)).size == optimum
+    assert exact_total_cover(g, max_elements=100).size == optimum
     assert ilp_total_cover_size(g) == optimum

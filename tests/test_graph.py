@@ -12,7 +12,6 @@ from tcover import (
     GraphError,
     ParseError,
     SelfLoopError,
-    UnknownEdgeError,
     VertexOutOfRangeError,
     element_cover_line,
     format_element,
@@ -448,14 +447,17 @@ def test_parse_cover_unknown_edge():
     # and 0 must not wrap around to the last vertex
     g = path(3)
     for u, v in [(1, 3), (0, 2), (4, 2), (2, 4), (2, 0), (2, 2)]:
-        with pytest.raises(UnknownEdgeError, match=rf"^line 1: \({u},{v}\) is not an edge of the graph$"):
+        with pytest.raises(ParseError, match=rf"^line 1: \({u},{v}\) is not an edge of the graph$") as err:
             parse_cover(f"e {u} {v}\n", g)
+        assert err.value.line_no == 1
 
 
 def test_parse_cover_vertex_out_of_range():
     g = Graph(2, [(0, 1)])
-    with pytest.raises(VertexOutOfRangeError):
-        parse_cover("v 3\n", g)
+    for bad in (0, 3):
+        with pytest.raises(ParseError, match=rf"^line 1: vertex {bad} leaves \[1, 2\]$") as err:
+            parse_cover(f"v {bad}\n", g)
+        assert err.value.line_no == 1
 
 
 def test_parse_cover_bad_line():

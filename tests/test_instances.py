@@ -7,7 +7,6 @@ import pytest
 from tcover import (
     ElementSet,
     Graph,
-    OddParameterError,
     ParameterOutOfRangeError,
     VertexOutOfRangeError,
     add_isolated,
@@ -73,7 +72,7 @@ def test_hard_instance_smallest():
 
 
 def test_hard_instance_parameter_checks():
-    with pytest.raises(OddParameterError):
+    with pytest.raises(ParameterOutOfRangeError, match="^family requires even n, got 3$"):
         hard_instance(3)
     with pytest.raises(ParameterOutOfRangeError):
         hard_instance(0)
