@@ -12,7 +12,6 @@ from .approx import (
     ApproxResult,
     BadVertexAssignment,
     CertificateError,
-    NotMaximumError,
     TraceStep,
     approx_total_cover,
     bad_vertex_assignment,
@@ -27,13 +26,10 @@ from .exact import (
     exact_total_cover,
 )
 from .graph import (
-    DuplicateEdgeError,
     ElementSet,
     Graph,
     GraphError,
     ParseError,
-    SelfLoopError,
-    VertexOutOfRangeError,
     element_cover_line,
     format_element,
     is_total_cover,
@@ -45,7 +41,6 @@ from .graph import (
     total_graph,
 )
 from .instances import (
-    ParameterOutOfRangeError,
     add_isolated,
     complete,
     cycle,
@@ -65,19 +60,14 @@ __all__ = [
     "BadVertexAssignment",
     "BudgetExceededError",
     "CertificateError",
-    "DuplicateEdgeError",
     "ElementSet",
     "ExactResult",
     "Graph",
     "GraphError",
     "Matching",
-    "NotMaximumError",
-    "ParameterOutOfRangeError",
     "ParseError",
-    "SelfLoopError",
     "TooLargeError",
     "TraceStep",
-    "VertexOutOfRangeError",
     "add_isolated",
     "approx_total_cover",
     "bad_vertex_assignment",

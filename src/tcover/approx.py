@@ -21,11 +21,6 @@ from .graph import isolated_vertices, total_graph
 from .matching import CertificateError, Matching, maximum_matching
 
 
-class NotMaximumError(ValueError):
-    """The supplied matching cannot be maximum (a guarantee that only
-    holds for maximum matchings was violated)."""
-
-
 class BadVertexAssignment(NamedTuple):
     """Unmatched vertices adjacent to both endpoints of a matching edge,
     each paired with its chosen matching edge id.
@@ -92,7 +87,7 @@ def bad_vertex_assignment(g: Graph, matching: Matching) -> BadVertexAssignment:
     """Find the bad vertices for a maximum matching.
 
     A bad vertex is unmatched and adjacent to both endpoints of some
-    matching edge.  Raises NotMaximumError when two bad vertices claim
+    matching edge.  Raises CertificateError when two bad vertices claim
     the same matching edge, which cannot happen for a maximum matching,
     and ValueError if the matching belongs to another graph.
     """
@@ -112,7 +107,7 @@ def bad_vertex_assignment(g: Graph, matching: Matching) -> BadVertexAssignment:
         if eid is None:
             continue
         if eid in claimed:
-            raise NotMaximumError(
+            raise CertificateError(
                 f"vertices {claimed[eid]} and {v} both close a triangle over "
                 f"matching edge {eid}; the matching is not maximum"
             )
@@ -180,7 +175,7 @@ def approx_total_cover(g: Graph) -> ApproxResult:
         # vertices: two distinct ones give an augmenting path, a shared
         # one would have been a bad vertex.
         if near_u and near_v:
-            raise NotMaximumError(f"both endpoints of matching edge {eid} reach unmatched vertices")
+            raise CertificateError(f"both endpoints of matching edge {eid} reach unmatched vertices")
         endpoint, reach = (u, near_u) if near_u else (v, near_v)
         order.append(g.n + eid if covered.issuperset(reach) else endpoint)
         covered.update(reach)

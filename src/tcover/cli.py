@@ -14,7 +14,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .approx import CertificateError, NotMaximumError
+from .approx import CertificateError
 from .approx import approx_total_cover, greedy_domination_cover, matched_vertices_cover
 from .exact import MAX_CANDIDATES, MAX_ELEMENTS, BudgetExceededError, TooLargeError
 from .exact import exact_total_cover
@@ -31,7 +31,6 @@ from .graph import (
 )
 from .matching import greedy_maximal_matching, maximum_matching
 from .instances import (
-    ParameterOutOfRangeError,
     add_isolated,
     complete,
     cycle,
@@ -56,13 +55,11 @@ EXIT_CODES: dict[type[BaseException], int] = {
     OSError: EXIT_PARSE,
     UnicodeDecodeError: EXIT_PARSE,
     GraphError: EXIT_PARSE,
-    ParameterOutOfRangeError: EXIT_PARSE,
     TooLargeError: EXIT_TOO_LARGE,
     BudgetExceededError: EXIT_BUDGET,
     MemoryError: EXIT_MEMORY,
     # a solver bug, not bad input
     CertificateError: EXIT_INTERNAL,
-    NotMaximumError: EXIT_INTERNAL,
 }
 
 CSV_HEADER = [
@@ -171,7 +168,7 @@ GENERATORS = {
 
 def cmd_gen(args) -> int:
     if args.family == "gnp" and (args.p is None or args.seed is None):
-        raise ParameterOutOfRangeError("gnp requires --p and --seed")
+        raise GraphError("gnp requires --p and --seed")
     g = GENERATORS[args.family](args)
     if args.isolated:
         g = add_isolated(g, args.isolated)
@@ -217,7 +214,7 @@ def cmd_compare(args) -> int:
         paths += [os.path.join(args.dir, name) for name in names
                   if os.path.isfile(os.path.join(args.dir, name))]
     if not paths:
-        raise ParameterOutOfRangeError("no input instances (pass files or --dir)")
+        raise GraphError("no input instances (pass files or --dir)")
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER)

@@ -18,20 +18,11 @@ from typing import Iterable, Iterator, Optional
 
 
 class GraphError(ValueError):
-    """Base class for graph construction, element, and file errors."""
-
-
-class SelfLoopError(GraphError):
-    """An edge joins a vertex to itself."""
-
-
-class DuplicateEdgeError(GraphError):
-    """The same unordered vertex pair appears more than once."""
-
-
-class VertexOutOfRangeError(GraphError):
-    """A vertex index lies outside [0, n), an element id outside [0, n + |E|),
-    or a vertex count outside [0, MAX_VERTICES]."""
+    """Bad input, which the command line reports with exit 2: a graph that
+    is not simple, a vertex, edge or element id out of range, a vertex
+    count outside [0, MAX_VERTICES], a matching whose edges share an
+    endpoint, a generator parameter out of range, or a usage error.
+    ParseError is the one case that carries a file line number."""
 
 
 class ParseError(GraphError):
@@ -48,11 +39,11 @@ MAX_VERTICES = 1 << 22
 
 
 def check_vertex_count(n: int) -> None:
-    """Raises VertexOutOfRangeError unless 0 <= n <= MAX_VERTICES."""
+    """Raises GraphError unless 0 <= n <= MAX_VERTICES."""
     if n < 0:
-        raise VertexOutOfRangeError(f"vertex count {n} is negative")
+        raise GraphError(f"vertex count {n} is negative")
     if n > MAX_VERTICES:
-        raise VertexOutOfRangeError(f"vertex count {n} exceeds MAX_VERTICES={MAX_VERTICES}")
+        raise GraphError(f"vertex count {n} exceeds MAX_VERTICES={MAX_VERTICES}")
 
 
 class Graph:
@@ -68,20 +59,21 @@ class Graph:
     __slots__ = ("n", "edges", "adj")
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]] = ()):
-        """Raises SelfLoopError, DuplicateEdgeError, or VertexOutOfRangeError,
-        each naming the first offending pair in input order.  ``pairs`` may be
-        any iterable; it is read once, and only after ``n`` is checked, so the
-        generators hand over lazy pairs and leave the vertex count to Graph."""
+        """Raises GraphError for a vertex outside [0, n), a self-loop or a
+        repeated pair, naming the first offending pair in input order.
+        ``pairs`` may be any iterable; it is read once, and only after ``n``
+        is checked, so the generators hand over lazy pairs and leave the
+        vertex count to Graph."""
         check_vertex_count(n)
         keys: dict[int, None] = {}  # pair (u, v), u < v, as u * n + v, in input order
         for u, v in pairs:
             if not (0 <= u < n) or not (0 <= v < n):
-                raise VertexOutOfRangeError(f"edge ({u}, {v}) leaves [0, {n})")
+                raise GraphError(f"edge ({u}, {v}) leaves [0, {n})")
             if u == v:
-                raise SelfLoopError(f"edge ({u}, {v}) is a self-loop")
+                raise GraphError(f"edge ({u}, {v}) is a self-loop")
             key = u * n + v if u < v else v * n + u
             if key in keys:
-                raise DuplicateEdgeError(f"edge ({key // n}, {key % n}) appears twice")
+                raise GraphError(f"edge ({key // n}, {key % n}) appears twice")
             keys[key] = None
         # sorted is linear on already sorted input, such as every generator's
         edges = [divmod(key, n) for key in sorted(keys)]
@@ -133,13 +125,13 @@ class ElementSet:
     __slots__ = ("graph", "flags")
 
     def __init__(self, graph: Graph, ids: Iterable[int] = ()):
-        """Raises VertexOutOfRangeError naming the first id outside
+        """Raises GraphError naming the first id outside
         [0, n + |E|), in the order given; TypeError for a non-integer."""
         total = graph.n + len(graph.edges)
         flags = bytearray(total)
         for x in ids:
             if not 0 <= x < total:
-                raise VertexOutOfRangeError(f"total-graph vertex {x} leaves [0, {total})")
+                raise GraphError(f"total-graph vertex {x} leaves [0, {total})")
             flags[x] = 1
         self.graph = graph
         self.flags = bytes(flags)

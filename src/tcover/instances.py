@@ -4,11 +4,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .graph import MAX_VERTICES, Graph, check_vertex_count
-
-
-class ParameterOutOfRangeError(ValueError):
-    """A generator parameter violates its precondition."""
+from .graph import MAX_VERTICES, Graph, GraphError, check_vertex_count
 
 
 def hard_instance(n: int) -> Graph:
@@ -24,9 +20,9 @@ def hard_instance(n: int) -> Graph:
     a factor of two.
     """
     if n % 2 != 0:
-        raise ParameterOutOfRangeError(f"family requires even n, got {n}")
+        raise GraphError(f"family requires even n, got {n}")
     if n < 2:
-        raise ParameterOutOfRangeError(f"family requires n >= 2, got {n}")
+        raise GraphError(f"family requires n >= 2, got {n}")
     spokes = ((0, i) for i in range(1, n + 1))
     rails = ((i, n + i) for i in range(1, n + 1))
     rungs = ((n + 2 * j - 1, n + 2 * j) for j in range(1, n // 2 + 1))
@@ -35,20 +31,20 @@ def hard_instance(n: int) -> Graph:
 
 def path(n: int) -> Graph:
     if n < 1:
-        raise ParameterOutOfRangeError(f"path requires n >= 1, got {n}")
+        raise GraphError(f"path requires n >= 1, got {n}")
     return Graph(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
-        raise ParameterOutOfRangeError(f"cycle requires n >= 3, got {n}")
+        raise GraphError(f"cycle requires n >= 3, got {n}")
     return Graph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def star(n: int) -> Graph:
     """Star on n vertices: center 0 joined to each of the n-1 leaves."""
     if n < 1:
-        raise ParameterOutOfRangeError(f"star requires n >= 1, got {n}")
+        raise GraphError(f"star requires n >= 1, got {n}")
     return Graph(n, ((0, i) for i in range(1, n)))
 
 
@@ -57,11 +53,11 @@ def complete(n: int) -> Graph:
     MAX_VERTICES: well below the vertex ceiling its edges alone would
     take gigabytes."""
     if n < 1:
-        raise ParameterOutOfRangeError(f"complete requires n >= 1, got {n}")
+        raise GraphError(f"complete requires n >= 1, got {n}")
     check_vertex_count(n)
     m = n * (n - 1) // 2
     if m > MAX_VERTICES:
-        raise ParameterOutOfRangeError(f"complete({n}) has {m} edges, more than MAX_VERTICES={MAX_VERTICES}")
+        raise GraphError(f"complete({n}) has {m} edges, more than MAX_VERTICES={MAX_VERTICES}")
     return Graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
@@ -88,10 +84,10 @@ def gnp(n: int, p: float, seed: int) -> Graph:
     O(n); still O(n^2) draws, whatever p is.
     """
     if n < 0:
-        raise ParameterOutOfRangeError(f"gnp requires n >= 0, got {n}")
+        raise GraphError(f"gnp requires n >= 0, got {n}")
     check_vertex_count(n)
     if not 0.0 <= p <= 1.0:
-        raise ParameterOutOfRangeError(f"gnp requires 0 <= p <= 1, got {p}")
+        raise GraphError(f"gnp requires 0 <= p <= 1, got {p}")
     threshold = int(p * float(1 << 64))
     total = n * (n - 1) // 2
     lanes = max(n - 1, 1)  # one lane for n < 2, which has no draws, keeps the chunk step positive
@@ -128,5 +124,5 @@ def gnp(n: int, p: float, seed: int) -> Graph:
 def add_isolated(g: Graph, t: int) -> Graph:
     """Append t isolated vertices with the next indices."""
     if t < 0:
-        raise ParameterOutOfRangeError(f"isolated vertex count must be >= 0, got {t}")
+        raise GraphError(f"isolated vertex count must be >= 0, got {t}")
     return Graph(g.n + t, g.edges)

@@ -15,8 +15,9 @@ from .graph import Graph, GraphError
 
 class CertificateError(RuntimeError):
     """A result broke its certificate (a matched pair that is not an edge;
-    a cover whose size is not m + k + t, whose ratio exceeds two, or that
-    misses an element): a solver bug, never bad input."""
+    a matching taken as maximum that is not; a cover whose size is not
+    m + k + t, whose ratio exceeds two, or that misses an element): a
+    solver bug, never bad input."""
 
 
 class Matching:

@@ -13,10 +13,10 @@ import pytest
 
 import tcover
 from tcover import (
+    CertificateError,
     ElementSet,
     Graph,
     Matching,
-    NotMaximumError,
     TraceStep,
     approx_total_cover,
     bad_vertex_assignment,
@@ -56,7 +56,8 @@ def test_bad_vertex_collision_signals_non_maximum():
     # vertices 2 and 3 each close a triangle over the single matching
     # edge (0,1); edge (0,1) alone is therefore not a maximum matching
     g = Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
-    with pytest.raises(NotMaximumError):
+    with pytest.raises(CertificateError, match="^vertices 2 and 3 both close a triangle over "
+                       "matching edge 0; the matching is not maximum$"):
         bad_vertex_assignment(g, Matching(g, [0]))
 
 
@@ -139,7 +140,7 @@ def test_step3_rejects_a_matching_edge_with_two_unmatched_sides(monkeypatch):
     # each endpoint: an augmenting path, so the matching is not maximum
     g = path(4)
     monkeypatch.setattr(tcover.approx, "maximum_matching", lambda graph: Matching(path(4), [1]))
-    with pytest.raises(NotMaximumError) as info:
+    with pytest.raises(CertificateError) as info:
         approx_total_cover(g)
     assert str(info.value) == "both endpoints of matching edge 1 reach unmatched vertices"
 

@@ -19,13 +19,14 @@ from tcover import (
     BadVertexAssignment,
     CertificateError,
     Graph,
+    Matching,
     bad_vertex_assignment,
     parse_graph,
     serialize_graph,
 )
 from tcover.cli import main
 from tcover.graph import MAX_VERTICES
-from tcover.instances import add_isolated, complete, cycle, gnp, hard_instance, star
+from tcover.instances import add_isolated, complete, cycle, gnp, hard_instance, path, star
 
 from helpers import golden_graph, petersen, scrambled_edge_lists
 
@@ -41,6 +42,13 @@ def hard4(tmp_path):
 def k3(tmp_path):
     target = tmp_path / "k3.gr"
     target.write_text("p edge 3 3\ne 1 2\ne 1 3\ne 2 3\n")
+    return str(target)
+
+
+@pytest.fixture
+def p4(tmp_path):
+    target = tmp_path / "p4.gr"
+    target.write_text(serialize_graph(path(4)))
     return str(target)
 
 
@@ -101,6 +109,22 @@ def test_solve_parse_error_exit(tmp_path, capsys):
 
 def test_solve_missing_file(tmp_path):
     assert main(["solve", str(tmp_path / "nope.gr")]) == 2
+
+
+@pytest.mark.parametrize("text, message", [
+    ("p edge 3 1\ne 2 2\n", "edge (1, 1) is a self-loop"),
+    ("p edge 3 2\ne 1 2\ne 2 1\n", "edge (0, 1) appears twice"),
+    ("p edge 3 1\ne 1 10\n", "edge (0, 9) leaves [0, 3)"),
+], ids=["self-loop", "duplicate", "out-of-range"])
+def test_graph_file_fault_texts(tmp_path, capsys, text, message):
+    # Graph's texts, 0-indexed pairs included, reach stderr and the CSV as
+    # they are; the csv module quotes the cell for its comma
+    graph = tmp_path / "x.gr"
+    graph.write_text(text)
+    assert main(["solve", str(graph)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert main(["compare", str(graph)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "x.gr" + "," * 13 + f'"{message}"'
 
 
 def test_exact_reports_optimum(hard4, capsys):
@@ -517,6 +541,8 @@ FAILED_VALIDATIONS = [
      "cover has 2 elements, not m + k + t"),
     ("solve", "hard4", tcover.approx, "total_cover_lower_bound", lambda m, k, t: 1,
      "certified ratio 4 exceeds 2"),
+    ("solve", "p4", tcover.approx, "maximum_matching", lambda g: Matching(path(4), [1]),
+     "both endpoints of matching edge 1 reach unmatched vertices"),
 ]
 
 
@@ -531,6 +557,14 @@ def test_failed_validation_exits_3(request, capsys, monkeypatch, command, graph,
     captured = capsys.readouterr()
     assert captured.err == f"internal error: {message}\n"
     assert captured.out == ""
+
+
+def test_compare_tags_a_non_maximum_matching_and_exits_3(p4, capsys, monkeypatch):
+    monkeypatch.setattr(tcover.approx, "maximum_matching", lambda g: Matching(path(4), [1]))
+    assert main(["compare", p4]) == 3
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    message = "internal error: both endpoints of matching edge 1 reach unmatched vertices"
+    assert rows[1] == ["p4.gr"] + [""] * 12 + [message]
 
 
 def test_matched_non_edge_exits_3(k3, capsys, monkeypatch):
@@ -601,13 +635,17 @@ def test_compare_row_that_fails_part_way_holds_only_its_error(hard4, k3, tmp_pat
 
 
 def test_every_exported_error_has_an_exit_code():
-    # main looks an exception up by its MRO, so a public error class with
-    # no listed base would end in a traceback
-    errors = [getattr(tcover, name) for name in tcover.__all__]
-    errors = [cls for cls in errors if isinstance(cls, type) and issubclass(cls, BaseException)]
-    assert len(errors) == 10
-    for cls in errors:
-        assert any(base in tcover.cli.EXIT_CODES for base in cls.__mro__), cls.__name__
+    # one public class per exit code, and ParseError, which only adds its
+    # line number to GraphError; main looks an exception up by its MRO, so
+    # a public error class with no listed base would end in a traceback
+    errors = {name: getattr(tcover, name) for name in tcover.__all__}
+    errors = {name: cls for name, cls in errors.items()
+              if isinstance(cls, type) and issubclass(cls, BaseException)}
+    assert set(errors) == {"GraphError", "ParseError", "CertificateError", "TooLargeError",
+                           "BudgetExceededError"}
+    assert errors["ParseError"].__bases__ == (errors["GraphError"],)
+    for name, cls in errors.items():
+        assert name == "ParseError" or cls in tcover.cli.EXIT_CODES, name
 
 
 def test_solve_validates_the_cover_once(k3, monkeypatch):

@@ -6,13 +6,10 @@ from hypothesis import given, strategies as st
 import pytest
 
 from tcover import (
-    DuplicateEdgeError,
     ElementSet,
     Graph,
     GraphError,
     ParseError,
-    SelfLoopError,
-    VertexOutOfRangeError,
     element_cover_line,
     format_element,
     is_total_cover,
@@ -54,26 +51,26 @@ def test_build_canonicalizes_pairs():
 
 
 def test_build_rejects_self_loop():
-    with pytest.raises(SelfLoopError):
+    with pytest.raises(GraphError, match=r"^edge \(0, 0\) is a self-loop$"):
         Graph(3, [(0, 0)])
 
 
 def test_build_rejects_duplicate_edge():
-    with pytest.raises(DuplicateEdgeError):
+    with pytest.raises(GraphError, match=r"^edge \(0, 1\) appears twice$"):
         Graph(3, [(0, 1), (1, 0)])
 
 
 def test_build_rejects_out_of_range():
-    with pytest.raises(VertexOutOfRangeError):
+    with pytest.raises(GraphError, match=r"^edge \(0, 2\) leaves \[0, 2\)$"):
         Graph(2, [(0, 2)])
-    with pytest.raises(VertexOutOfRangeError, match="^vertex count -1 is negative$"):
+    with pytest.raises(GraphError, match="^vertex count -1 is negative$"):
         Graph(-1)
 
 
 def test_header_above_the_vertex_ceiling_allocates_nothing():
     tracemalloc.start()
     try:
-        with pytest.raises(VertexOutOfRangeError,
+        with pytest.raises(GraphError,
                            match=f"^vertex count {MAX_VERTICES + 1} exceeds MAX_VERTICES={MAX_VERTICES}$"):
             parse_graph(f"p edge {MAX_VERTICES + 1} 0\n")
         peak = tracemalloc.get_traced_memory()[1]
@@ -95,29 +92,29 @@ def test_edgeless_vertices_cost_a_pointer_each():
 
 
 FIRST_FAULTS = [
-    ([(0, 1), (1, 0), (0, 9)], DuplicateEdgeError, "edge (0, 1) appears twice"),
-    ([(0, 9), (0, 1), (1, 0)], VertexOutOfRangeError, "edge (0, 9) leaves [0, 5)"),
-    ([(0, 1), (2, 2), (1, 0)], SelfLoopError, "edge (2, 2) is a self-loop"),
-    ([(3, 4), (0, 1), (4, 3), (2, 2)], DuplicateEdgeError, "edge (3, 4) appears twice"),
-    ([(1, 2), (-1, 0)], VertexOutOfRangeError, "edge (-1, 0) leaves [0, 5)"),
-    ([(4, 1), (1, 4), (7, 7)], DuplicateEdgeError, "edge (1, 4) appears twice"),
-    ([(2, 3), (3, 2), (1, 1)], DuplicateEdgeError, "edge (2, 3) appears twice"),
-    ([(2, 3), (9, 9), (3, 2)], VertexOutOfRangeError, "edge (9, 9) leaves [0, 5)"),
+    ([(0, 1), (1, 0), (0, 9)], "edge (0, 1) appears twice"),
+    ([(0, 9), (0, 1), (1, 0)], "edge (0, 9) leaves [0, 5)"),
+    ([(0, 1), (2, 2), (1, 0)], "edge (2, 2) is a self-loop"),
+    ([(3, 4), (0, 1), (4, 3), (2, 2)], "edge (3, 4) appears twice"),
+    ([(1, 2), (-1, 0)], "edge (-1, 0) leaves [0, 5)"),
+    ([(4, 1), (1, 4), (7, 7)], "edge (1, 4) appears twice"),
+    ([(2, 3), (3, 2), (1, 1)], "edge (2, 3) appears twice"),
+    ([(2, 3), (9, 9), (3, 2)], "edge (9, 9) leaves [0, 5)"),
 ]
 
 
-@pytest.mark.parametrize("pairs, error, message", FIRST_FAULTS)
-def test_build_reports_the_first_fault_in_input_order(pairs, error, message):
+@pytest.mark.parametrize("pairs, message", FIRST_FAULTS)
+def test_build_reports_the_first_fault_in_input_order(pairs, message):
     with pytest.raises(GraphError) as err:
         Graph(5, pairs)
-    assert (type(err.value), str(err.value)) == (error, message)
+    assert (type(err.value), str(err.value)) == (GraphError, message)
 
 
-@pytest.mark.parametrize("pairs, error, message", FIRST_FAULTS)
-def test_build_reads_a_generator_once_and_reports_its_first_fault(pairs, error, message):
+@pytest.mark.parametrize("pairs, message", FIRST_FAULTS)
+def test_build_reads_a_generator_once_and_reports_its_first_fault(pairs, message):
     with pytest.raises(GraphError) as err:
         Graph(5, (pair for pair in pairs))
-    assert (type(err.value), str(err.value)) == (error, message)
+    assert (type(err.value), str(err.value)) == (GraphError, message)
 
 
 @st.composite
@@ -141,7 +138,7 @@ def test_build_agrees_with_the_reference_first_fault(case):
         else:
             with pytest.raises(GraphError) as err:
                 Graph(n, given_pairs)
-            assert (type(err.value).__name__, str(err.value)) == fault
+            assert (type(err.value), str(err.value)) == (GraphError, fault)
 
 
 def assert_one_record_per_edge(g):
@@ -264,7 +261,7 @@ def test_total_graph_checks_its_vertex_count_first():
     g = Graph(MAX_VERTICES, [(0, 1)])
     tracemalloc.start()
     try:
-        with pytest.raises(VertexOutOfRangeError,
+        with pytest.raises(GraphError,
                            match=f"^vertex count {MAX_VERTICES + 1} exceeds MAX_VERTICES={MAX_VERTICES}$"):
             total_graph(g)
         peak = tracemalloc.get_traced_memory()[1]
@@ -320,7 +317,7 @@ def test_element_set_validates():
     g = Graph(2, [(0, 1)])
     assert list(ElementSet(g, [2])) == [2]
     for bad in (3, -1):
-        with pytest.raises(VertexOutOfRangeError, match=rf"^total-graph vertex {bad} "):
+        with pytest.raises(GraphError, match=rf"^total-graph vertex {bad} leaves \[0, 3\)$"):
             ElementSet(g, [bad])
 
 
@@ -333,9 +330,9 @@ def test_element_set_rejects_a_non_integer_id():
 def test_element_set_names_the_first_bad_id_given():
     # a frozenset of {0, 5, 9} or {1, 2, 6, 10} would yield 9 or 10 first
     g = Graph(2, [(0, 1)])
-    with pytest.raises(VertexOutOfRangeError, match=r"^total-graph vertex 5 leaves \[0, 3\)$"):
+    with pytest.raises(GraphError, match=r"^total-graph vertex 5 leaves \[0, 3\)$"):
         ElementSet(g, iter([0, 5, 9]))
-    with pytest.raises(VertexOutOfRangeError, match=r"^total-graph vertex 6 leaves \[0, 3\)$"):
+    with pytest.raises(GraphError, match=r"^total-graph vertex 6 leaves \[0, 3\)$"):
         ElementSet(g, iter([1, 2, 6, 10]))
 
 
@@ -358,7 +355,7 @@ def test_parse_skips_comments():
 
 
 def test_parse_out_of_range_delegates():
-    with pytest.raises(VertexOutOfRangeError):
+    with pytest.raises(GraphError, match=r"^edge \(0, 2\) leaves \[0, 2\)$"):
         parse_graph("p edge 2 1\ne 1 3\n")
 
 

@@ -7,8 +7,7 @@ import pytest
 from tcover import (
     ElementSet,
     Graph,
-    ParameterOutOfRangeError,
-    VertexOutOfRangeError,
+    GraphError,
     add_isolated,
     is_total_cover,
     isolated_vertices,
@@ -32,7 +31,7 @@ from helpers import enumerate_graphs, petersen
 def test_generators_reject_more_than_max_vertices_before_allocating(make, n):
     tracemalloc.start()
     try:
-        with pytest.raises(VertexOutOfRangeError,
+        with pytest.raises(GraphError,
                            match=f"^vertex count {MAX_VERTICES + 1} exceeds MAX_VERTICES={MAX_VERTICES}$"):
             make(n)
         peak = tracemalloc.get_traced_memory()[1]
@@ -46,7 +45,7 @@ def test_complete_rejects_more_than_max_vertices_edges_before_allocating(n):
     assert 2896 * 2895 // 2 <= MAX_VERTICES < 2897 * 2896 // 2
     tracemalloc.start()
     try:
-        with pytest.raises(ParameterOutOfRangeError,
+        with pytest.raises(GraphError,
                            match=fr"^complete\({n}\) has {n * (n - 1) // 2} edges, more than MAX_VERTICES={MAX_VERTICES}$"):
             complete(n)
         peak = tracemalloc.get_traced_memory()[1]
@@ -72,9 +71,9 @@ def test_hard_instance_smallest():
 
 
 def test_hard_instance_parameter_checks():
-    with pytest.raises(ParameterOutOfRangeError, match="^family requires even n, got 3$"):
+    with pytest.raises(GraphError, match="^family requires even n, got 3$"):
         hard_instance(3)
-    with pytest.raises(ParameterOutOfRangeError):
+    with pytest.raises(GraphError, match="^family requires n >= 2, got 0$"):
         hard_instance(0)
 
 
@@ -97,13 +96,13 @@ def test_standard_families():
 
 
 def test_family_parameter_checks():
-    with pytest.raises(ParameterOutOfRangeError):
+    with pytest.raises(GraphError, match="^path requires n >= 1, got 0$"):
         path(0)
-    with pytest.raises(ParameterOutOfRangeError):
+    with pytest.raises(GraphError, match="^cycle requires n >= 3, got 2$"):
         cycle(2)
-    with pytest.raises(ParameterOutOfRangeError):
+    with pytest.raises(GraphError, match="^star requires n >= 1, got 0$"):
         star(0)
-    with pytest.raises(ParameterOutOfRangeError):
+    with pytest.raises(GraphError, match="^complete requires n >= 1, got 0$"):
         complete(0)
 
 
@@ -186,9 +185,9 @@ def test_gnp_golden_hashes(args, digest):
 
 
 def test_gnp_parameter_checks():
-    with pytest.raises(ParameterOutOfRangeError):
+    with pytest.raises(GraphError, match="^gnp requires 0 <= p <= 1, got 1.5$"):
         gnp(5, 1.5, 0)
-    with pytest.raises(ParameterOutOfRangeError):
+    with pytest.raises(GraphError, match="^gnp requires n >= 0, got -1$"):
         gnp(-1, 0.5, 0)
 
 
@@ -198,7 +197,7 @@ def test_add_isolated():
     assert isolated_vertices(g) == [2, 3]
     unchanged = add_isolated(cycle(4), 0)
     assert unchanged == cycle(4)
-    with pytest.raises(ParameterOutOfRangeError, match="^isolated vertex count must be >= 0, got -1$"):
+    with pytest.raises(GraphError, match="^isolated vertex count must be >= 0, got -1$"):
         add_isolated(path(2), -1)
 
 
@@ -209,7 +208,7 @@ def test_enumerate_counts():
 
 
 def test_enumerate_guard():
-    with pytest.raises(ParameterOutOfRangeError):
+    with pytest.raises(GraphError, match="^enumeration is limited to 0 <= n <= 6, got 7$"):
         next(enumerate_graphs(7))
 
 
