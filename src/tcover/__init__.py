@@ -41,7 +41,6 @@ from .graph import (
     total_graph,
 )
 from .instances import (
-    add_isolated,
     complete,
     cycle,
     gnp,
@@ -68,7 +67,6 @@ __all__ = [
     "ParseError",
     "TooLargeError",
     "TraceStep",
-    "add_isolated",
     "approx_total_cover",
     "bad_vertex_assignment",
     "complete",

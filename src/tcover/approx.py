@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from fractions import Fraction
 from itertools import compress
 from typing import Iterator, NamedTuple
 
@@ -57,7 +56,7 @@ class ApproxResult(NamedTuple):
     The cover has exactly matching.size + bad_vertex_count +
     isolated_count elements, where matching is the maximum matching the
     cover was built from; lower_bound is a valid lower bound on every
-    total cover; certified_ratio = size / lower_bound never exceeds 2.
+    total cover, and the cover has at most twice that many elements.
     ``order`` is the cover in step order; ``trace`` derives each step from it.
     """
 
@@ -66,7 +65,6 @@ class ApproxResult(NamedTuple):
     bad_vertex_count: int
     isolated_count: int
     lower_bound: int
-    certified_ratio: Fraction
     order: tuple[int, ...]
 
     @property
@@ -187,9 +185,8 @@ def approx_total_cover(g: Graph) -> ApproxResult:
     if size != matching.size + assignment.count + t:
         raise CertificateError(f"cover has {size} elements, not m + k + t")
     lower_bound = total_cover_lower_bound(matching.size, assignment.count, t)
-    ratio = Fraction(size, lower_bound) if lower_bound > 0 else Fraction(1)
-    if ratio > 2:
-        raise CertificateError(f"certified ratio {ratio} exceeds 2")
+    if size > 2 * lower_bound:
+        raise CertificateError(f"cover of {size} elements exceeds twice the lower bound {lower_bound}")
     ok, witness = is_total_cover(g, cover)
     if not ok:
         raise CertificateError(f"constructed cover misses {format_element(g, witness)}")
@@ -199,7 +196,6 @@ def approx_total_cover(g: Graph) -> ApproxResult:
         bad_vertex_count=assignment.count,
         isolated_count=t,
         lower_bound=lower_bound,
-        certified_ratio=ratio,
         order=tuple(order),
     )
 

@@ -12,7 +12,6 @@ import csv
 import io
 import os
 import sys
-from fractions import Fraction
 
 from .approx import CertificateError
 from .approx import approx_total_cover, greedy_domination_cover, matched_vertices_cover
@@ -31,7 +30,6 @@ from .graph import (
 )
 from .matching import greedy_maximal_matching, maximum_matching
 from .instances import (
-    add_isolated,
     complete,
     cycle,
     gnp,
@@ -78,16 +76,18 @@ def exit_status(exc: BaseException) -> tuple[int, str]:
     return code, f"internal error: {text}" if code == EXIT_INTERNAL else text
 
 
-def format_ratio(value: Fraction) -> str:
-    """Exact 4-decimal rendering of a non-negative rational (round half up)."""
-    units, rem = divmod(value.numerator * 10000, value.denominator)
-    if 2 * rem >= value.denominator:
+def format_ratio(num: int, den: int) -> str:
+    """num/den to four decimals, halves rounded up; 1.0000 when den is 0."""
+    if den == 0:
+        return "1.0000"
+    units, rem = divmod(num * 10000, den)
+    if 2 * rem >= den:
         units += 1
     return f"{units // 10000}.{units % 10000:04d}"
 
 
 def _limit(text: str) -> int:
-    """argparse type of a search guard: a non-negative int, else exit 2."""
+    """argparse type of a search guard or a count: a non-negative int, else exit 2."""
     try:
         value = int(text)
     except ValueError:
@@ -108,7 +108,7 @@ def cmd_solve(args) -> int:
     print(
         f"size={len(result.cover)} m={result.matching.size} k={result.bad_vertex_count} "
         f"t={result.isolated_count} lb={result.lower_bound} "
-        f"ratio={format_ratio(result.certified_ratio)}"
+        f"ratio={format_ratio(len(result.cover), result.lower_bound)}"
     )
     if args.trace:
         sys.stdout.writelines(f"{step} {reason} {element_cover_line(g, element)}\n"
@@ -171,7 +171,7 @@ def cmd_gen(args) -> int:
         raise GraphError("gnp requires --p and --seed")
     g = GENERATORS[args.family](args)
     if args.isolated:
-        g = add_isolated(g, args.isolated)
+        g = Graph(g.n + args.isolated, g.edges)
     text = serialize_graph(g)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -195,8 +195,7 @@ def _compare_row(name: str, path_arg: str, exact_limit: int) -> tuple[list, int]
         exact_size = ratio_vs_exact = ""
         if g.n + len(g.edges) <= exact_limit:
             exact_size = exact_total_cover(g, max_elements=exact_limit).size
-            ratio = Fraction(alg_size, exact_size) if exact_size else Fraction(1)
-            ratio_vs_exact = format_ratio(ratio)
+            ratio_vs_exact = format_ratio(alg_size, exact_size)
     except tuple(EXIT_CODES) as exc:  # keep the batch going
         code, message = exit_status(exc)
         row = [name] + [""] * (len(CSV_HEADER) - 2) + [message]
@@ -204,7 +203,7 @@ def _compare_row(name: str, path_arg: str, exact_limit: int) -> tuple[list, int]
         return row, code if code == EXIT_INTERNAL else EXIT_OK
     return [name, g.n, len(g.edges), result.matching.size, result.bad_vertex_count,
             result.isolated_count, alg_size, result.lower_bound, exact_size, baseline_size,
-            greedy_size, format_ratio(result.certified_ratio), ratio_vs_exact, ""], EXIT_OK
+            greedy_size, format_ratio(alg_size, result.lower_bound), ratio_vs_exact, ""], EXIT_OK
 
 
 def cmd_compare(args) -> int:
@@ -269,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--p", type=float)
     p_gen.add_argument("--seed", type=int)
-    p_gen.add_argument("--isolated", type=int, default=0, metavar="T",
+    p_gen.add_argument("--isolated", type=_limit, default=0, metavar="T",
                        help="append T isolated vertices")
     p_gen.add_argument("-o", "--output", metavar="FILE")
     p_gen.set_defaults(func=cmd_gen)

@@ -119,10 +119,3 @@ def gnp(n: int, p: float, seed: int) -> Graph:
             i = dropped.find(0, i + 1, end)
         states = (states + step) & low
     return Graph(n, pairs)
-
-
-def add_isolated(g: Graph, t: int) -> Graph:
-    """Append t isolated vertices with the next indices."""
-    if t < 0:
-        raise GraphError(f"isolated vertex count must be >= 0, got {t}")
-    return Graph(g.n + t, g.edges)

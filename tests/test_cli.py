@@ -2,13 +2,15 @@ import contextlib
 import csv
 import hashlib
 import io
+import math
 import os
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import pytest
 
@@ -24,9 +26,9 @@ from tcover import (
     parse_graph,
     serialize_graph,
 )
-from tcover.cli import main
+from tcover.cli import format_ratio, main
 from tcover.graph import MAX_VERTICES
-from tcover.instances import add_isolated, complete, cycle, gnp, hard_instance, path, star
+from tcover.instances import complete, cycle, gnp, hard_instance, path, star
 
 from helpers import golden_graph, petersen, scrambled_edge_lists
 
@@ -417,6 +419,27 @@ def test_compare_exact_limit_above_the_default(tmp_path):
             ("8", exact, ratio, "")
 
 
+def oracle_ratio(num, den):
+    # num/den rounded to four decimals, halves up; a ratio over 0 reads 1
+    if den == 0:
+        return "1.0000"
+    units = math.floor(Fraction(num, den) * 10000 + Fraction(1, 2))
+    return f"{units // 10000}.{units % 10000:04d}"
+
+
+@given(st.integers(0, 10**7), st.integers(0, 10**7))
+def test_format_ratio_agrees_with_rational_rounding(num, den):
+    assert format_ratio(num, den) == oracle_ratio(num, den)
+
+
+@pytest.mark.parametrize("num, den, text", [
+    (0, 0, "1.0000"), (2, 3, "0.6667"), (1, 20000, "0.0001"), (1, 20001, "0.0000"),
+    (200, 51, "3.9216"), (8, 4, "2.0000"),
+])
+def test_format_ratio_pinned(num, den, text):
+    assert format_ratio(num, den) == text == oracle_ratio(num, den)
+
+
 def test_compare_records_errors_and_continues(k3, tmp_path):
     bad = tmp_path / "broken.gr"
     bad.write_text("p edge 1 1\n")
@@ -540,7 +563,7 @@ FAILED_VALIDATIONS = [
     ("solve", "k3", tcover.approx, "bad_vertex_assignment", doubled_bad_pairs,
      "cover has 2 elements, not m + k + t"),
     ("solve", "hard4", tcover.approx, "total_cover_lower_bound", lambda m, k, t: 1,
-     "certified ratio 4 exceeds 2"),
+     "cover of 4 elements exceeds twice the lower bound 1"),
     ("solve", "p4", tcover.approx, "maximum_matching", lambda g: Matching(path(4), [1]),
      "both endpoints of matching edge 1 reach unmatched vertices"),
 ]
@@ -675,21 +698,25 @@ def test_unwritable_output_exits_2(k3, tmp_path, capsys, argv):
 
 
 def test_negative_search_limit_is_a_usage_error(k3, capsys):
-    # argparse rejects a negative guard before exact_total_cover sees it; a
-    # malformed one reads as it did with type=int
-    for command, extra, message in [
-        ("exact", ["--max-candidates", "-1"],
+    # argparse rejects a negative guard or count before the library sees it;
+    # a malformed one reads as it did with type=int
+    for argv, message in [
+        (["exact", k3, "--max-candidates", "-1"],
          "argument --max-candidates: invalid non-negative int value: '-1'"),
-        ("exact", ["--max-elements", "-1"], "argument --max-elements: invalid non-negative int value: '-1'"),
-        ("exact", ["--max-elements", "x"], "argument --max-elements: invalid int value: 'x'"),
-        ("compare", ["--exact-limit", "-1"], "argument --exact-limit: invalid non-negative int value: '-1'"),
-        ("compare", ["--exact-limit", "x"], "argument --exact-limit: invalid int value: 'x'"),
+        (["exact", k3, "--max-elements", "-1"],
+         "argument --max-elements: invalid non-negative int value: '-1'"),
+        (["exact", k3, "--max-elements", "x"], "argument --max-elements: invalid int value: 'x'"),
+        (["compare", k3, "--exact-limit", "-1"],
+         "argument --exact-limit: invalid non-negative int value: '-1'"),
+        (["compare", k3, "--exact-limit", "x"], "argument --exact-limit: invalid int value: 'x'"),
+        (["gen", "path", "--n", "2", "--isolated", "-1"],
+         "argument --isolated: invalid non-negative int value: '-1'"),
     ]:
         with pytest.raises(SystemExit) as err:
-            main([command, k3] + extra)
+            main(argv)
         assert err.value.code == 2
         captured = capsys.readouterr()
-        assert captured.err.endswith(f"tcover {command}: error: {message}\n")
+        assert captured.err.endswith(f"tcover {argv[0]}: error: {message}\n")
         assert captured.out == ""
 
 
@@ -782,7 +809,7 @@ def compare_corpus(directory):
         "hard4.gr": hard_instance(4),
         "hard6.gr": hard_instance(6),
         "hard50.gr": hard_instance(50),
-        "c7plus2.gr": add_isolated(cycle(7), 2),
+        "c7plus2.gr": Graph(9, cycle(7).edges),
         "petersen.gr": petersen(),
     }
     graphs.update({f"gnp{s:02d}.gr": gnp(8 + s % 5, 0.3, s) for s in range(20)})

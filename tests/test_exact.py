@@ -184,19 +184,17 @@ GOLDEN_EXACT = "b6059958b872ad2cb282e527328f9e23dc0c1529b8e0cbee6a8651abfdb425bd
 GOLDEN_EXACT_SIZES = "0284ac6e6e64f1b86e99c8beae484caf6eb13656b010d7dc9d7bd28ee291ea02"
 
 
-@pytest.mark.parametrize("oracle", [exact_total_cover], ids=lambda oracle: oracle.__name__)
-def test_exact_sizes_golden(oracle):
-    lines = [str(oracle(g).size) for g in golden_corpus()]
+def test_exact_sizes_golden():
+    lines = [str(exact_total_cover(g).size) for g in golden_corpus()]
     assert len(lines) == 1283
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == GOLDEN_EXACT_SIZES
 
 
-@pytest.mark.parametrize("oracle", [exact_total_cover], ids=lambda oracle: oracle.__name__)
-def test_exact_oracles_golden(oracle):
+def test_exact_oracles_golden():
     lines = []
     for g in golden_corpus():
-        r = oracle(g)
+        r = exact_total_cover(g)
         ids = list(r.optimum)
         lines.append(f"{r.size} {r.candidates_checked} "
                      f"{[x for x in ids if x < g.n]} {[x - g.n for x in ids if x >= g.n]}")
@@ -208,35 +206,32 @@ def test_exact_oracles_golden(oracle):
 # Nodes visited, recorded from the same searches: one fewer must stop the
 # search holding an optimum it has not yet proved, exactly that many must
 # succeed.
-@pytest.mark.parametrize("build, oracle, nodes", [
-    (lambda: hard_instance(6), exact_total_cover, 47),
-    (lambda: gnp(9, 0.3, 7), exact_total_cover, 27),
+@pytest.mark.parametrize("build, nodes", [
+    (lambda: hard_instance(6), 47),
+    (lambda: gnp(9, 0.3, 7), 27),
 ])
-def test_budget_boundary_golden(build, oracle, nodes):
+def test_budget_boundary_golden(build, nodes):
     g = build()
     with pytest.raises(BudgetExceededError) as err:
-        oracle(g, max_candidates=nodes - 1)
+        exact_total_cover(g, max_candidates=nodes - 1)
     assert err.value.cardinality_reached == 4
     assert str(err.value) == f"exceeded max_candidates={nodes - 1} at cardinality 4"
-    result = oracle(g, max_candidates=nodes)
+    result = exact_total_cover(g, max_candidates=nodes)
     assert (result.size, result.candidates_checked) == (4, nodes)
 
 
-@pytest.mark.parametrize("oracle, builder, message", [
-    (exact_total_cover, "_total_cover_masks", "exact total cover misses vertex 3"),
-])
-def test_wrong_masks_raise_certificate_error(monkeypatch, oracle, builder, message):
+def test_wrong_masks_raise_certificate_error(monkeypatch):
     # masks claiming that every element covers everything make {vertex 1}
     # win at cardinality 1; the confirmation must catch that it does not
-    original = getattr(tcover.exact, builder)
+    original = tcover.exact._total_cover_masks
 
     def covers_everything(g):
         count = len(original(g))
         return [(1 << count) - 1] * count
 
-    monkeypatch.setattr(tcover.exact, builder, covers_everything)
-    with pytest.raises(CertificateError, match=f"^{message}$"):
-        oracle(path(3))
+    monkeypatch.setattr(tcover.exact, "_total_cover_masks", covers_everything)
+    with pytest.raises(CertificateError, match="^exact total cover misses vertex 3$"):
+        exact_total_cover(path(3))
 
 
 def test_exact_optimum_is_confirmed_by_is_total_cover(monkeypatch):

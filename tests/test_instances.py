@@ -8,9 +8,7 @@ from tcover import (
     ElementSet,
     Graph,
     GraphError,
-    add_isolated,
     is_total_cover,
-    isolated_vertices,
     maximum_matching,
     serialize_graph,
 )
@@ -189,16 +187,6 @@ def test_gnp_parameter_checks():
         gnp(5, 1.5, 0)
     with pytest.raises(GraphError, match="^gnp requires n >= 0, got -1$"):
         gnp(-1, 0.5, 0)
-
-
-def test_add_isolated():
-    g = add_isolated(Graph(2, [(0, 1)]), 2)
-    assert g.n == 4
-    assert isolated_vertices(g) == [2, 3]
-    unchanged = add_isolated(cycle(4), 0)
-    assert unchanged == cycle(4)
-    with pytest.raises(GraphError, match="^isolated vertex count must be >= 0, got -1$"):
-        add_isolated(path(2), -1)
 
 
 def test_enumerate_counts():

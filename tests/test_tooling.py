@@ -66,12 +66,14 @@ def run_python(args):
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # the result records are named tuples, so a start need not load
-    # dataclasses, which pulls in inspect; only the modules the import adds
-    # count, which leaves out whatever site hooks loaded before it
+    # dataclasses, which pulls in inspect; ratios are rendered from two
+    # ints, so it need not load fractions, which pulls in decimal; only the
+    # modules the import adds count, which leaves out whatever site hooks
+    # loaded before it
     added = run_python(["-c", "import sys; before = set(sys.modules); import tcover.cli; "
                               "print(*sorted(set(sys.modules) - before))"]).split()
     assert "tcover.cli" in added
-    assert {"dataclasses", "inspect"}.isdisjoint(added), added
+    assert {"dataclasses", "inspect", "fractions", "decimal"}.isdisjoint(added), added
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
