@@ -15,9 +15,20 @@ from collections import defaultdict
 from itertools import compress
 from typing import Iterator, NamedTuple
 
-from .graph import ElementSet, Graph, format_element, is_total_cover
+from .graph import CertificateError, ElementSet, Graph, format_element, is_total_cover
 from .graph import isolated_vertices, total_graph
-from .matching import CertificateError, Matching, maximum_matching
+from .matching import Matching, maximum_matching
+
+__all__ = [
+    "ApproxResult",
+    "BadVertexAssignment",
+    "TraceStep",
+    "approx_total_cover",
+    "bad_vertex_assignment",
+    "greedy_domination_cover",
+    "matched_vertices_cover",
+    "total_cover_lower_bound",
+]
 
 
 class BadVertexAssignment(NamedTuple):

@@ -13,11 +13,11 @@ import io
 import os
 import sys
 
-from .approx import CertificateError
 from .approx import approx_total_cover, greedy_domination_cover, matched_vertices_cover
 from .exact import MAX_CANDIDATES, MAX_ELEMENTS, BudgetExceededError, TooLargeError
 from .exact import exact_total_cover
 from .graph import (
+    CertificateError,
     Graph,
     GraphError,
     element_cover_line,

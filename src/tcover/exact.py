@@ -18,8 +18,14 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple
 
-from .graph import ElementSet, Graph, format_element, is_total_cover
-from .matching import CertificateError
+from .graph import CertificateError, ElementSet, Graph, format_element, is_total_cover
+
+__all__ = [
+    "BudgetExceededError",
+    "ExactResult",
+    "TooLargeError",
+    "exact_total_cover",
+]
 
 MAX_ELEMENTS = 32
 MAX_CANDIDATES = 100_000_000

@@ -6,7 +6,8 @@ vertex and edge outside the set is adjacent or incident to a member.
 An element is numbered as its vertex of the total graph: vertex ``v`` is
 ``v`` and edge ``e`` is ``n + e``.  This module holds the graph type,
 element sets, the total-cover validity check, the total-graph
-construction, and the text file formats used by the command line tools.
+construction, the text file formats used by the command line tools, and
+the package's error classes for bad input and for a broken certificate.
 """
 
 from __future__ import annotations
@@ -15,6 +16,23 @@ import io
 from bisect import bisect_left
 from itertools import chain, compress
 from typing import Iterable, Iterator, Optional
+
+__all__ = [
+    "CertificateError",
+    "ElementSet",
+    "Graph",
+    "GraphError",
+    "ParseError",
+    "element_cover_line",
+    "format_element",
+    "is_total_cover",
+    "isolated_vertices",
+    "parse_cover",
+    "parse_graph",
+    "serialize_cover",
+    "serialize_graph",
+    "total_graph",
+]
 
 
 class GraphError(ValueError):
@@ -31,6 +49,13 @@ class ParseError(GraphError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+
+
+class CertificateError(RuntimeError):
+    """A result broke its certificate (a matched pair that is not an edge;
+    a matching taken as maximum that is not; a cover whose size is not
+    m + k + t, whose ratio exceeds two, or that misses an element): a
+    solver bug, never bad input.  The command line reports it with exit 3."""
 
 
 # Graph allocates per vertex before it reads an edge, so a header may not
@@ -187,7 +212,6 @@ def total_graph(g: Graph) -> tuple[tuple[int, ...], ...]:
     neighbours of ``x``, ascending by construction from the checked ``g``.
     """
     n, edges = g.n, g.edges
-    check_vertex_count(n + len(edges))
     incident: list = [[] if near else () for near in g.adj]  # ascending; edgeless ones share ()
     for x, (u, v) in enumerate(edges, n):
         incident[u].append(x)

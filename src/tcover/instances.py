@@ -6,6 +6,15 @@ from itertools import chain
 
 from .graph import MAX_VERTICES, Graph, GraphError, check_vertex_count
 
+__all__ = [
+    "complete",
+    "cycle",
+    "gnp",
+    "hard_instance",
+    "path",
+    "star",
+]
+
 
 def hard_instance(n: int) -> Graph:
     """The hard family for matching-based covering heuristics.

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .graph import Graph, GraphError
+from .graph import CertificateError, Graph, GraphError
 
-
-class CertificateError(RuntimeError):
-    """A result broke its certificate (a matched pair that is not an edge;
-    a matching taken as maximum that is not; a cover whose size is not
-    m + k + t, whose ratio exceeds two, or that misses an element): a
-    solver bug, never bad input."""
+__all__ = [
+    "Matching",
+    "greedy_maximal_matching",
+    "maximum_matching",
+]
 
 
 class Matching:

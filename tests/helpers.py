@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from tcover import ElementSet, Graph, GraphError, TooLargeError, TraceStep, bad_vertex_assignment
 from tcover import maximum_matching
-from tcover.graph import isolated_vertices
+from tcover.graph import CertificateError, isolated_vertices
 from tcover.instances import gnp
-from tcover.matching import CertificateError, Matching
+from tcover.matching import Matching
 
 
 def connected(g: Graph) -> bool:

@@ -36,6 +36,16 @@ def test_exports_are_exactly_the_public_names():
     bound = {name for name, value in vars(tcover).items()
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert set(tcover.__all__) == bound
+    # each name is listed once, by the module that defines it, and
+    # tcover.__all__ is the concatenation of the modules' lists
+    modules = [tcover.approx, tcover.exact, tcover.graph, tcover.instances, tcover.matching]
+    assert all(hasattr(module, "__all__") for module in modules)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(module, name).__module__ == module.__name__, name
+    names = [name for module in modules for name in module.__all__]
+    assert len(names) == len(set(names))
+    assert tcover.__all__ == names
 
 
 def test_cli_reports_errors_only_in_main():
