@@ -102,7 +102,6 @@ def bad_vertex_assignment(g: Graph, matching: Matching) -> BadVertexAssignment:
     """
     if matching.graph != g:
         raise ValueError("the matching belongs to another graph")
-    pairs: list[tuple[int, int]] = []
     claimed: dict[int, int] = {}
     partner = matching.mate  # -1 for an unmatched vertex, never a neighbor
     for v, near in enumerate(g.adj):
@@ -121,8 +120,7 @@ def bad_vertex_assignment(g: Graph, matching: Matching) -> BadVertexAssignment:
                 f"matching edge {eid}; the matching is not maximum"
             )
         claimed[eid] = v
-        pairs.append((v, eid))
-    return BadVertexAssignment(tuple(pairs))
+    return BadVertexAssignment(tuple(zip(claimed.values(), claimed)))
 
 
 def total_cover_lower_bound(matching_size: int, bad_vertex_count: int, isolated_count: int) -> int:

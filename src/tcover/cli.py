@@ -105,6 +105,9 @@ def _read_graph(path_arg: str) -> Graph:
 def cmd_solve(args) -> int:
     g = _read_graph(args.graph)
     result = approx_total_cover(g)  # validates the cover, raises CertificateError
+    if args.output:  # before any print, so an unwritable path leaves stdout empty
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(serialize_cover(result.cover))
     print(
         f"size={len(result.cover)} m={result.matching.size} k={result.bad_vertex_count} "
         f"t={result.isolated_count} lb={result.lower_bound} "
@@ -113,9 +116,6 @@ def cmd_solve(args) -> int:
     if args.trace:
         sys.stdout.writelines(f"{step} {reason} {element_cover_line(g, element)}\n"
                               for step, reason, element in result.trace)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(serialize_cover(result.cover))
     return EXIT_OK
 
 
@@ -292,7 +292,3 @@ def main(argv=None) -> int:
         code, message = exit_status(exc)
         print(message if code == EXIT_INTERNAL else f"error: {message}", file=sys.stderr)
         return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -16,7 +16,7 @@ BudgetExceededError.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .graph import CertificateError, ElementSet, Graph, format_element, is_total_cover
 
@@ -55,14 +55,6 @@ class ExactResult(NamedTuple):
         return len(self.optimum)
 
 
-def _bits(ids: Iterable[int]) -> int:
-    """A mask with bit i set for every i in ids."""
-    mask = 0
-    for i in ids:
-        mask |= 1 << i
-    return mask
-
-
 def _total_cover_masks(g: Graph) -> list[int]:
     """Closed-neighbourhood masks over V + E: vertex v is bit v, edge e is
     bit n + e.  A vertex covers itself, its neighbours and its incident
@@ -75,8 +67,8 @@ def _total_cover_masks(g: Graph) -> list[int]:
     for eid, (u, v) in enumerate(g.edges):
         incident[u] |= 1 << (n + eid)
         incident[v] |= 1 << (n + eid)
-    vertex_masks = [_bits((v, *g.adj[v])) | incident[v] for v in range(n)]
-    edge_masks = [_bits((u, v)) | incident[u] | incident[v] for u, v in g.edges]
+    vertex_masks = [1 << v | sum(1 << w for w in g.adj[v]) | incident[v] for v in range(n)]
+    edge_masks = [1 << u | 1 << v | incident[u] | incident[v] for u, v in g.edges]
     return vertex_masks + edge_masks
 
 

@@ -148,6 +148,23 @@ def test_step3_trace_matches_the_per_endpoint_scan(g):
     assert tuple(approx_total_cover(g).trace) == reference_trace(g)
 
 
+@given(small_graphs(), small_graphs())
+def test_cover_of_a_disjoint_union_is_the_union_of_the_covers(g, h):
+    # each search stays in its root's component and steps 2 and 3 read only
+    # neighbourhoods, so U = G + H (H's vertices shifted by n_G) is covered
+    # as G and H are; G's edges rank first in U, then H's shifted edges
+    u = Graph(g.n + h.n, [*g.edges, *((a + g.n, b + g.n) for a, b in h.edges)])
+    n, m_g = u.n, len(g.edges)
+    covers = approx_total_cover(g), approx_total_cover(h)
+    ids = [x if x < g.n else n + x - g.n for x in covers[0].cover]
+    ids += [g.n + x if x < h.n else n + m_g + x - h.n for x in covers[1].cover]
+    result = approx_total_cover(u)
+    assert result.cover == ElementSet(u, ids)
+    assert result.matching.size == covers[0].matching.size + covers[1].matching.size
+    assert result.bad_vertex_count == covers[0].bad_vertex_count + covers[1].bad_vertex_count
+    assert result.isolated_count == covers[0].isolated_count + covers[1].isolated_count
+
+
 def test_trace_step_is_a_named_tuple():
     step = TraceStep(step=1, reason="isolated", element=0)
     assert step == TraceStep(1, "isolated", 0) == (1, "isolated", 0)

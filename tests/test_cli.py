@@ -694,7 +694,9 @@ def test_solve_validates_the_cover_once(k3, monkeypatch):
 def test_unwritable_output_exits_2(k3, tmp_path, capsys, argv):
     out = tmp_path / "no" / "such" / "dir" / "x"
     assert main([arg.format(graph=k3, out=out) for arg in argv]) == 2
-    assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+    captured = capsys.readouterr()
+    assert captured.out == ""  # nothing is printed before the output file is opened
+    assert captured.err.startswith("error: [Errno 2] No such file or directory")
 
 
 def test_negative_search_limit_is_a_usage_error(k3, capsys):
@@ -726,7 +728,7 @@ def test_module_entry_point(tmp_path):
     src = os.path.dirname(os.path.dirname(tcover.cli.__file__))
     env = {**os.environ, "PYTHONPATH": src}  # the child needs only tcover and the stdlib
     proc = subprocess.run(
-        [sys.executable, "-m", "tcover.cli", "solve", str(graph)],
+        [sys.executable, "-m", "tcover", "solve", str(graph)],
         capture_output=True,
         text=True,
         env=env,

@@ -446,8 +446,14 @@ def test_parse_cover_vertex_out_of_range():
 
 def test_parse_cover_bad_line():
     g = Graph(2, [(0, 1)])
-    with pytest.raises(ParseError):
-        parse_cover("w 1\n", g)
+    for text, line_no, message in [
+        ("w 1\n", 1, "unrecognized line 'w 1'"),
+        ("v 1\nv x\n", 2, "non-integer vertex in 'v x'"),
+        ("e 1 y\n", 1, "non-integer endpoints in 'e 1 y'"),
+    ]:
+        with pytest.raises(ParseError, match=f"^line {line_no}: {message}$") as err:
+            parse_cover(text, g)
+        assert err.value.line_no == line_no
 
 
 def test_serialize_cover_keeps_no_list_of_its_lines():
