@@ -25,18 +25,18 @@ print("edges:", list(p4.edges))
 # An element is named by its vertex id in the total graph (introduced
 # below): vertex v is v, edge e is n + e.  Try the two inner vertices.
 candidate = ElementSet(p4, [1, 2])
-ok, witness = is_total_cover(p4, candidate)
+ok, witness = is_total_cover(candidate)
 print("\n{vertex 1, vertex 2} is a total cover:", ok)
 
 # A single middle edge is NOT enough: the first end vertex touches
 # nothing chosen.  (Displayed names are 1-indexed, as in the file formats.)
 candidate = ElementSet(p4, [p4.n + 1])
-ok, witness = is_total_cover(p4, candidate)
+ok, witness = is_total_cover(candidate)
 print("{middle edge} is a total cover:", ok, "- first uncovered:", format_element(p4, witness))
 
 # Mixing kinds works: one vertex and one edge suffice here.
 candidate = ElementSet(p4, [1, p4.n + 2])
-print("{vertex 1, edge (2,3)} is a total cover:", is_total_cover(p4, candidate)[0])
+print("{vertex 1, edge (2,3)} is a total cover:", is_total_cover(candidate)[0])
 
 # The total graph makes the adjacency-or-incidence relation ordinary
 # vertex adjacency: one vertex per element of the original graph, with

@@ -23,7 +23,7 @@ for name, g in [
           f" + t {result.isolated_count}")
     print(f"  lower bound {result.lower_bound},"
           f" certified ratio {len(result.cover)}/{result.lower_bound}")
-    assert is_total_cover(g, result.cover)[0]
+    assert is_total_cover(result.cover)[0]
     print()
 
 # The trace records every addition: which step made it and why.

@@ -22,7 +22,7 @@ for n in (4, 8, 12, 50, 100, 400):
         assert exact_total_cover(g, max_elements=40).size == optimum
     result = approx_total_cover(g)
     alg = len(result.cover)
-    base = len(matched_vertices_cover(g, result.matching))
+    base = len(matched_vertices_cover(result.matching))
     print(f"{n:>4} {optimum:>8} {alg:>10} {base:>9} "
           f"{float(Fraction(alg, optimum)):>8.4f} {float(Fraction(base, optimum)):>9.4f}")
 

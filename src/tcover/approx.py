@@ -196,7 +196,7 @@ def approx_total_cover(g: Graph) -> ApproxResult:
     lower_bound = total_cover_lower_bound(matching.size, assignment.count, t)
     if size > 2 * lower_bound:
         raise CertificateError(f"cover of {size} elements exceeds twice the lower bound {lower_bound}")
-    ok, witness = is_total_cover(g, cover)
+    ok, witness = is_total_cover(cover)
     if not ok:
         raise CertificateError(f"constructed cover misses {format_element(g, witness)}")
     return ApproxResult(
@@ -209,19 +209,17 @@ def approx_total_cover(g: Graph) -> ApproxResult:
     )
 
 
-def matched_vertices_cover(g: Graph, matching: Matching) -> ElementSet:
-    """Baseline: both endpoints of every edge of a maximal ``matching`` of
-    ``g``, plus all isolated vertices.
+def matched_vertices_cover(matching: Matching) -> ElementSet:
+    """Baseline: both endpoints of every edge of a maximal ``matching``,
+    plus all isolated vertices of its graph ``matching.graph``.
 
     Any maximal matching works, such as ``greedy_maximal_matching``,
     ``maximum_matching`` or ``ApproxResult.matching``: every edge has a
     matched endpoint, and every non-isolated unmatched vertex has only
     matched neighbors.  The size is 2|M| + t, which can approach four
-    times the optimum.  Raises ValueError if the matching belongs to
-    another graph.
+    times the optimum.
     """
-    if matching.graph != g:
-        raise ValueError("the matching belongs to another graph")
+    g = matching.graph
     matched = [x for eid in matching.edge_ids for x in g.edges[eid]]
     return ElementSet(g, isolated_vertices(g) + matched)
 

@@ -28,7 +28,7 @@ from .graph import (
     serialize_cover,
     serialize_graph,
 )
-from .matching import greedy_maximal_matching, maximum_matching
+from .matching import maximum_matching
 from .instances import (
     complete,
     cycle,
@@ -87,7 +87,7 @@ def format_ratio(num: int, den: int) -> str:
 
 
 def _limit(text: str) -> int:
-    """argparse type of a search guard or a count: a non-negative int, else exit 2."""
+    """argparse type of a search guard: a non-negative int, else exit 2."""
     try:
         value = int(text)
     except ValueError:
@@ -131,11 +131,10 @@ def cmd_exact(args) -> int:
 def cmd_baseline(args) -> int:
     g = _read_graph(args.graph)
     if args.method == "matched-vertices":
-        find = maximum_matching if args.matching == "maximum" else greedy_maximal_matching
-        cover = matched_vertices_cover(g, find(g))
+        cover = matched_vertices_cover(maximum_matching(g))
     else:
         cover = greedy_domination_cover(g)
-    ok, witness = is_total_cover(g, cover)
+    ok, witness = is_total_cover(cover)
     if not ok:
         raise CertificateError(f"baseline cover misses {format_element(g, witness)}")
     print(f"size={len(cover)} valid=true")
@@ -146,7 +145,7 @@ def cmd_verify(args) -> int:
     g = _read_graph(args.graph)
     with open(args.cover, "r", encoding="utf-8") as handle:
         cover = parse_cover(handle.read(), g)
-    ok, witness = is_total_cover(g, cover)
+    ok, witness = is_total_cover(cover)
     if ok:
         print(f"VALID size={len(cover)}")
         return EXIT_OK
@@ -169,9 +168,9 @@ GENERATORS = {
 def cmd_gen(args) -> int:
     if args.family == "gnp" and (args.p is None or args.seed is None):
         raise GraphError("gnp requires --p and --seed")
+    if args.family != "gnp" and (args.p is not None or args.seed is not None):
+        raise GraphError(f"{args.family} takes no --p or --seed")
     g = GENERATORS[args.family](args)
-    if args.isolated:
-        g = Graph(g.n + args.isolated, g.edges)
     text = serialize_graph(g)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -182,19 +181,20 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _compare_row(name: str, path_arg: str, exact_limit: int) -> tuple[list, int]:
+def _compare_row(path_arg: str) -> tuple[list, int]:
     """One CSV row, and EXIT_INTERNAL if a solver bug hit it (else EXIT_OK).
     The row holds results only when every one of them was found; an
     instance that fails part-way gets its name and its error alone."""
+    name = os.path.basename(path_arg)
     try:
         g = _read_graph(path_arg)
         result = approx_total_cover(g)
         alg_size = len(result.cover)
-        baseline_size = len(matched_vertices_cover(g, result.matching))
+        baseline_size = len(matched_vertices_cover(result.matching))
         greedy_size = len(greedy_domination_cover(g))
         exact_size = ratio_vs_exact = ""
-        if g.n + len(g.edges) <= exact_limit:
-            exact_size = exact_total_cover(g, max_elements=exact_limit).size
+        if g.n + len(g.edges) <= MAX_ELEMENTS:
+            exact_size = exact_total_cover(g).size
             ratio_vs_exact = format_ratio(alg_size, exact_size)
     except tuple(EXIT_CODES) as exc:  # keep the batch going
         code, message = exit_status(exc)
@@ -219,7 +219,7 @@ def cmd_compare(args) -> int:
     writer.writerow(CSV_HEADER)
     status = EXIT_OK
     for path_arg in paths:
-        row, code = _compare_row(os.path.basename(path_arg), path_arg, args.exact_limit)
+        row, code = _compare_row(path_arg)
         writer.writerow(row)
         status = max(status, code)
     if args.csv:
@@ -255,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_base.add_argument("graph", help="graph file")
     p_base.add_argument("--method", required=True,
                         choices=["matched-vertices", "greedy-domination"])
-    p_base.add_argument("--matching", choices=["maximal", "maximum"], default="maximum")
     p_base.set_defaults(func=cmd_baseline)
 
     p_verify = sub.add_parser("verify", help="validate a cover file against a graph")
@@ -268,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--p", type=float)
     p_gen.add_argument("--seed", type=int)
-    p_gen.add_argument("--isolated", type=_limit, default=0, metavar="T",
-                       help="append T isolated vertices")
     p_gen.add_argument("-o", "--output", metavar="FILE")
     p_gen.set_defaults(func=cmd_gen)
 
@@ -277,8 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("graphs", nargs="*", help="graph files")
     p_cmp.add_argument("--dir", help="directory of graph files (sorted by name)")
     p_cmp.add_argument("--csv", metavar="FILE", help="write CSV here instead of stdout")
-    p_cmp.add_argument("--exact-limit", type=_limit, default=MAX_ELEMENTS,
-                       help="run the exact oracle when n + |E| fits this many elements")
     p_cmp.set_defaults(func=cmd_compare)
 
     return parser

@@ -143,7 +143,7 @@ def exact_total_cover(g: Graph, *, max_elements: int = MAX_ELEMENTS,
         raise TooLargeError(f"{total} elements exceeds max_elements={max_elements}")
     combo, checked = _smallest_covering(_total_cover_masks(g), max_candidates)
     optimum = ElementSet(g, combo)
-    ok, witness = is_total_cover(g, optimum)
+    ok, witness = is_total_cover(optimum)
     if not ok:
         raise CertificateError(f"exact total cover misses {format_element(g, witness)}")
     return ExactResult(optimum, checked)

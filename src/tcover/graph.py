@@ -176,20 +176,18 @@ class ElementSet:
         return f"ElementSet(ids={list(self)})"
 
 
-def is_total_cover(g: Graph, d: ElementSet) -> tuple[bool, Optional[int]]:
-    """Check whether ``d`` is a total cover of ``g``.
+def is_total_cover(d: ElementSet) -> tuple[bool, Optional[int]]:
+    """Check whether ``d`` is a total cover of its graph ``d.graph``.
 
     The hubs are the chosen vertices and both endpoints of every chosen
     edge.  A vertex is covered when it is a hub or has a chosen neighbour;
     an edge is covered when it is chosen or has a hub endpoint.  Returns
     ``(True, None)`` when valid, otherwise ``(False, witness)`` where the
     witness is the lowest id of an uncovered element (vertices before
-    edges), so it is reproducible.  Raises ValueError if ``d`` belongs to
-    another graph.
+    edges), so it is reproducible.
     """
-    if d.graph != g:
-        raise ValueError("the cover belongs to another graph")
-    n, flags = g.n, d.flags
+    g, flags = d.graph, d.flags
+    n = g.n
     hubs = bytearray(flags[:n])
     for u, v in compress(g.edges, flags[n:]):
         hubs[u] = hubs[v] = 1

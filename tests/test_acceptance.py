@@ -46,7 +46,7 @@ def test_criterion_1_hard_family_reproduction():
             assert maximum_matching(g).size == n
             rungs = range(g.n + 2 * n, g.n + 2 * n + n // 2)
             known = ElementSet(g, [0, *rungs])
-            assert is_total_cover(g, known)[0]
+            assert is_total_cover(known)[0]
             assert len(known) == n // 2 + 1
             assert exact_total_cover(g, max_elements=64).size == n // 2 + 1
             result = approx_total_cover(g)
@@ -61,7 +61,7 @@ def test_criterion_2_tightness_trends():
         n = 100
         g = hard_instance(n)
         optimum = Fraction(n, 2) + 1
-        baseline_ratio = Fraction(len(matched_vertices_cover(g, maximum_matching(g))), optimum)
+        baseline_ratio = Fraction(len(matched_vertices_cover(maximum_matching(g))), optimum)
         assert baseline_ratio == Fraction(200, 51)
         assert baseline_ratio >= Fraction(38, 10)
         result = approx_total_cover(g)
@@ -77,7 +77,7 @@ def test_criterion_3_oracle_sweep():
         assert len(cases) == 1024 + 26704
         for g in cases:
             result = approx_total_cover(g)
-            assert is_total_cover(g, result.cover)[0]
+            assert is_total_cover(result.cover)[0]
             alg_size = len(result.cover)
             assert alg_size == (
                 result.matching.size + result.bad_vertex_count + result.isolated_count
@@ -116,7 +116,7 @@ def test_criterion_6_randomized_robustness():
             p = probabilities[(i // 9) % 3]
             g = gnp(n, p, 1000 + i)
             result = approx_total_cover(g)
-            assert is_total_cover(g, result.cover)[0]
+            assert is_total_cover(result.cover)[0]
             size = len(result.cover)
             assert size == (
                 result.matching.size + result.bad_vertex_count + result.isolated_count

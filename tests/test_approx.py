@@ -200,34 +200,32 @@ def test_approx_k5_uses_bad_round():
 
 def test_matched_vertices_cover_examples():
     k2 = Graph(2, [(0, 1)])
-    assert matched_vertices_cover(k2, maximum_matching(k2)) == ElementSet(k2, [0, 1])
+    assert matched_vertices_cover(maximum_matching(k2)) == ElementSet(k2, [0, 1])
     g = hard_instance(4)
-    assert len(matched_vertices_cover(g, maximum_matching(g))) == 8
+    assert len(matched_vertices_cover(maximum_matching(g))) == 8
     empty2 = Graph(2, [])
-    assert matched_vertices_cover(empty2, maximum_matching(empty2)) == ElementSet(empty2, [0, 1])
+    assert matched_vertices_cover(maximum_matching(empty2)) == ElementSet(empty2, [0, 1])
 
 
 def test_matched_vertices_cover_maximal_mode():
     g = hard_instance(4)
     for find in (greedy_maximal_matching, maximum_matching):
-        cover = matched_vertices_cover(g, find(g))
-        assert is_total_cover(g, cover)[0]
+        cover = matched_vertices_cover(find(g))
+        assert is_total_cover(cover)[0]
 
 
 def test_matched_vertices_cover_reuses_a_given_matching():
     for g in (hard_instance(4), complete(5), Graph(7, path(5).edges)):
         result = approx_total_cover(g)
         assert result.matching == maximum_matching(g)
-        assert matched_vertices_cover(g, result.matching) == matched_vertices_cover(
-            g, maximum_matching(g))
-    with pytest.raises(ValueError, match="another graph"):
-        matched_vertices_cover(path(4), maximum_matching(path(5)))
+        assert matched_vertices_cover(result.matching) == matched_vertices_cover(
+            maximum_matching(g))
 
 
 def test_greedy_domination_star():
     g = star(5)
     cover = greedy_domination_cover(g)
-    assert is_total_cover(g, cover)[0]
+    assert is_total_cover(cover)[0]
     assert len(cover) <= 2
     assert 0 in set(cover)
 
@@ -324,7 +322,7 @@ def test_matched_vertices_golden(name, kind):
     size, digest = GOLDEN_MATCHED_VERTICES[name, kind]
     g = golden_graph(name)
     find = maximum_matching if kind == "maximum" else greedy_maximal_matching
-    cover = matched_vertices_cover(g, find(g))
+    cover = matched_vertices_cover(find(g))
     assert len(cover) == size
     assert hashlib.sha256(serialize_cover(cover).encode()).hexdigest() == digest
 
@@ -332,7 +330,7 @@ def test_matched_vertices_golden(name, kind):
 def test_sweep_small_graphs():
     for g in enumerate_graphs(4):
         result = approx_total_cover(g)
-        ok, witness = is_total_cover(g, result.cover)
+        ok, witness = is_total_cover(result.cover)
         assert ok, witness
         assert len(result.cover) == (
             result.matching.size + result.bad_vertex_count + result.isolated_count
@@ -344,8 +342,8 @@ def test_sweep_small_graphs():
         edge_ids = [eid for _, eid in assignment.pairs]
         assert len(edge_ids) == len(set(edge_ids))
         # baselines stay valid too
-        assert is_total_cover(g, matched_vertices_cover(g, matching))[0]
-        assert is_total_cover(g, greedy_domination_cover(g))[0]
+        assert is_total_cover(matched_vertices_cover(matching))[0]
+        assert is_total_cover(greedy_domination_cover(g))[0]
 
 
 @given(st.integers(0, 200), st.integers(0, 200), st.integers(0, 200))
@@ -360,7 +358,7 @@ def test_factor_two_certificate_is_algebraic(matching_size, extra, isolated):
 @given(small_graphs())
 def test_approx_valid_on_random_graphs(g):
     result = approx_total_cover(g)
-    assert is_total_cover(g, result.cover)[0]
+    assert is_total_cover(result.cover)[0]
     assert len(result.cover) == (
         result.matching.size + result.bad_vertex_count + result.isolated_count
     )
@@ -378,11 +376,9 @@ def test_certificate_is_invariant_under_shuffled_edges(case):
         assert exact_total_cover(shuffled) == exact_total_cover(g)
 
 
-# each takes the graph g and a graph h, and reads a matching or cover of h against g
+# each takes the graph g and a graph h, and reads a matching of h against g
 GUARDED = {
     "bad_vertex_assignment": lambda g, h: bad_vertex_assignment(g, maximum_matching(h)),
-    "is_total_cover": lambda g, h: is_total_cover(g, ElementSet(h, range(h.n + len(h.edges)))),
-    "matched_vertices_cover": lambda g, h: matched_vertices_cover(g, maximum_matching(h)),
     "verify_matching": lambda g, h: verify_matching(g, maximum_matching(h), "maximum"),
 }
 
@@ -392,7 +388,7 @@ def test_a_matching_or_cover_of_another_graph_is_rejected(name):
     check = GUARDED[name]
     g = Graph(7, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])  # k = 2, t = 1
     for other in (Graph(6, g.edges), Graph(g.n + 1, g.edges)):
-        with pytest.raises(ValueError, match="^the (matching|cover) belongs to another graph$"):
+        with pytest.raises(ValueError, match="^the matching belongs to another graph$"):
             check(g, other)
     # the same edges listed in another order, each pair reversed, are the same graph
     shuffled = Graph(g.n, [(v, u) for u, v in reversed(g.edges)])
@@ -407,7 +403,7 @@ from tcover.instances import path
 
 if __debug__:
     sys.exit("expected to run under python -O")
-tcover.approx.is_total_cover = lambda g, d: (False, 1)
+tcover.approx.is_total_cover = lambda d: (False, 1)
 try:
     tcover.approx.approx_total_cover(path(3))
 except CertificateError as exc:

@@ -23,7 +23,6 @@ from tcover import (
     Graph,
     Matching,
     bad_vertex_assignment,
-    parse_graph,
     serialize_graph,
 )
 from tcover.cli import format_ratio, main
@@ -218,7 +217,6 @@ def cli_outputs(graph_file):
     for argv in (["solve", graph_file, "--trace", "--output", cover],
                  ["exact", graph_file, "--max-elements", "20"],
                  ["baseline", graph_file, "--method", "matched-vertices"],
-                 ["baseline", graph_file, "--method", "matched-vertices", "--matching", "maximal"],
                  ["baseline", graph_file, "--method", "greedy-domination"]):
         with contextlib.redirect_stdout(io.StringIO()) as out:
             outputs.append((main(argv), out.getvalue()))
@@ -241,7 +239,7 @@ def test_output_ignores_the_order_of_edge_lines(case):
             handle.writelines(f"e {u + 1} {v + 1}\n" for u, v in pairs)
         assert cli_outputs(scrambled) == cli_outputs(listed)
         report = os.path.join(tmp, "report.csv")
-        assert main(["compare", listed, scrambled, "--exact-limit", "20", "--csv", report]) == 0
+        assert main(["compare", listed, scrambled, "--csv", report]) == 0
         with open(report) as handle:
             rows = list(csv.reader(handle))[1:]
     assert len(rows) == 2
@@ -267,12 +265,6 @@ def test_baseline_isolated_vertices(tmp_path, capsys):
     graph.write_text("p edge 3 0\n")
     assert main(["baseline", str(graph), "--method", "matched-vertices"]) == 0
     assert "size=3" in capsys.readouterr().out
-
-
-def test_baseline_maximal_mode(hard4, capsys):
-    assert main(["baseline", hard4, "--method", "matched-vertices",
-                 "--matching", "maximal"]) == 0
-    assert "valid=true" in capsys.readouterr().out
 
 
 def test_verify_invalid_cover(k3, tmp_path, capsys):
@@ -323,7 +315,14 @@ def test_gen_gnp_deterministic(tmp_path):
 
 
 def test_gen_gnp_requires_p_and_seed(capsys):
-    assert main(["gen", "gnp", "--n", "5"]) == 2
+    # --p and --seed go with gnp, and with gnp alone
+    for argv, message in [
+        (["gnp", "--n", "5"], "gnp requires --p and --seed"),
+        (["path", "--n", "3", "--p", "0.5"], "path takes no --p or --seed"),
+        (["star", "--n", "3", "--seed", "2"], "star takes no --p or --seed"),
+    ]:
+        assert main(["gen", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv, count", [
@@ -353,28 +352,19 @@ def test_gen_complete_above_the_edge_ceiling_exits_2_at_once(capsys):
         f"error: complete(100000) has 4999950000 edges, more than MAX_VERTICES={MAX_VERTICES}\n")
 
 
-# sha256 of `gen` stdout for every non-random family, with and without
-# --isolated, then serialize_graph(petersen()), recorded while cycle and
-# petersen still sorted their pairs themselves.
-GOLDEN_GEN = "290590a40de3ba8c13d8f314378a004d3a7e0bb35bb1779130265819c2f58e2c"
+# sha256 of `gen` stdout for every non-random family, then
+# serialize_graph(petersen()), recorded while cycle and petersen still
+# sorted their pairs themselves.
+GOLDEN_GEN = "2cd2223c0336e03830e782b8cce7966c261d8527f53618d37c6ca7a90808920d"
 
 
 def test_gen_families_golden(capsys):
     outputs = []
     for family, n in [("figure1", 6), ("path", 7), ("cycle", 7), ("star", 7), ("complete", 6)]:
-        for extra in ([], ["--isolated", "2"]):
-            assert main(["gen", family, "--n", str(n), *extra]) == 0
-            outputs.append(capsys.readouterr().out)
+        assert main(["gen", family, "--n", str(n)]) == 0
+        outputs.append(capsys.readouterr().out)
     outputs.append(serialize_graph(petersen()))
     assert hashlib.sha256("".join(outputs).encode()).hexdigest() == GOLDEN_GEN
-
-
-def test_gen_isolated_flag(tmp_path, capsys):
-    out = tmp_path / "k2iso.gr"
-    assert main(["gen", "complete", "--n", "2", "--isolated", "2", "-o", str(out)]) == 0
-    g = parse_graph(out.read_text())
-    assert g.n == 4
-    assert len(g.edges) == 1
 
 
 def test_compare_csv_content(hard4, k3, tmp_path):
@@ -397,26 +387,28 @@ def test_compare_ratio_column_on_hard_family(tmp_path):
         f.write_text(serialize_graph(hard_instance(n)))
         files.append(str(f))
     out = tmp_path / "report.csv"
-    assert main(["compare", *files, "--csv", str(out), "--exact-limit", "0"]) == 0
+    assert main(["compare", *files, "--csv", str(out)]) == 0
     rows = out.read_text().splitlines()[1:]
     assert len(rows) == 5
-    for row in rows:
+    # 19 and 28 elements fit MAX_ELEMENTS = 32; 37, 46 and 55 do not
+    for row, exact in zip(rows, ["3", "4", "", "", ""]):
         fields = row.split(",")
         assert fields[11] == "2.0000"  # ratio_vs_lb
-        assert fields[8] == ""  # exact disabled
+        assert fields[8] == exact
 
 
-def test_compare_exact_limit_above_the_default(tmp_path):
-    # hard_instance(8) has 37 elements: over the default limit of 32 its
-    # exact columns stay empty, and --exact-limit 40 must reach the search
-    graph = tmp_path / "hard8.gr"
-    graph.write_text(serialize_graph(hard_instance(8)))
-    for extra, exact, ratio in (([], "", ""), (["--exact-limit", "40"], "5", "1.6000")):
+def test_compare_exact_columns_stop_at_max_elements(tmp_path):
+    # the exact oracle runs when n + |E| <= MAX_ELEMENTS = 32, and only then
+    for name, g, alg, exact, ratio in [("cycle16", cycle(16), "8", "7", "1.1429"),  # 32
+                                       ("path17", path(17), "8", "", ""),  # 33
+                                       ("hard8", hard_instance(8), "8", "", "")]:  # 37
+        graph = tmp_path / f"{name}.gr"
+        graph.write_text(serialize_graph(g))
         out = tmp_path / "report.csv"
-        assert main(["compare", str(graph), "--csv", str(out), *extra]) == 0
+        assert main(["compare", str(graph), "--csv", str(out)]) == 0
         [row] = csv.DictReader(out.read_text().splitlines())
         assert (row["alg_size"], row["exact_size"], row["ratio_vs_exact"], row["error"]) == \
-            ("8", exact, ratio, "")
+            (alg, exact, ratio, "")
 
 
 def oracle_ratio(num, den):
@@ -554,11 +546,11 @@ def doubled_bad_pairs(g, matching):
 
 
 FAILED_VALIDATIONS = [
-    ("solve", "k3", tcover.approx, "is_total_cover", lambda g, d: (False, 0),
+    ("solve", "k3", tcover.approx, "is_total_cover", lambda d: (False, 0),
      "constructed cover misses vertex 1"),
-    ("baseline", "k3", tcover.cli, "is_total_cover", lambda g, d: (False, 0),
+    ("baseline", "k3", tcover.cli, "is_total_cover", lambda d: (False, 0),
      "baseline cover misses vertex 1"),
-    ("exact", "k3", tcover.exact, "is_total_cover", lambda g, d: (False, 0),
+    ("exact", "k3", tcover.exact, "is_total_cover", lambda d: (False, 0),
      "exact total cover misses vertex 1"),
     ("solve", "k3", tcover.approx, "bad_vertex_assignment", doubled_bad_pairs,
      "cover has 2 elements, not m + k + t"),
@@ -675,9 +667,9 @@ def test_solve_validates_the_cover_once(k3, monkeypatch):
     calls = []
 
     def counting(check):
-        def wrapper(g, d):
+        def wrapper(d):
             calls.append(d)
-            return check(g, d)
+            return check(d)
         return wrapper
 
     for module in (tcover.approx, tcover.cli):
@@ -708,11 +700,6 @@ def test_negative_search_limit_is_a_usage_error(k3, capsys):
         (["exact", k3, "--max-elements", "-1"],
          "argument --max-elements: invalid non-negative int value: '-1'"),
         (["exact", k3, "--max-elements", "x"], "argument --max-elements: invalid int value: 'x'"),
-        (["compare", k3, "--exact-limit", "-1"],
-         "argument --exact-limit: invalid non-negative int value: '-1'"),
-        (["compare", k3, "--exact-limit", "x"], "argument --exact-limit: invalid int value: 'x'"),
-        (["gen", "path", "--n", "2", "--isolated", "-1"],
-         "argument --isolated: invalid non-negative int value: '-1'"),
     ]:
         with pytest.raises(SystemExit) as err:
             main(argv)

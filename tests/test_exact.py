@@ -94,7 +94,7 @@ def test_no_smaller_cover_exists():
         best = exact_total_cover(g, max_elements=64).size
         assert best > 0
         for combo in combinations(range(g.n + len(g.edges)), best - 1):
-            assert not is_total_cover(g, ElementSet(g, combo))[0]
+            assert not is_total_cover(ElementSet(g, combo))[0]
 
 
 def test_lower_bound_below_exact():
@@ -236,7 +236,7 @@ def test_wrong_masks_raise_certificate_error(monkeypatch):
 
 def test_exact_optimum_is_confirmed_by_is_total_cover(monkeypatch):
     # the search result is handed to the one cover check, whose verdict stands
-    def rejects_everything(g, d):
+    def rejects_everything(d):
         return False, 0
 
     monkeypatch.setattr(tcover.exact, "is_total_cover", rejects_everything)

@@ -81,7 +81,7 @@ def test_hard_instance_matching_and_cover():
         assert maximum_matching(g).size == n
         rungs = range(g.n + 2 * n, g.n + 2 * n + n // 2)
         cover = ElementSet(g, [0, *rungs])
-        assert is_total_cover(g, cover)[0]
+        assert is_total_cover(cover)[0]
         assert len(cover) == n // 2 + 1
 
 

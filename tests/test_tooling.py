@@ -1,5 +1,6 @@
 """Checks over the source tree itself: the package and the demo scripts."""
 
+import argparse
 import ast
 import glob
 import os
@@ -11,6 +12,7 @@ import types
 import pytest
 
 import tcover
+from tcover.cli import build_parser
 
 SRC = os.path.dirname(os.path.dirname(tcover.__file__))
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -46,6 +48,25 @@ def test_exports_are_exactly_the_public_names():
     names = [name for module in modules for name in module.__all__]
     assert len(names) == len(set(names))
     assert tcover.__all__ == names
+
+
+def test_cli_options_are_exactly_these():
+    # each subcommand's optional arguments, -h excluded, counted as the
+    # "Source size" CI step counts them; a new option needs an edit here
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    options = {command: [action.option_strings for action in parser._actions
+                         if action.option_strings and not isinstance(action, argparse._HelpAction)]
+               for command, parser in sub.choices.items()}
+    assert options == {
+        "solve": [["--trace"], ["--output"]],
+        "exact": [["--max-elements"], ["--max-candidates"]],
+        "baseline": [["--method"]],
+        "verify": [["--cover"]],
+        "gen": [["--n"], ["--p"], ["--seed"], ["-o", "--output"]],
+        "compare": [["--dir"], ["--csv"]],
+    }
+    assert sum(map(len, options.values())) == 12
 
 
 def test_cli_reports_errors_only_in_main():
