@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from itertools import compress
+from itertools import compress, islice
 from typing import Iterator, NamedTuple
 
 from .graph import CertificateError, ElementSet, Graph, format_element, is_total_cover
@@ -68,7 +68,9 @@ class ApproxResult(NamedTuple):
     isolated_count elements, where matching is the maximum matching the
     cover was built from; lower_bound is a valid lower bound on every
     total cover, and the cover has at most twice that many elements.
-    ``order`` is the cover in step order; ``trace`` derives each step from it.
+    ``order`` is the cover in step order; ``step_spans`` says which step
+    added each stretch of it and why, and ``trace`` derives each step from
+    those.
     """
 
     cover: ElementSet
@@ -79,17 +81,24 @@ class ApproxResult(NamedTuple):
     order: tuple[int, ...]
 
     @property
+    def step_spans(self) -> tuple[tuple[int, str, str, int, int], ...]:
+        """Each step's stretch of ``order`` as (step, reason of a vertex,
+        reason of an edge, start, stop): the isolated vertices, then each
+        bad vertex followed by its edge, then the step-3 endpoints and
+        matching edges.  Step 1 adds no edges."""
+        t = self.isolated_count
+        bad_end = t + 2 * self.bad_vertex_count
+        return ((1, "isolated", "isolated", 0, t),
+                (2, "bad-vertex", "bad-edge", t, bad_end),
+                (3, "endpoint", "matching-edge", bad_end, len(self.order)))
+
+    @property
     def trace(self) -> Iterator[TraceStep]:
-        """The isolated vertices, then each bad vertex and its edge, then
-        the step-3 endpoints and matching edges, in ``order``."""
-        n, t = self.cover.graph.n, self.isolated_count
-        for i, x in enumerate(self.order):
-            if i < t:
-                yield TraceStep(1, "isolated", x)
-            elif i < t + 2 * self.bad_vertex_count:
-                yield TraceStep(2, "bad-vertex" if x < n else "bad-edge", x)
-            else:
-                yield TraceStep(3, "endpoint" if x < n else "matching-edge", x)
+        """One TraceStep per element of ``order``, as ``step_spans`` tags it."""
+        n = self.cover.graph.n
+        for step, on_vertex, on_edge, start, stop in self.step_spans:
+            for x in islice(self.order, start, stop):
+                yield TraceStep(step, on_vertex if x < n else on_edge, x)
 
 
 def bad_vertex_assignment(g: Graph, matching: Matching) -> BadVertexAssignment:

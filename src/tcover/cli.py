@@ -12,6 +12,7 @@ import csv
 import io
 import os
 import sys
+from itertools import islice
 
 from .approx import approx_total_cover, greedy_domination_cover, matched_vertices_cover
 from .exact import MAX_CANDIDATES, MAX_ELEMENTS, BudgetExceededError, TooLargeError
@@ -20,7 +21,6 @@ from .graph import (
     CertificateError,
     Graph,
     GraphError,
-    element_cover_line,
     format_element,
     is_total_cover,
     parse_cover,
@@ -114,8 +114,17 @@ def cmd_solve(args) -> int:
         f"ratio={format_ratio(len(result.cover), result.lower_bound)}"
     )
     if args.trace:
-        sys.stdout.writelines(f"{step} {reason} {element_cover_line(g, element)}\n"
-                              for step, reason, element in result.trace)
+        # the lines of ApproxResult.trace, written span by span with no
+        # TraceStep and no element_cover_line call per element
+        n, edges, write = g.n, g.edges, sys.stdout.write
+        for step, on_vertex, on_edge, start, stop in result.step_spans:
+            vertex_head, edge_head = f"{step} {on_vertex} v ", f"{step} {on_edge} e "
+            for x in islice(result.order, start, stop):
+                if x < n:
+                    write(f"{vertex_head}{x + 1}\n")
+                else:
+                    u, v = edges[x - n]
+                    write(f"{edge_head}{u + 1} {v + 1}\n")
     return EXIT_OK
 
 

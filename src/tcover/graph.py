@@ -332,7 +332,15 @@ def parse_cover(text: str, g: Graph) -> ElementSet:
 
 
 def serialize_cover(d: ElementSet) -> str:
-    """Cover file text: vertices ascending, then edges ascending."""
+    """Cover file text: vertices ascending, then edges ascending, each
+    line as ``element_cover_line`` renders it.  The lines go into one
+    buffer as they are made, straight from the flags, with no list of
+    them and no element_cover_line call per line."""
+    g, flags = d.graph, d.flags
     out = io.StringIO()
-    out.writelines(f"{element_cover_line(d.graph, x)}\n" for x in d)
+    write = out.write
+    for v in compress(range(1, g.n + 1), flags):
+        write(f"v {v}\n")
+    for u, v in compress(g.edges, flags[g.n:]):
+        write(f"e {u + 1} {v + 1}\n")
     return out.getvalue()

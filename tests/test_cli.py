@@ -22,14 +22,17 @@ from tcover import (
     CertificateError,
     Graph,
     Matching,
+    approx_total_cover,
     bad_vertex_assignment,
+    element_cover_line,
     serialize_graph,
 )
 from tcover.cli import format_ratio, main
 from tcover.graph import MAX_VERTICES
 from tcover.instances import complete, cycle, gnp, hard_instance, path, star
 
-from helpers import golden_graph, petersen, scrambled_edge_lists
+from helpers import (golden_graph, petersen, scrambled_edge_lists,
+                     sparse_graphs_with_pendant_triangles, small_graphs)
 
 
 @pytest.fixture
@@ -92,6 +95,54 @@ def test_solve_trace_lines(hard4, capsys):
         "3 matching-edge e 4 8",
         "3 matching-edge e 5 9",
     ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(small_graphs(), sparse_graphs_with_pendant_triangles()))
+def test_solve_writes_what_the_reference_formatter_renders(g):
+    # the trace and cover writers stream their lines without
+    # element_cover_line, which stays the rendering of one element
+    result = approx_total_cover(g)
+    with tempfile.TemporaryDirectory() as tmp:
+        graph, cover = os.path.join(tmp, "g.gr"), os.path.join(tmp, "out.cover")
+        with open(graph, "w") as handle:
+            handle.write(serialize_graph(g))
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["solve", graph, "--trace", "--output", cover]) == 0
+        with open(cover) as handle:
+            cover_text = handle.read()
+    assert out.getvalue().split("\n", 1)[1] == "".join(
+        f"{s.step} {s.reason} {element_cover_line(g, s.element)}\n" for s in result.trace)
+    assert cover_text == "".join(f"{element_cover_line(g, x)}\n" for x in sorted(result.order))
+
+
+def test_solve_trace_keeps_no_list_of_its_lines(tmp_path, monkeypatch):
+    # measured from the moment the result exists: a slice copy of the
+    # 2**18 - 2 isolated vertices in its step order adds 2 MiB, a list of
+    # the trace lines 20 MiB (one edge, so that slice is not all of order,
+    # which CPython would hand back uncopied)
+    graph = tmp_path / "g.gr"
+    graph.write_text("p edge 262144 1\ne 1 2\n")
+    held = []
+
+    def then_reset_the_peak(g):
+        result = approx_total_cover(g)
+        tracemalloc.reset_peak()
+        held.append(tracemalloc.get_traced_memory()[0])
+        return result
+
+    monkeypatch.setattr(tcover.cli, "approx_total_cover", then_reset_the_peak)
+    with open(tmp_path / "trace.out", "w") as handle, contextlib.redirect_stdout(handle):
+        tracemalloc.start()
+        try:
+            assert main(["solve", str(graph), "--trace"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak - held[0] < 1 << 20
+    lines = (tmp_path / "trace.out").read_text().splitlines()
+    assert len(lines) == 1 + (1 << 18) - 1
+    assert lines[-2:] == ["1 isolated v 262144", "3 matching-edge e 1 2"]
 
 
 def test_solve_writes_cover_that_verifies(hard4, tmp_path, capsys):
