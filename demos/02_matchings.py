@@ -8,7 +8,7 @@ more than floor(n/2) edges, so each matching below is proved maximum by
 counting: it has exactly that many.
 """
 
-from tcover import Graph, greedy_maximal_matching, maximum_matching
+from tcover import Graph, Matching, maximum_matching
 from tcover.instances import cycle
 
 
@@ -17,11 +17,17 @@ def maximum_by_count(g, m):
     return f"{m.size} edges = floor({g.n}/2), so maximum"
 
 
-# On the path 2-0-1-3 the middle edge (0,1) has the lowest id, so the
-# greedy scan takes it first and then cannot extend; the maximum matching
-# pairs everyone.
+# A greedy scan takes, in ascending id order, every edge whose endpoints
+# are both still free.  On the path 2-0-1-3 the middle edge (0,1) has the
+# lowest id, so the scan takes it first and then cannot extend; the
+# maximum matching pairs everyone.
 p4 = Graph(4, [(2, 0), (0, 1), (1, 3)])
-print("P4 greedy size:", greedy_maximal_matching(p4).size)
+free, taken = [True] * p4.n, []
+for eid, (u, v) in enumerate(p4.edges):
+    if free[u] and free[v]:
+        free[u] = free[v] = False
+        taken.append(eid)
+print("P4 greedy size:", Matching(p4, taken).size)
 print("P4 maximum    :", maximum_by_count(p4, maximum_matching(p4)))
 
 # Odd cycles are the classic trap for naive augmenting-path search.

@@ -222,11 +222,10 @@ def matched_vertices_cover(matching: Matching) -> ElementSet:
     """Baseline: both endpoints of every edge of a maximal ``matching``,
     plus all isolated vertices of its graph ``matching.graph``.
 
-    Any maximal matching works, such as ``greedy_maximal_matching``,
-    ``maximum_matching`` or ``ApproxResult.matching``: every edge has a
-    matched endpoint, and every non-isolated unmatched vertex has only
-    matched neighbors.  The size is 2|M| + t, which can approach four
-    times the optimum.
+    Any maximal matching works, such as ``maximum_matching`` or
+    ``ApproxResult.matching``: every edge has a matched endpoint, and
+    every non-isolated unmatched vertex has only matched neighbors.  The
+    size is 2|M| + t, which can approach four times the optimum.
     """
     g = matching.graph
     matched = [x for eid in matching.edge_ids for x in g.edges[eid]]

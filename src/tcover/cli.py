@@ -46,8 +46,8 @@ EXIT_TOO_LARGE = 4
 EXIT_BUDGET = 5
 EXIT_MEMORY = 6
 
-# main() turns exceptions of these classes into exit codes; anything else,
-# such as the plain ValueError of negative search limits, propagates.
+# main() turns exceptions of these classes into exit codes; anything else
+# propagates with its traceback.
 # UnicodeDecodeError is an input file that is not UTF-8 text.
 EXIT_CODES: dict[type[BaseException], int] = {
     OSError: EXIT_PARSE,
@@ -84,17 +84,6 @@ def format_ratio(num: int, den: int) -> str:
     if 2 * rem >= den:
         units += 1
     return f"{units // 10000}.{units % 10000:04d}"
-
-
-def _limit(text: str) -> int:
-    """argparse type of a search guard: a non-negative int, else exit 2."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"invalid non-negative int value: {text!r}")
-    return value
 
 
 def _read_graph(path_arg: str) -> Graph:
@@ -254,9 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exact = sub.add_parser("exact", help="minimum total cover by branch and bound")
     p_exact.add_argument("graph", help="graph file")
-    p_exact.add_argument("--max-elements", type=_limit, default=MAX_ELEMENTS,
+    p_exact.add_argument("--max-elements", type=int, default=MAX_ELEMENTS,
                          metavar="N", help="refuse graphs with more than N vertices + edges")
-    p_exact.add_argument("--max-candidates", type=_limit, default=MAX_CANDIDATES,
+    p_exact.add_argument("--max-candidates", type=int, default=MAX_CANDIDATES,
                          metavar="N", help="search-node budget")
     p_exact.set_defaults(func=cmd_exact)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from .graph import CertificateError, ElementSet, Graph, format_element, is_total_cover
+from .graph import CertificateError, ElementSet, Graph, GraphError, format_element, is_total_cover
 
 __all__ = [
     "BudgetExceededError",
@@ -134,10 +134,10 @@ def exact_total_cover(g: Graph, *, max_elements: int = MAX_ELEMENTS,
     ``total_graph(g)``.  The masks come from ``g.adj`` and ``g.edges``,
     not through ``total_graph`` or ``is_total_cover``; ``is_total_cover``
     only confirms the returned set, raising CertificateError if it finds
-    an element the set misses.  A negative guard raises ValueError.
+    an element the set misses.  A negative guard raises GraphError.
     """
     if max_elements < 0 or max_candidates < 0:
-        raise ValueError("search limits must be non-negative")
+        raise GraphError("search limits must be non-negative")
     total = g.n + len(g.edges)
     if total > max_elements:
         raise TooLargeError(f"{total} elements exceeds max_elements={max_elements}")

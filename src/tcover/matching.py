@@ -1,4 +1,4 @@
-"""Maximal and maximum matchings.
+"""Maximum matchings, and the Matching record they return.
 
 The maximum matching routine is an augmenting-path search with odd-cycle
 (blossom) contraction, so it is correct on general graphs.  Everything
@@ -14,7 +14,6 @@ from .graph import CertificateError, Graph, GraphError
 
 __all__ = [
     "Matching",
-    "greedy_maximal_matching",
     "maximum_matching",
 ]
 
@@ -54,19 +53,6 @@ class Matching:
 
     def __repr__(self) -> str:
         return f"Matching(size={self.size}, edge_ids={list(self.edge_ids)})"
-
-
-def greedy_maximal_matching(g: Graph) -> Matching:
-    """Scan edges in ascending id order, taking every edge whose endpoints
-    are both still free.  The result is maximal: no edge of the graph has
-    two unmatched endpoints."""
-    free = [True] * g.n
-    taken = []
-    for eid, (u, v) in enumerate(g.edges):
-        if free[u] and free[v]:
-            free[u] = free[v] = False
-            taken.append(eid)
-    return Matching(g, taken)
 
 
 def maximum_matching(g: Graph) -> Matching:

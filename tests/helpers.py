@@ -165,6 +165,19 @@ def golden_graph(name: str) -> Graph:
     }[name]()
 
 
+def greedy_maximal_matching(g: Graph) -> Matching:
+    """Scan edges in ascending id order, taking every edge whose endpoints
+    are both still free.  The result is maximal: no edge of the graph has
+    two unmatched endpoints."""
+    free = [True] * g.n
+    taken = []
+    for eid, (u, v) in enumerate(g.edges):
+        if free[u] and free[v]:
+            free[u] = free[v] = False
+            taken.append(eid)
+    return Matching(g, taken)
+
+
 def reference_maximum_matching(g: Graph) -> Matching:
     """maximum_matching as it was before its free-neighbor step and dead
     vertices, kept verbatim as the oracle for its exact edge ids.

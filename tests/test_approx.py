@@ -21,7 +21,6 @@ from tcover import (
     bad_vertex_assignment,
     exact_total_cover,
     greedy_domination_cover,
-    greedy_maximal_matching,
     is_total_cover,
     matched_vertices_cover,
     maximum_matching,
@@ -30,8 +29,9 @@ from tcover import (
 )
 from tcover.instances import complete, cycle, gnp, hard_instance, path, star
 
-from helpers import (enumerate_graphs, golden_graph, petersen, reference_trace, shuffled_copies,
-                     small_graphs, sparse_graphs_with_a_hub, verify_matching)
+from helpers import (enumerate_graphs, golden_graph, greedy_maximal_matching, petersen,
+                     reference_trace, shuffled_copies, small_graphs, sparse_graphs_with_a_hub,
+                     verify_matching)
 
 
 def test_bad_vertices_of_triangle():

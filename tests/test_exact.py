@@ -10,6 +10,7 @@ from tcover import (
     CertificateError,
     ElementSet,
     Graph,
+    GraphError,
     TooLargeError,
     approx_total_cover,
     exact_total_cover,
@@ -71,7 +72,7 @@ def test_limits_validation():
     # checked ahead of the size guard, which would call the empty graph's
     # 0 elements too many for max_elements=-1
     for limits in ({"max_elements": -1}, {"max_candidates": -1}):
-        with pytest.raises(ValueError, match="^search limits must be non-negative$"):
+        with pytest.raises(GraphError, match="^search limits must be non-negative$"):
             exact_total_cover(Graph(0), **limits)
 
 

@@ -15,14 +15,13 @@ from tcover import (
     GraphError,
     Matching,
     TooLargeError,
-    greedy_maximal_matching,
     maximum_matching,
 )
 from tcover.instances import complete, cycle, gnp, hard_instance, path
 
 from helpers import (brute_force_maximum_matching, chorded_odd_cycles, enumerate_graphs,
-                     golden_graph, petersen, reference_maximum_matching, small_graphs,
-                     sparse_graphs_with_a_hub, sparse_graphs_with_pendant_triangles,
+                     golden_graph, greedy_maximal_matching, petersen, reference_maximum_matching,
+                     small_graphs, sparse_graphs_with_a_hub, sparse_graphs_with_pendant_triangles,
                      verify_matching)
 
 

@@ -48,6 +48,19 @@ def test_exports_are_exactly_the_public_names():
     names = [name for module in modules for name in module.__all__]
     assert len(names) == len(set(names))
     assert tcover.__all__ == names
+    # the public names themselves, module by module; a new one needs an edit here
+    assert tcover.__all__ == [
+        "ApproxResult", "BadVertexAssignment", "TraceStep", "approx_total_cover",
+        "bad_vertex_assignment", "greedy_domination_cover", "matched_vertices_cover",
+        "total_cover_lower_bound",
+        "BudgetExceededError", "ExactResult", "TooLargeError", "exact_total_cover",
+        "CertificateError", "ElementSet", "Graph", "GraphError", "ParseError",
+        "element_cover_line", "format_element", "is_total_cover", "isolated_vertices",
+        "parse_cover", "parse_graph", "serialize_cover", "serialize_graph", "total_graph",
+        "complete", "cycle", "gnp", "hard_instance", "path", "star",
+        "Matching", "maximum_matching",
+    ]
+    assert len(names) == 34
 
 
 def test_cli_options_are_exactly_these():
