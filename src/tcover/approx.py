@@ -15,8 +15,8 @@ from collections import defaultdict
 from itertools import compress, islice
 from typing import Iterator, NamedTuple
 
-from .graph import CertificateError, ElementSet, Graph, format_element, is_total_cover
-from .graph import isolated_vertices, total_graph
+from .graph import CertificateError, ElementSet, Graph, GraphError, format_element
+from .graph import is_total_cover, isolated_vertices, total_graph
 from .matching import Matching, maximum_matching
 
 __all__ = [
@@ -101,16 +101,25 @@ class ApproxResult(NamedTuple):
                 yield TraceStep(step, on_vertex if x < n else on_edge, x)
 
 
+def _certified(cover: ElementSet, what: str) -> ElementSet:
+    """``cover`` itself once ``is_total_cover`` accepts it; else
+    CertificateError naming the first uncovered element."""
+    ok, witness = is_total_cover(cover)
+    if not ok:
+        raise CertificateError(f"{what} misses {format_element(cover.graph, witness)}")
+    return cover
+
+
 def bad_vertex_assignment(g: Graph, matching: Matching) -> BadVertexAssignment:
     """Find the bad vertices for a maximum matching.
 
     A bad vertex is unmatched and adjacent to both endpoints of some
     matching edge.  Raises CertificateError when two bad vertices claim
     the same matching edge, which cannot happen for a maximum matching,
-    and ValueError if the matching belongs to another graph.
+    and GraphError if the matching belongs to another graph.
     """
     if matching.graph != g:
-        raise ValueError("the matching belongs to another graph")
+        raise GraphError("the matching belongs to another graph")
     claimed: dict[int, int] = {}
     partner = matching.mate  # -1 for an unmatched vertex, never a neighbor
     for v, near in enumerate(g.adj):
@@ -141,9 +150,9 @@ def total_cover_lower_bound(matching_size: int, bad_vertex_count: int, isolated_
     element covers at most two matching edges.
     """
     if matching_size < 0 or bad_vertex_count < 0 or isolated_count < 0:
-        raise ValueError("certificate quantities must be non-negative")
+        raise GraphError("certificate quantities must be non-negative")
     if bad_vertex_count > matching_size:
-        raise ValueError("bad vertex count cannot exceed the matching size")
+        raise GraphError("bad vertex count cannot exceed the matching size")
     return (matching_size + bad_vertex_count + 1) // 2 + isolated_count
 
 
@@ -205,11 +214,8 @@ def approx_total_cover(g: Graph) -> ApproxResult:
     lower_bound = total_cover_lower_bound(matching.size, assignment.count, t)
     if size > 2 * lower_bound:
         raise CertificateError(f"cover of {size} elements exceeds twice the lower bound {lower_bound}")
-    ok, witness = is_total_cover(cover)
-    if not ok:
-        raise CertificateError(f"constructed cover misses {format_element(g, witness)}")
     return ApproxResult(
-        cover=cover,
+        cover=_certified(cover, "constructed cover"),
         matching=matching,
         bad_vertex_count=assignment.count,
         isolated_count=t,
@@ -229,7 +235,7 @@ def matched_vertices_cover(matching: Matching) -> ElementSet:
     """
     g = matching.graph
     matched = [x for eid in matching.edge_ids for x in g.edges[eid]]
-    return ElementSet(g, isolated_vertices(g) + matched)
+    return _certified(ElementSet(g, isolated_vertices(g) + matched), "baseline cover")
 
 
 def greedy_domination_cover(g: Graph) -> ElementSet:
@@ -266,4 +272,4 @@ def greedy_domination_cover(g: Graph) -> ElementSet:
                 gain[y] -= 1
                 for x in rows[y]:
                     gain[x] -= 1
-    return ElementSet(g, picks)
+    return _certified(ElementSet(g, picks), "baseline cover")

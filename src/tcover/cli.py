@@ -1,4 +1,4 @@
-"""Command line front end: tcover solve | exact | baseline | verify | gen | compare.
+"""Command line front end: tcover solve | exact | verify | gen | compare.
 
 Exit codes: 0 ok, 1 invalid cover, 2 parse/parameter/file error, 3 internal
 validation failure, 4 search guard exceeded, 5 candidate budget exceeded,
@@ -28,7 +28,6 @@ from .graph import (
     serialize_cover,
     serialize_graph,
 )
-from .matching import maximum_matching
 from .instances import (
     complete,
     cycle,
@@ -123,19 +122,6 @@ def cmd_exact(args) -> int:
                                max_candidates=args.max_candidates)
     print(f"size={result.size} candidates={result.candidates_checked}")
     sys.stdout.write(serialize_cover(result.optimum))
-    return EXIT_OK
-
-
-def cmd_baseline(args) -> int:
-    g = _read_graph(args.graph)
-    if args.method == "matched-vertices":
-        cover = matched_vertices_cover(maximum_matching(g))
-    else:
-        cover = greedy_domination_cover(g)
-    ok, witness = is_total_cover(cover)
-    if not ok:
-        raise CertificateError(f"baseline cover misses {format_element(g, witness)}")
-    print(f"size={len(cover)} valid=true")
     return EXIT_OK
 
 
@@ -248,12 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exact.add_argument("--max-candidates", type=int, default=MAX_CANDIDATES,
                          metavar="N", help="search-node budget")
     p_exact.set_defaults(func=cmd_exact)
-
-    p_base = sub.add_parser("baseline", help="run a baseline cover construction")
-    p_base.add_argument("graph", help="graph file")
-    p_base.add_argument("--method", required=True,
-                        choices=["matched-vertices", "greedy-domination"])
-    p_base.set_defaults(func=cmd_baseline)
 
     p_verify = sub.add_parser("verify", help="validate a cover file against a graph")
     p_verify.add_argument("graph", help="graph file")

@@ -39,7 +39,8 @@ class GraphError(ValueError):
     """Bad input, which the command line reports with exit 2: a graph that
     is not simple, a vertex, edge or element id out of range, a vertex
     count outside [0, MAX_VERTICES], a matching whose edges share an
-    endpoint, a generator parameter out of range, a negative search
+    endpoint or that belongs to another graph, inconsistent certificate
+    quantities, a generator parameter out of range, a negative search
     guard, or a usage error.
     ParseError is the one case that carries a file line number."""
 

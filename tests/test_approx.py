@@ -15,6 +15,7 @@ from tcover import (
     CertificateError,
     ElementSet,
     Graph,
+    GraphError,
     Matching,
     TraceStep,
     approx_total_cover,
@@ -78,9 +79,10 @@ def test_lower_bound_values():
 
 
 def test_lower_bound_validation():
-    with pytest.raises(ValueError):
+    # bad input, so a GraphError, which is a ValueError and exits 2
+    with pytest.raises(GraphError, match="^certificate quantities must be non-negative$"):
         total_cover_lower_bound(-1, 0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(GraphError, match="^bad vertex count cannot exceed the matching size$"):
         total_cover_lower_bound(1, 2, 0)
 
 
@@ -220,6 +222,15 @@ def test_matched_vertices_cover_reuses_a_given_matching():
         assert result.matching == maximum_matching(g)
         assert matched_vertices_cover(result.matching) == matched_vertices_cover(
             maximum_matching(g))
+
+
+def test_each_baseline_certifies_its_cover(monkeypatch):
+    k3 = complete(3)
+    monkeypatch.setattr(tcover.approx, "is_total_cover", lambda d: (False, 0))
+    for build in (lambda: matched_vertices_cover(maximum_matching(k3)),
+                  lambda: greedy_domination_cover(k3)):
+        with pytest.raises(CertificateError, match=r"^baseline cover misses vertex 1$"):
+            build()
 
 
 def test_greedy_domination_star():
@@ -387,8 +398,10 @@ GUARDED = {
 def test_a_matching_or_cover_of_another_graph_is_rejected(name):
     check = GUARDED[name]
     g = Graph(7, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])  # k = 2, t = 1
+    # the library's guard raises GraphError, the independent helper a plain ValueError
+    error = GraphError if name == "bad_vertex_assignment" else ValueError
     for other in (Graph(6, g.edges), Graph(g.n + 1, g.edges)):
-        with pytest.raises(ValueError, match="^the matching belongs to another graph$"):
+        with pytest.raises(error, match="^the matching belongs to another graph$"):
             check(g, other)
     # the same edges listed in another order, each pair reversed, are the same graph
     shuffled = Graph(g.n, [(v, u) for u, v in reversed(g.edges)])

@@ -266,9 +266,7 @@ def cli_outputs(graph_file):
     outputs = []
     cover = graph_file + ".cover"
     for argv in (["solve", graph_file, "--trace", "--output", cover],
-                 ["exact", graph_file, "--max-elements", "20"],
-                 ["baseline", graph_file, "--method", "matched-vertices"],
-                 ["baseline", graph_file, "--method", "greedy-domination"]):
+                 ["exact", graph_file, "--max-elements", "20"]):
         with contextlib.redirect_stdout(io.StringIO()) as out:
             outputs.append((main(argv), out.getvalue()))
     with open(cover) as handle:
@@ -297,25 +295,41 @@ def test_output_ignores_the_order_of_edge_lines(case):
     assert rows[0][1:] == rows[1][1:]  # all but the instance name
 
 
+def compare_row(graph_file, capsys):
+    """The one CSV row of `compare FILE`, by column name."""
+    assert main(["compare", graph_file]) == 0
+    [row] = csv.DictReader(capsys.readouterr().out.splitlines())
+    return row
+
+
 def test_baseline_matched_vertices(hard4, capsys):
-    assert main(["baseline", hard4, "--method", "matched-vertices"]) == 0
-    assert capsys.readouterr().out.strip() == "size=8 valid=true"
+    assert compare_row(hard4, capsys)["baseline_size"] == "8"
 
 
 def test_baseline_greedy_domination(tmp_path, capsys):
     graph = tmp_path / "star10.gr"
     graph.write_text(serialize_graph(star(10)))
-    assert main(["baseline", str(graph), "--method", "greedy-domination"]) == 0
-    out = capsys.readouterr().out
-    size = int(out.split()[0].split("=")[1])
-    assert size <= 2
+    assert int(compare_row(str(graph), capsys)["greedy_size"]) <= 2
 
 
 def test_baseline_isolated_vertices(tmp_path, capsys):
     graph = tmp_path / "iso3.gr"
     graph.write_text("p edge 3 0\n")
-    assert main(["baseline", str(graph), "--method", "matched-vertices"]) == 0
-    assert "size=3" in capsys.readouterr().out
+    assert compare_row(str(graph), capsys)["baseline_size"] == "3"
+
+
+def star_of_all_elements(g):
+    # T(G)'s rows replaced by a star on element 0, so the greedy picks it alone
+    total = g.n + len(g.edges)
+    return [tuple(range(1, total))] + [(0,)] * (total - 1)
+
+
+def test_compare_certifies_its_baseline_columns(k3, capsys, monkeypatch):
+    # the greedy's one pick, vertex 1, leaves edge (2,3) uncovered
+    monkeypatch.setattr(tcover.approx, "total_graph", star_of_all_elements)
+    assert main(["compare", k3]) == 3
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert rows[1] == ["k3.gr"] + [""] * 12 + ["internal error: baseline cover misses edge (2,3)"]
 
 
 def test_verify_invalid_cover(k3, tmp_path, capsys):
@@ -599,8 +613,6 @@ def doubled_bad_pairs(g, matching):
 FAILED_VALIDATIONS = [
     ("solve", "k3", tcover.approx, "is_total_cover", lambda d: (False, 0),
      "constructed cover misses vertex 1"),
-    ("baseline", "k3", tcover.cli, "is_total_cover", lambda d: (False, 0),
-     "baseline cover misses vertex 1"),
     ("exact", "k3", tcover.exact, "is_total_cover", lambda d: (False, 0),
      "exact total cover misses vertex 1"),
     ("solve", "k3", tcover.approx, "bad_vertex_assignment", doubled_bad_pairs,
@@ -618,7 +630,6 @@ def test_failed_validation_exits_3(request, capsys, monkeypatch, command, graph,
                                    replacement, message):
     monkeypatch.setattr(patched, name, replacement)
     argv = [command, request.getfixturevalue(graph)]
-    argv += ["--method", "matched-vertices"] if command == "baseline" else []
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.err == f"internal error: {message}\n"

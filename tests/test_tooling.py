@@ -74,12 +74,11 @@ def test_cli_options_are_exactly_these():
     assert options == {
         "solve": [["--trace"], ["--output"]],
         "exact": [["--max-elements"], ["--max-candidates"]],
-        "baseline": [["--method"]],
         "verify": [["--cover"]],
         "gen": [["--n"], ["--p"], ["--seed"], ["-o", "--output"]],
         "compare": [["--dir"], ["--csv"]],
     }
-    assert sum(map(len, options.values())) == 12
+    assert sum(map(len, options.values())) == 11
 
 
 def test_cli_reports_errors_only_in_main():
@@ -94,6 +93,16 @@ def test_cli_reports_errors_only_in_main():
             if isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stderr"]
     assert len(uses) == 1, f"sys.stderr at lines {[node.lineno for node in uses]}"
     assert uses[0] in list(ast.walk(main))
+
+
+def test_cli_constructs_no_certificate_error():
+    # the library certifies every cover it returns; the CLI only reports
+    path = os.path.join(SRC, "tcover", "cli.py")
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), path)
+    raised = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and ast.unparse(node.func) == "CertificateError"]
+    assert raised == [], f"CertificateError constructed at lines {raised}"
 
 
 def test_demos_are_found():
