@@ -15,8 +15,8 @@ from collections import defaultdict
 from itertools import compress, islice
 from typing import Iterator, NamedTuple
 
-from .graph import CertificateError, ElementSet, Graph, GraphError, format_element
-from .graph import is_total_cover, isolated_vertices, total_graph
+from .graph import CertificateError, ElementSet, Graph, GraphError, _certified
+from .graph import isolated_vertices, total_graph
 from .matching import Matching, maximum_matching
 
 __all__ = [
@@ -99,15 +99,6 @@ class ApproxResult(NamedTuple):
         for step, on_vertex, on_edge, start, stop in self.step_spans:
             for x in islice(self.order, start, stop):
                 yield TraceStep(step, on_vertex if x < n else on_edge, x)
-
-
-def _certified(cover: ElementSet, what: str) -> ElementSet:
-    """``cover`` itself once ``is_total_cover`` accepts it; else
-    CertificateError naming the first uncovered element."""
-    ok, witness = is_total_cover(cover)
-    if not ok:
-        raise CertificateError(f"{what} misses {format_element(cover.graph, witness)}")
-    return cover
 
 
 def bad_vertex_assignment(g: Graph, matching: Matching) -> BadVertexAssignment:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from .graph import CertificateError, ElementSet, Graph, GraphError, format_element, is_total_cover
+from .graph import ElementSet, Graph, GraphError, _certified
 
 __all__ = [
     "BudgetExceededError",
@@ -36,12 +36,8 @@ class TooLargeError(ValueError):
 
 
 class BudgetExceededError(ValueError):
-    """An exact search exceeded its search-node budget; ``cardinality_reached``
-    is the size of the best cover it had found."""
-
-    def __init__(self, message: str, cardinality_reached: int):
-        super().__init__(message)
-        self.cardinality_reached = cardinality_reached
+    """An exact search exceeded its search-node budget; the message names
+    the size of the best cover it had found."""
 
 
 class ExactResult(NamedTuple):
@@ -104,9 +100,7 @@ def _smallest_covering(masks: list[int], max_candidates: int) -> tuple[tuple[int
         nodes += 1
         if nodes > max_candidates:
             raise BudgetExceededError(
-                f"exceeded max_candidates={max_candidates} at cardinality {len(best)}",
-                cardinality_reached=len(best),
-            )
+                f"exceeded max_candidates={max_candidates} at cardinality {len(best)}")
         uncovered = everything & ~covered
         if len(chosen) - (-uncovered.bit_count() // widest) >= len(best):
             continue
@@ -142,8 +136,4 @@ def exact_total_cover(g: Graph, *, max_elements: int = MAX_ELEMENTS,
     if total > max_elements:
         raise TooLargeError(f"{total} elements exceeds max_elements={max_elements}")
     combo, checked = _smallest_covering(_total_cover_masks(g), max_candidates)
-    optimum = ElementSet(g, combo)
-    ok, witness = is_total_cover(optimum)
-    if not ok:
-        raise CertificateError(f"exact total cover misses {format_element(g, witness)}")
-    return ExactResult(optimum, checked)
+    return ExactResult(_certified(ElementSet(g, combo), "exact total cover"), checked)

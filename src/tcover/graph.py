@@ -22,7 +22,6 @@ __all__ = [
     "ElementSet",
     "Graph",
     "GraphError",
-    "ParseError",
     "element_cover_line",
     "format_element",
     "is_total_cover",
@@ -41,16 +40,8 @@ class GraphError(ValueError):
     count outside [0, MAX_VERTICES], a matching whose edges share an
     endpoint or that belongs to another graph, inconsistent certificate
     quantities, a generator parameter out of range, a negative search
-    guard, or a usage error.
-    ParseError is the one case that carries a file line number."""
-
-
-class ParseError(GraphError):
-    """A graph or cover file line could not be parsed."""
-
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+    guard, or a usage error.  A syntax fault in a graph file, and every
+    fault in a cover file, names its line in the text: ``line N: ...``."""
 
 
 class CertificateError(RuntimeError):
@@ -202,6 +193,15 @@ def is_total_cover(d: ElementSet) -> tuple[bool, Optional[int]]:
     return True, None
 
 
+def _certified(cover: ElementSet, what: str) -> ElementSet:
+    """``cover`` itself once ``is_total_cover`` accepts it; else
+    CertificateError naming the first uncovered element."""
+    ok, witness = is_total_cover(cover)
+    if not ok:
+        raise CertificateError(f"{what} misses {format_element(cover.graph, witness)}")
+    return cover
+
+
 def total_graph(g: Graph) -> tuple[tuple[int, ...], ...]:
     """The total graph of ``g`` as its adjacency rows.
 
@@ -248,8 +248,8 @@ def parse_graph(text: str) -> Graph:
     Only ``"\\n"`` ends a line, and lines starting with ``#`` or ``c`` are
     comments.  Exactly one header ``p edge <n> <m>`` must appear before
     the ``e <u> <v>`` lines, whose endpoints are 1-indexed.  Syntax
-    problems raise ParseError with the line number; semantic problems
-    (range, loops, duplicates) are reported by graph construction.
+    problems raise GraphError naming the line (``line N: ...``); semantic
+    problems (range, loops, duplicates) are reported by graph construction.
     """
     n = -1
     declared_edges = -1
@@ -261,32 +261,32 @@ def parse_graph(text: str) -> Graph:
             try:
                 pairs.append((int(fields[1]) - 1, int(fields[2]) - 1))
             except ValueError:
-                raise ParseError(line_no, f"non-integer endpoints in {raw.strip()!r}") from None
+                raise GraphError(f"line {line_no}: non-integer endpoints in {raw.strip()!r}") from None
             continue
         if not fields or fields[0][0] in "#c":
             continue
         line = raw.strip()
         if fields[0] == "p":
             if n >= 0:
-                raise ParseError(line_no, "duplicate 'p edge' header")
+                raise GraphError(f"line {line_no}: duplicate 'p edge' header")
             if len(fields) != 4 or fields[1] != "edge":
-                raise ParseError(line_no, f"malformed header {line!r}")
+                raise GraphError(f"line {line_no}: malformed header {line!r}")
             try:
                 n, declared_edges = int(fields[2]), int(fields[3])
             except ValueError:
-                raise ParseError(line_no, f"non-integer header fields in {line!r}") from None
+                raise GraphError(f"line {line_no}: non-integer header fields in {line!r}") from None
             if n < 0 or declared_edges < 0:
-                raise ParseError(line_no, "negative counts in header")
+                raise GraphError(f"line {line_no}: negative counts in header")
         elif fields[0] == "e":
             if n < 0:
-                raise ParseError(line_no, "edge line before 'p edge' header")
-            raise ParseError(line_no, f"malformed edge line {line!r}")
+                raise GraphError(f"line {line_no}: edge line before 'p edge' header")
+            raise GraphError(f"line {line_no}: malformed edge line {line!r}")
         else:
-            raise ParseError(line_no, f"unrecognized line {line!r}")
+            raise GraphError(f"line {line_no}: unrecognized line {line!r}")
     if n < 0:
-        raise ParseError(line_no + 1, "missing 'p edge' header")
+        raise GraphError(f"line {line_no + 1}: missing 'p edge' header")
     if len(pairs) != declared_edges:
-        raise ParseError(line_no, f"header declared {declared_edges} edges, file has {len(pairs)}")
+        raise GraphError(f"line {line_no}: header declared {declared_edges} edges, file has {len(pairs)}")
     return Graph(n, pairs)
 
 
@@ -302,8 +302,8 @@ def parse_cover(text: str, g: Graph) -> ElementSet:
 
     Lines, ended by ``"\\n"`` only, are ``v <id>`` or ``e <u> <v>`` with
     1-indexed ids; ``#`` comments and blank lines are skipped.  Every
-    fault raises ParseError with its line number, a vertex outside
-    ``g`` and a pair that is not an edge of ``g`` included.
+    fault raises GraphError naming its line (``line N: ...``), a vertex
+    outside ``g`` and a pair that is not an edge of ``g`` included.
     """
     ids: list[int] = []
     for line_no, raw in enumerate(text.split("\n"), 1):
@@ -315,21 +315,21 @@ def parse_cover(text: str, g: Graph) -> ElementSet:
             try:
                 idx = int(fields[1]) - 1
             except ValueError:
-                raise ParseError(line_no, f"non-integer vertex in {line!r}") from None
+                raise GraphError(f"line {line_no}: non-integer vertex in {line!r}") from None
             if not 0 <= idx < g.n:
-                raise ParseError(line_no, f"vertex {idx + 1} leaves [1, {g.n}]")
+                raise GraphError(f"line {line_no}: vertex {idx + 1} leaves [1, {g.n}]")
             ids.append(idx)
         elif fields[0] == "e" and len(fields) == 3:
             try:
                 u, v = int(fields[1]) - 1, int(fields[2]) - 1
             except ValueError:
-                raise ParseError(line_no, f"non-integer endpoints in {line!r}") from None
+                raise GraphError(f"line {line_no}: non-integer endpoints in {line!r}") from None
             eid = g.edge_id(u, v)
             if eid is None:
-                raise ParseError(line_no, f"({u + 1},{v + 1}) is not an edge of the graph")
+                raise GraphError(f"line {line_no}: ({u + 1},{v + 1}) is not an edge of the graph")
             ids.append(g.n + eid)
         else:
-            raise ParseError(line_no, f"unrecognized line {line!r}")
+            raise GraphError(f"line {line_no}: unrecognized line {line!r}")
     return ElementSet(g, ids)
 
 

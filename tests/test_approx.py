@@ -226,7 +226,7 @@ def test_matched_vertices_cover_reuses_a_given_matching():
 
 def test_each_baseline_certifies_its_cover(monkeypatch):
     k3 = complete(3)
-    monkeypatch.setattr(tcover.approx, "is_total_cover", lambda d: (False, 0))
+    monkeypatch.setattr(tcover.graph, "is_total_cover", lambda d: (False, 0))
     for build in (lambda: matched_vertices_cover(maximum_matching(k3)),
                   lambda: greedy_domination_cover(k3)):
         with pytest.raises(CertificateError, match=r"^baseline cover misses vertex 1$"):
@@ -411,12 +411,13 @@ def test_a_matching_or_cover_of_another_graph_is_rejected(name):
 CERTIFICATE_UNDER_O = """
 import sys
 import tcover.approx
+import tcover.graph
 from tcover import CertificateError
 from tcover.instances import path
 
 if __debug__:
     sys.exit("expected to run under python -O")
-tcover.approx.is_total_cover = lambda d: (False, 1)
+tcover.graph.is_total_cover = lambda d: (False, 1)
 try:
     tcover.approx.approx_total_cover(path(3))
 except CertificateError as exc:

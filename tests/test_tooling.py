@@ -22,15 +22,17 @@ DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
 @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(SRC, "tcover", "*.py"))),
                          ids=os.path.basename)
 def test_no_invariant_lives_in_assert(path):
-    # `python -O` strips assert statements, and the CLI reports a bare
-    # AssertionError as nothing in particular: invariants raise named errors
+    # `python -O` strips assert statements and `if __debug__:` blocks, and
+    # the CLI reports a bare AssertionError as nothing in particular:
+    # invariants raise named errors
     with open(path, encoding="utf-8") as handle:
         tree = ast.parse(handle.read(), path)
     asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
-    names = [node.lineno for node in ast.walk(tree)
-             if isinstance(node, ast.Name) and node.id == "AssertionError"]
+    names = {name: [node.lineno for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and node.id == name]
+             for name in ("AssertionError", "__debug__")}
     assert asserts == [], f"assert statements at lines {asserts}"
-    assert names == [], f"AssertionError at lines {names}"
+    assert names == {"AssertionError": [], "__debug__": []}, names
 
 
 def test_exports_are_exactly_the_public_names():
@@ -54,13 +56,13 @@ def test_exports_are_exactly_the_public_names():
         "bad_vertex_assignment", "greedy_domination_cover", "matched_vertices_cover",
         "total_cover_lower_bound",
         "BudgetExceededError", "ExactResult", "TooLargeError", "exact_total_cover",
-        "CertificateError", "ElementSet", "Graph", "GraphError", "ParseError",
-        "element_cover_line", "format_element", "is_total_cover", "isolated_vertices",
-        "parse_cover", "parse_graph", "serialize_cover", "serialize_graph", "total_graph",
+        "CertificateError", "ElementSet", "Graph", "GraphError", "element_cover_line",
+        "format_element", "is_total_cover", "isolated_vertices", "parse_cover", "parse_graph",
+        "serialize_cover", "serialize_graph", "total_graph",
         "complete", "cycle", "gnp", "hard_instance", "path", "star",
         "Matching", "maximum_matching",
     ]
-    assert len(names) == 34
+    assert len(names) == 33
 
 
 def test_cli_options_are_exactly_these():
